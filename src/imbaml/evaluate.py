@@ -2,9 +2,12 @@
 
 Resampling and preprocessor fitting happen strictly inside each training
 partition; validation rows are passed through untouched, so every scored
-validation row is bit-identical to an original dataset row. Timeouts use
-cooperative deadline checkpoints inside the fit loops plus a coordinator-side
-watchdog.
+validation row is bit-identical to an original dataset row. Timeouts are
+cooperative: one ``Deadline`` per evaluation is checked between pipeline
+steps, after each fold, and inside the sampler, neighbour-query and estimator
+fit loops. There is no watchdog: preprocessor fitting and prediction run
+unchecked, and an evaluation overruns its cap by up to the longest stretch
+between two checks.
 """
 
 from __future__ import annotations
@@ -154,7 +157,7 @@ def fit_pipeline(p: Pipeline, train: Dataset, rng: Rng, deadline: Deadline | Non
         if deadline is not None:
             deadline.check()
         if cfg.category == SAMPLER:
-            working = apply_sampler(cfg, working, rng.child(i))
+            working = apply_sampler(cfg, working, rng.child(i), deadline)
         elif cfg.category == PREPROCESSOR:
             t = fit_preprocessor(cfg, working.features)
             transforms.append(t)

@@ -48,12 +48,11 @@ def confusion(y_true, y_pred) -> ConfusionMatrix:
         raise MetricError("label vectors must be equal-length 1-d arrays")
     if y_true.size == 0:
         raise MetricError("empty label vectors")
-    classes = sorted(set(y_true.tolist()) | set(y_pred.tolist()))
-    pos = {c: i for i, c in enumerate(classes)}
-    m = np.zeros((len(classes), len(classes)), dtype=np.int64)
-    for t, p in zip(y_true, y_pred):
-        m[pos[t], pos[p]] += 1
-    return ConfusionMatrix(tuple(classes), m)
+    classes = np.union1d(y_true, y_pred)
+    k = classes.size
+    codes = np.searchsorted(classes, y_true) * k + np.searchsorted(classes, y_pred)
+    m = np.bincount(codes, minlength=k * k).reshape(k, k)
+    return ConfusionMatrix(tuple(classes.tolist()), m)
 
 
 def _recalls(cm: ConfusionMatrix) -> tuple[np.ndarray, np.ndarray]:

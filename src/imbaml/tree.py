@@ -92,6 +92,8 @@ class DecisionTreeClassifier:
                 cols = np.arange(d)
             best = None  # (decrease, feature, threshold, sorted order, split pos)
             for f in cols:
+                if deadline is not None:
+                    deadline.check()
                 order = idx[np.argsort(X[idx, f], kind="stable")]
                 vals = X[order, f]
                 distinct = np.flatnonzero(vals[1:] > vals[:-1])  # split after these

@@ -44,6 +44,20 @@ def test_tree_deterministic_with_feature_sampling():
     assert np.array_equal(a.predict(d.features), b.predict(d.features))
 
 
+def test_tree_checks_deadline_per_candidate_feature():
+    class Counting:
+        calls = 0
+
+        def check(self):
+            self.calls += 1
+
+    d = overlapping_binary(40, 20, seed=3, d=6)
+    deadline = Counting()
+    DecisionTreeClassifier(max_depth=1).fit(d.features, d.labels, 2, deadline=deadline)
+    # root, its 6 candidate features, and the two leaves
+    assert deadline.calls == 1 + 6 + 2
+
+
 def test_stump_depth_one():
     d = overlapping_binary(40, 20, seed=3)
     stump = DecisionTreeClassifier(max_depth=1).fit(d.features, d.labels, 2)

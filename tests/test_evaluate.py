@@ -156,6 +156,25 @@ def test_holdout_final_matches_manual_replay():
     assert got == expected
 
 
+def test_fit_pipeline_deadline_reaches_sampler_queries():
+    from imbaml.evaluate import Deadline, EvalTimeout, fit_pipeline
+
+    class ExpiresAfterFirstCheck(Deadline):
+        def __init__(self):
+            super().__init__(None)
+            self.calls = 0
+
+        def check(self):
+            self.calls += 1
+            if self.calls > 1:
+                raise EvalTimeout()
+
+    p = parse("TomekLinks() >> GaussianNB()", DEFAULT_SPACE)
+    with pytest.raises(EvalTimeout) as info:
+        fit_pipeline(p, overlapping_binary(40, 16, seed=16), Rng(1), ExpiresAfterFirstCheck())
+    assert any(entry.name == "query_batch" for entry in info.traceback)
+
+
 def test_eval_log_jsonl(tmp_path):
     path = tmp_path / "log.jsonl"
     with EvalLog(path) as log:

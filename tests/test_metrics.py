@@ -52,6 +52,21 @@ def test_confusion_disjoint_label_sets():
     assert np.trace(cm.counts) == 0
 
 
+def test_confusion_matches_pairwise_count():
+    rng = Rng(3)
+    for n, labels in ((1, (4,)), (50, (0, 1)), (300, (0, 2, 5, 9, 11))):
+        y_true = rng.np.choice(labels, size=n)
+        y_pred = rng.np.choice(labels[::2], size=n)
+        classes = sorted(set(y_true.tolist()) | set(y_pred.tolist()))
+        want = np.zeros((len(classes), len(classes)), dtype=np.int64)
+        for t, p in zip(y_true.tolist(), y_pred.tolist()):
+            want[classes.index(t), classes.index(p)] += 1
+        cm = confusion(y_true, y_pred)
+        assert cm.classes == tuple(classes)
+        assert all(type(c) is int for c in cm.classes)
+        assert cm.counts.tobytes() == want.tobytes()
+
+
 def test_confusion_length_mismatch():
     with pytest.raises(MetricError):
         confusion([0, 1], [0])

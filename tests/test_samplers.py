@@ -542,6 +542,23 @@ def test_sampler_determinism_bytes(name, params):
     assert a.labels.tobytes() == b.labels.tobytes()
 
 
+class _Expired(Exception):
+    pass
+
+
+class _ExpiredDeadline:
+    def check(self):
+        raise _Expired()
+
+
+@pytest.mark.parametrize("name,params", ALL_SAMPLERS)
+def test_sampler_checks_deadline(name, params):
+    d = overlapping_binary(30, 9, seed=19, separation=1.2)
+    cfg = DEFAULT_SPACE.make_config(name, params)
+    with pytest.raises(_Expired):
+        apply_sampler(cfg, d, Rng(77), deadline=_ExpiredDeadline())
+
+
 @pytest.mark.parametrize("name,params", ALL_SAMPLERS)
 def test_sampler_multiclass_policy(name, params):
     d = make_dataset({0: 20, 1: 8, 2: 5}, seed=20, spread=3.0)
