@@ -7,6 +7,7 @@ subsystem for imbalance-regime suites and win/draw/lose comparisons.
 
 from .benchmark import (ComparisonOutcome, SuiteManifest, builtin_suite,
                         classify_regime, compare, run_suite, verify_manifest)
+from .components import DEFAULT_SPACE
 from .dataset import (ClassDistribution, ColumnMeta, DataError, Dataset, FoldPlan,
                       class_distribution, stratified_folds, train_test_split)
 from .evaluate import (BudgetClock, EvaluationResult, evaluate, fit_pipeline,
@@ -22,6 +23,6 @@ from .pipeline import (Pipeline, crossover, mutate, parse, random_pipeline,
 from .rng import Rng
 from .search import (AshaState, SearchConfig, SearchReport, audit_asha_events,
                      run_asha, run_asyncea, run_random, run_search)
-from .space import DEFAULT_SPACE, ComponentConfig, DomainError, SearchSpace
+from .space import ComponentConfig, ComponentSpec, DomainError, SearchSpace
 
 __version__ = "0.1.0"

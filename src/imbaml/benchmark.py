@@ -17,12 +17,13 @@ from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 
+from .components import DEFAULT_SPACE
 from .dataset import ClassDistribution, Dataset, class_distribution, train_test_split
 from .evaluate import holdout_final
 from .io import atomic_write_bytes, fetch_openml, load_arff, load_csv
 from .rng import Rng
 from .search import SearchConfig, SearchReport, run_search
-from .space import DEFAULT_SPACE, SearchSpace
+from .space import SearchSpace
 
 REGIME_BALANCED = "balanced"
 REGIME_IMBALANCED = "imbalanced"

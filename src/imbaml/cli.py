@@ -18,6 +18,7 @@ from pathlib import Path
 from .benchmark import (BUILTIN_SUITES, BenchmarkError, builtin_suite, compare,
                         classify_regime, load_scores, render_comparison,
                         run_suite, SuiteManifest, verify_manifest)
+from .components import DEFAULT_SPACE
 from .dataset import ClassDistribution, DataError, Dataset, class_distribution
 from .io import atomic_write_bytes, fetch_openml, load_arff, load_csv
 from .metafeatures import extract_metafeatures
@@ -27,7 +28,7 @@ from .metrics import METRIC_IDS
 from .pipeline import parse, serialize
 from .rng import Rng
 from .search import SearchConfig, run_search
-from .space import DEFAULT_SPACE, DomainError
+from .space import DomainError
 
 CACHE_ENV = "IMBAML_OPENML_CACHE"
 
@@ -179,7 +180,6 @@ def _cmd_fit(args) -> int:
 
 def _cmd_resample(args) -> int:
     _check_source(args.data)
-    config = None
     from .pipeline import parse_component
     config = parse_component(args.sampler, DEFAULT_SPACE)
     if config.category != "sampler":

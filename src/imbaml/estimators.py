@@ -1,14 +1,15 @@
 """Native classifiers and the imbalance ensembles.
 
-Every estimator exposes ``fit(X, y, n_classes, ...)``, ``predict`` and
-``predict_score`` over a shared global class-code space; codes absent from
-the training fold simply never win. Fits are deterministic given the Rng
-passed in, which makes the replay oracles in the test suite possible.
+Every estimator exposes ``fit(X, y, n_classes, rng=None, deadline=None)``,
+``predict`` and ``predict_score`` over a shared global class-code space;
+codes absent from the training fold simply never win. The ensembles need the
+Rng; the others accept and ignore it (a tree uses it for feature sampling).
+Fits are deterministic given the Rng passed in, which makes the replay
+oracles in the test suite possible.
 """
 
 from __future__ import annotations
 
-import base64
 import math
 
 import numpy as np
@@ -19,19 +20,16 @@ from .rng import Rng
 from .space import ComponentConfig, DomainError, ESTIMATOR
 from .tree import DecisionTreeClassifier
 
-MODEL_FORMAT_VERSION = "1"
-
 
 class EstimatorError(ValueError):
     pass
 
 
-def _mode_vote(member_preds: np.ndarray, n_classes: int) -> np.ndarray:
-    """Majority vote over axis 0; ties resolve to the lowest class code."""
-    votes = np.zeros((member_preds.shape[1], n_classes), dtype=np.int64)
-    for row in member_preds:
-        np.add.at(votes, (np.arange(row.size), row), 1)
-    return votes.argmax(axis=1)
+def _vote_counts(labels: np.ndarray, n_classes: int) -> np.ndarray:
+    """Per-row class counts of an (n_rows, n_voters) matrix of class codes."""
+    n = labels.shape[0]
+    flat = (np.arange(n)[:, None] * n_classes + labels).ravel()
+    return np.bincount(flat, minlength=n * n_classes).reshape(n, n_classes)
 
 
 def _balanced_bootstrap(y: np.ndarray, rng: Rng) -> np.ndarray:
@@ -48,7 +46,7 @@ def _balanced_bootstrap(y: np.ndarray, rng: Rng) -> np.ndarray:
 class GaussianNB:
     VAR_EPS = 1e-9
 
-    def fit(self, X, y, n_classes, deadline=None):
+    def fit(self, X, y, n_classes, rng=None, deadline=None):
         X = np.asarray(X, dtype=np.float64)
         y = np.asarray(y, dtype=np.int64)
         self.n_classes = n_classes
@@ -82,23 +80,12 @@ class GaussianNB:
     def predict(self, X):
         return self.predict_score(X).argmax(axis=1)
 
-    def state(self):
-        return {"n_classes": self.n_classes, "theta": self.theta,
-                "var": self.var, "log_prior": self.log_prior}
-
-    @classmethod
-    def from_state(cls, s):
-        m = cls()
-        m.n_classes = int(s["n_classes"])
-        m.theta, m.var, m.log_prior = (np.asarray(s[k]) for k in ("theta", "var", "log_prior"))
-        return m
-
 
 class KNeighborsClassifier:
     def __init__(self, n_neighbors: int = 5):
         self.n_neighbors = n_neighbors
 
-    def fit(self, X, y, n_classes, deadline=None):
+    def fit(self, X, y, n_classes, rng=None, deadline=None):
         self.X = np.asarray(X, dtype=np.float64)
         self.y = np.asarray(y, dtype=np.int64)
         self.n_classes = n_classes
@@ -108,23 +95,10 @@ class KNeighborsClassifier:
     def predict_score(self, X):
         k = min(self.n_neighbors, len(self.X))
         neigh = self._index.query_batch(np.asarray(X, dtype=np.float64), k)
-        votes = np.zeros((neigh.shape[0], self.n_classes))
-        for col in range(neigh.shape[1]):
-            np.add.at(votes, (np.arange(neigh.shape[0]), self.y[neigh[:, col]]), 1.0)
-        return votes / k
+        return _vote_counts(self.y[neigh], self.n_classes) / k
 
     def predict(self, X):
         return self.predict_score(X).argmax(axis=1)
-
-    def state(self):
-        return {"n_neighbors": self.n_neighbors, "n_classes": self.n_classes,
-                "X": self.X, "y": self.y}
-
-    @classmethod
-    def from_state(cls, s):
-        m = cls(int(s["n_neighbors"]))
-        m.fit(np.asarray(s["X"]), np.asarray(s["y"]), int(s["n_classes"]))
-        return m
 
 
 class LogisticRegression:
@@ -152,7 +126,7 @@ class LogisticRegression:
         g += reg * np.vstack([W[:-1], np.zeros((1, W.shape[1]))])
         return g, p
 
-    def fit(self, X, y, n_classes, deadline=None):
+    def fit(self, X, y, n_classes, rng=None, deadline=None):
         X = np.asarray(X, dtype=np.float64)
         y = np.asarray(y, dtype=np.int64)
         n = X.shape[0]
@@ -208,22 +182,6 @@ class LogisticRegression:
     def predict(self, X):
         return self.predict_score(X).argmax(axis=1)
 
-    def state(self):
-        return {"regularization": self.regularization, "n_classes": self.n_classes,
-                "classes_seen": self.classes_seen, "W": self.W,
-                "iterations": self.iterations, "grad_norm": self.grad_norm,
-                "grad_tol": self.GRAD_TOL}
-
-    @classmethod
-    def from_state(cls, s):
-        m = cls(float(s["regularization"]))
-        m.n_classes = int(s["n_classes"])
-        m.classes_seen = np.asarray(s["classes_seen"], dtype=np.int64)
-        m.W = np.asarray(s["W"])
-        m.iterations = int(s.get("iterations", 0))
-        m.grad_norm = float(s.get("grad_norm", np.nan))
-        return m
-
 
 class _Forest:
     """Shared vote/score machinery for tree ensembles."""
@@ -234,15 +192,13 @@ class _Forest:
     def _member_preds(self, X):
         return np.stack([t.predict(X) for t in self.trees])
 
-    def predict(self, X):
-        return _mode_vote(self._member_preds(X), self.n_classes)
-
     def predict_score(self, X):
-        preds = self._member_preds(X)
-        votes = np.zeros((preds.shape[1], self.n_classes))
-        for row in preds:
-            np.add.at(votes, (np.arange(row.size), row), 1.0)
-        return votes / len(self.trees)
+        return _vote_counts(self._member_preds(X).T, self.n_classes) / len(self.trees)
+
+    def predict(self, X):
+        # vote shares keep the order of the counts, so ties still go to the
+        # lowest class code
+        return self.predict_score(X).argmax(axis=1)
 
 
 class RandomForestClassifier(_Forest):
@@ -251,7 +207,7 @@ class RandomForestClassifier(_Forest):
         self.criterion = criterion
         self.max_features = max_features
 
-    def fit(self, X, y, n_classes, rng: Rng, deadline=None):
+    def fit(self, X, y, n_classes, rng: Rng | None = None, deadline=None):
         X = np.asarray(X, dtype=np.float64)
         y = np.asarray(y, dtype=np.int64)
         self.n_classes = n_classes
@@ -279,7 +235,7 @@ class BalancedRandomForestClassifier(_Forest):
         self.max_features = max_features
         self.min_impurity_decrease = min_impurity_decrease
 
-    def fit(self, X, y, n_classes, rng: Rng, deadline=None):
+    def fit(self, X, y, n_classes, rng: Rng | None = None, deadline=None):
         X = np.asarray(X, dtype=np.float64)
         y = np.asarray(y, dtype=np.int64)
         self.n_classes = n_classes
@@ -306,7 +262,7 @@ class BalancedBaggingClassifier(_Forest):
         self.max_features = max_features
         self.max_samples = max_samples
 
-    def fit(self, X, y, n_classes, rng: Rng, deadline=None):
+    def fit(self, X, y, n_classes, rng: Rng | None = None, deadline=None):
         X = np.asarray(X, dtype=np.float64)
         y = np.asarray(y, dtype=np.int64)
         self.n_classes = n_classes
@@ -348,7 +304,7 @@ class RUSBoostClassifier:
         self.n_estimators = n_estimators
         self.max_depth = max_depth
 
-    def fit(self, X, y, n_classes, rng: Rng, deadline=None):
+    def fit(self, X, y, n_classes, rng: Rng | None = None, deadline=None):
         X = np.asarray(X, dtype=np.float64)
         y = np.asarray(y, dtype=np.int64)
         self.n_classes = n_classes
@@ -412,45 +368,6 @@ class RUSBoostClassifier:
         return self._decision(X).argmax(axis=1)
 
 
-def _tree_states(trees):
-    return [t.state() for t in trees]
-
-
-def _trees_from_states(states):
-    return [DecisionTreeClassifier.from_state(s) for s in states]
-
-
-_NEEDS_RNG = ("RandomForestClassifier", "BalancedRandomForestClassifier",
-              "BalancedBaggingClassifier", "RUSBoostClassifier")
-
-
-def _build(config: ComponentConfig):
-    p = config.as_dict()
-    name = config.name
-    if name == "DecisionTreeClassifier":
-        return DecisionTreeClassifier(criterion=p["criterion"], max_depth=p["max_depth"])
-    if name == "DecisionStumpClassifier":
-        return DecisionTreeClassifier(criterion=p["criterion"], max_depth=1)
-    if name == "RandomForestClassifier":
-        return RandomForestClassifier(p["n_estimators"], p["criterion"], p["max_features"])
-    if name == "KNeighborsClassifier":
-        return KNeighborsClassifier(p["n_neighbors"])
-    if name == "LogisticRegression":
-        return LogisticRegression(p["regularization"])
-    if name == "GaussianNB":
-        return GaussianNB()
-    if name == "BalancedRandomForestClassifier":
-        return BalancedRandomForestClassifier(
-            p["n_estimators"], p["criterion"], p["max_features"],
-            p["min_impurity_decrease"])
-    if name == "BalancedBaggingClassifier":
-        return BalancedBaggingClassifier(p["n_estimators"], p["max_features"],
-                                         p["max_samples"])
-    if name == "RUSBoostClassifier":
-        return RUSBoostClassifier(p["learning_rate"], p["n_estimators"], p["max_depth"])
-    raise DomainError(f"unknown estimator '{name}'")
-
-
 class FittedModel:
     """A trained terminal estimator plus its training label dictionary."""
 
@@ -465,87 +382,6 @@ class FittedModel:
     def predict_score(self, X) -> np.ndarray:
         return self.model.predict_score(X)
 
-    def to_json(self) -> dict:
-        from .pipeline import serialize_component
-        state = (self.model.state() if hasattr(self.model, "state")
-                 else _ensemble_state(self.model))
-        return {
-            "format_version": MODEL_FORMAT_VERSION,
-            "component": serialize_component(self.config),
-            "label_names": list(self.label_names),
-            "state": _encode(state),
-        }
-
-    @classmethod
-    def from_json(cls, doc: dict, space=None) -> "FittedModel":
-        from .pipeline import parse_component
-        from .space import DEFAULT_SPACE
-        if doc.get("format_version") != MODEL_FORMAT_VERSION:
-            raise EstimatorError("unsupported model format version")
-        config = parse_component(doc["component"], space or DEFAULT_SPACE)
-        state = _decode(doc["state"])
-        model = _restore(config, state)
-        return cls(config, model, tuple(doc["label_names"]))
-
-
-def _ensemble_state(model) -> dict:
-    if isinstance(model, RUSBoostClassifier):
-        return {"kind": "rusboost", "n_classes": model.n_classes,
-                "alphas": np.asarray(model.alphas),
-                "trees": _tree_states(model.trees)}
-    state = {"kind": "forest", "n_classes": model.n_classes,
-             "trees": _tree_states(model.trees)}
-    if isinstance(model, BalancedBaggingClassifier):
-        state["bag_features"] = [np.asarray(c) for c in model.bag_features]
-    return state
-
-
-def _restore(config: ComponentConfig, state):
-    model = _build(config)
-    if isinstance(model, (RandomForestClassifier, BalancedRandomForestClassifier,
-                          BalancedBaggingClassifier)):
-        model.n_classes = int(state["n_classes"])
-        model.trees = _trees_from_states(state["trees"])
-        if isinstance(model, BalancedBaggingClassifier):
-            model.bag_features = [np.asarray(c, dtype=np.int64)
-                                  for c in state["bag_features"]]
-        return model
-    if isinstance(model, RUSBoostClassifier):
-        model.n_classes = int(state["n_classes"])
-        model.alphas = list(np.asarray(state["alphas"], dtype=np.float64))
-        model.trees = _trees_from_states(state["trees"])
-        return model
-    return type(model).from_state(state)
-
-
-def _encode(obj):
-    """JSON-encode nested state; arrays as little-endian base64 blobs."""
-    if isinstance(obj, np.ndarray):
-        le = obj.astype(obj.dtype.newbyteorder("<"), copy=False)
-        return {"__array__": True, "dtype": str(le.dtype), "shape": list(obj.shape),
-                "data": base64.b64encode(np.ascontiguousarray(le).tobytes()).decode()}
-    if isinstance(obj, dict):
-        return {k: _encode(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_encode(v) for v in obj]
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
-    return obj
-
-
-def _decode(obj):
-    if isinstance(obj, dict):
-        if obj.get("__array__"):
-            raw = base64.b64decode(obj["data"])
-            arr = np.frombuffer(raw, dtype=np.dtype(obj["dtype"]))
-            return arr.reshape(obj["shape"]).copy()
-        return {k: _decode(v) for k, v in obj.items()}
-    if isinstance(obj, list):
-        return [_decode(v) for v in obj]
-    return obj
-
 
 def fit(config: ComponentConfig, d: Dataset, rng: Rng, deadline=None) -> FittedModel:
     """Fit a terminal estimator on a dataset; deterministic given (config, data, seed)."""
@@ -555,13 +391,6 @@ def fit(config: ComponentConfig, d: Dataset, rng: Rng, deadline=None) -> FittedM
         raise EstimatorError("need at least 2 rows")
     if len(set(d.labels.tolist())) < 2:
         raise EstimatorError("need at least 2 classes")
-    model = _build(config)
-    n_classes = len(d.label_names)
-    if config.name in _NEEDS_RNG:
-        model.fit(d.features, d.labels, n_classes, rng=rng, deadline=deadline)
-    elif isinstance(model, DecisionTreeClassifier):
-        model.rng = rng
-        model.fit(d.features, d.labels, n_classes, deadline=deadline)
-    else:
-        model.fit(d.features, d.labels, n_classes, deadline=deadline)
+    model = config.instantiate()
+    model.fit(d.features, d.labels, len(d.label_names), rng=rng, deadline=deadline)
     return FittedModel(config, model, d.label_names)

@@ -65,7 +65,8 @@ class Deadline:
 
 @dataclass(frozen=True)
 class BudgetClock:
-    """Global search budget; the per-evaluation cap is exactly a tenth of it."""
+    """Global search budget; the per-evaluation cap is a tenth of it, and the
+    search hands an evaluation no more than what remains of the budget."""
 
     total_budget: float
     started_at: float

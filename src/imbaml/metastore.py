@@ -15,10 +15,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .components import DEFAULT_SPACE
 from .io import atomic_write_bytes
 from .metafeatures import FEATURE_NAMES, SCHEMA_VERSION, MetaFeatureVector
 from .pipeline import Pipeline, parse
-from .space import DEFAULT_SPACE, SearchSpace
+from .space import SearchSpace
 
 STORE_FORMAT_VERSION = "1"
 

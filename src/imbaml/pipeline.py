@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 from .rng import Rng
@@ -135,10 +135,6 @@ def parse(text: str, space: SearchSpace) -> Pipeline:
     return Pipeline(tuple(steps))
 
 
-def pipeline_hash(p: Pipeline) -> str:
-    return p.id
-
-
 def _counts(steps) -> tuple[int, int]:
     cats = [s.category for s in steps]
     return cats.count(SAMPLER), cats.count(PREPROCESSOR)
@@ -197,7 +193,7 @@ def _mutate_once(p: Pipeline, space: SearchSpace, rng: Rng) -> Pipeline:
         dom = spec.domain(pname)
         value = dom.draw(rng)
         params = tuple((n, value if n == pname else v) for n, v in steps[i].params)
-        steps[i] = ComponentConfig(steps[i].name, steps[i].category, params)
+        steps[i] = replace(steps[i], params=params)
     elif move == "swap":
         i = int(rng.np.integers(len(steps)))
         pool = [c for c in space.by_category(steps[i].category) if c.name != steps[i].name]

@@ -112,21 +112,8 @@ class PolynomialFeatures:
 
 
 def fit_preprocessor(config: ComponentConfig, X: np.ndarray):
-    """Build and fit a preprocessor on training data; returns the fitted state."""
+    """Build a preprocessor through its spec's builder and fit it on training
+    data; returns the fitted state."""
     if config.category != PREPROCESSOR:
         raise DomainError(f"{config.name} is not a preprocessor")
-    p = config.as_dict()
-    name = config.name
-    if name == "Normalizer":
-        proc = Normalizer(p["norm"])
-    elif name == "Binarizer":
-        proc = Binarizer(p["threshold"])
-    elif name == "VarianceThreshold":
-        proc = VarianceThreshold(p["threshold"])
-    elif name == "PCA":
-        proc = PCA(p["n_components"])
-    elif name == "PolynomialFeatures":
-        proc = PolynomialFeatures(p["degree"])
-    else:
-        raise DomainError(f"unknown preprocessor '{name}'")
-    return proc.fit(X)
+    return config.instantiate().fit(X)

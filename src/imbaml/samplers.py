@@ -425,7 +425,10 @@ def smote_enn(d: Dataset, strategy: str, k_smote: int, k_enn: int, rng: Rng,
               deadline=None) -> Dataset:
     """SMOTE then ENN editing; the strategy picks which classes ENN may touch
     relative to the *original* distribution: auto edits all non-minority
-    classes, minority only the minority side, all every class."""
+    classes, minority only the minority side, all every class.
+
+    The registry's SMOTEENN entry fixes ``k_smote`` and ``k_enn`` at 5 and 5,
+    imbalanced-learn's defaults; neither is a searched hyperparameter."""
     if strategy not in ("auto", "minority", "all"):
         raise SamplerError(f"unknown sampling_strategy {strategy!r}")
     minority = _original_minority(d)
@@ -455,7 +458,7 @@ def smote_tomek(d: Dataset, k_smote: int, rng: Rng, deadline=None) -> Dataset:
 
 
 def apply_sampler(config: ComponentConfig, d: Dataset, rng: Rng, deadline=None) -> Dataset:
-    """Dispatch a validated sampler configuration.
+    """Run a validated sampler configuration through its spec's builder.
 
     Requires >= 2 classes and a minority of >= 2 samples; the output keeps
     the input's column metadata and label dictionary. ``deadline``, when
@@ -463,32 +466,5 @@ def apply_sampler(config: ComponentConfig, d: Dataset, rng: Rng, deadline=None) 
     """
     if config.category != SAMPLER:
         raise DomainError(f"{config.name} is not a sampler")
-    rows = _class_rows(d.labels)
-    if len(rows) < 2:
-        raise SamplerError("resampling needs at least 2 classes")
-    if min(len(v) for v in rows.values()) < 2:
-        raise SamplerError("minority class needs at least 2 samples")
-    p = config.as_dict()
-    name = config.name
-    if name == "SMOTE":
-        return smote(d, p["k_neighbours"], rng, deadline)
-    if name == "BorderlineSMOTE":
-        return borderline_smote(d, p["k_neighbours"], p["m_neighbours"], p["kind"], rng,
-                                deadline)
-    if name == "ADASYN":
-        return adasyn(d, p["k_neighbours"], rng, deadline)
-    if name == "EditedNearestNeighbours":
-        return enn(d, p["k_neighbours"], deadline)
-    if name == "CondensedNearestNeighbour":
-        return cnn(d, p["k_neighbours"], rng, deadline)
-    if name == "AllKNN":
-        return all_knn(d, p["k_neighbours"], deadline)
-    if name == "ClusterCentroids":
-        return cluster_centroids(d, p["voting"], rng, deadline)
-    if name == "TomekLinks":
-        return tomek_links(d, deadline)
-    if name == "SMOTEENN":
-        return smote_enn(d, p["sampling_strategy"], 5, 5, rng, deadline)
-    if name == "SMOTETomek":
-        return smote_tomek(d, p["k_smote"], rng, deadline)
-    raise DomainError(f"unknown sampler '{name}'")
+    _require_resampleable(d, need_pairs=True)
+    return config.instantiate()(d, rng, deadline)

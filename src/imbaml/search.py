@@ -17,7 +17,7 @@ from .dataset import Dataset, FoldPlan, stratified_folds
 from .evaluate import (STATUS_TIMEOUT, BudgetClock, EvalLog, EvaluationResult,
                        WORST_SCORE, evaluate)
 from .metrics import BALANCED_ACCURACY_DEFINITION, METRIC_IDS
-from .pipeline import Pipeline, crossover, mutate, parse, random_pipeline, serialize
+from .pipeline import Pipeline, crossover, mutate, random_pipeline
 from .rng import Rng
 from .space import SearchSpace
 
@@ -149,8 +149,9 @@ class _Driver:
         return job
 
     def execute(self, job: _Job) -> EvaluationResult:
-        return evaluate(job.pipeline, self.d, self.folds, self.cfg.metric,
-                        self.clock.per_eval_cap,
+        # a late dispatch gets only what is left of the budget
+        cap = min(self.clock.per_eval_cap, self.clock.remaining())
+        return evaluate(job.pipeline, self.d, self.folds, self.cfg.metric, cap,
                         self._root.child(_EVAL_CHILD_BASE + job.index),
                         train_fraction=job.train_fraction, probe=self.probe)
 
@@ -223,16 +224,12 @@ class _Driver:
             events=events or [], header=header)
 
 
-def _warm_iter(cfg: SearchConfig):
-    return list(cfg.warm_start)
-
-
 def run_random(space: SearchSpace, d: Dataset, cfg: SearchConfig, probe=None) -> SearchReport:
     """Fresh random pipelines until the budget runs out; warm-start pipelines,
     if any, are dispatched first."""
     cfg = replace(cfg, algorithm="random")
     driver = _Driver(space, d, cfg, probe)
-    pending = _warm_iter(cfg)
+    pending = list(cfg.warm_start)
 
     def propose():
         p = pending.pop(0) if pending else random_pipeline(space, driver.coord)
@@ -258,7 +255,7 @@ def run_asyncea(space: SearchSpace, d: Dataset, cfg: SearchConfig, probe=None) -
     cfg = replace(cfg, algorithm="asyncea")
     driver = _Driver(space, d, cfg, probe)
     coord = driver.coord
-    warm = _warm_iter(cfg)
+    warm = list(cfg.warm_start)
     init_target = max(cfg.population_size, len(warm))
     init_sent = 0
     population: list[tuple[Pipeline, EvaluationResult]] = []
@@ -418,7 +415,7 @@ def run_asha(space: SearchSpace, d: Dataset, cfg: SearchConfig, probe=None) -> S
     driver = _Driver(space, d, cfg, probe)
     state = AshaState(cfg.reduction_factor, cfg.min_resource)
     pipelines: dict[str, Pipeline] = {}
-    warm = _warm_iter(cfg)
+    warm = list(cfg.warm_start)
     best_full: EvaluationResult | None = None
     logged_events = 0
 
@@ -457,14 +454,3 @@ _RUNNERS = {"random": run_random, "asyncea": run_asyncea, "asha": run_asha}
 
 def run_search(space: SearchSpace, d: Dataset, cfg: SearchConfig, probe=None) -> SearchReport:
     return _RUNNERS[cfg.algorithm](space, d, cfg, probe=probe)
-
-
-def warm_start_pipelines(texts, space: SearchSpace) -> tuple[Pipeline, ...]:
-    """Parse stored pipeline texts, skipping any that no longer fit the grammar."""
-    out = []
-    for t in texts:
-        try:
-            out.append(parse(t, space))
-        except Exception:
-            continue
-    return tuple(out)

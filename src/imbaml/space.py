@@ -1,19 +1,16 @@
-"""Declarative search space: component inventory and hyperparameter domains.
+"""Search-space machinery: hyperparameter domains, component specs and the
+configs bound from them.
 
-The resampler and imbalance-ensemble rows mirror the published search table
-verbatim (including its [0.05-1.01] fraction ranges, clamped to 1.0 at use).
-Domains for the native components are a frozen snapshot documented here
-rather than resolved from any external configuration at runtime. Two rows
-declare defaults outside their search range (RUSBoost n_estimators,
-balanced-forest min_impurity_decrease); validation admits the declared
-default as well as any in-range value, so default pipelines stay legal while
-search draws stay inside the range.
+A ``ComponentSpec`` carries the builder of its component, and every config
+made from the spec carries the same builder, so a space is the only table a
+component needs. The default inventory lives in ``imbaml.components``.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import Callable
 
 from .rng import Rng
 
@@ -72,11 +69,25 @@ class RealRange:
         return float(rng.np.uniform(self.lo, self.hi))
 
 
+def _builder_field():
+    # a builder is not part of a component's identity: equality, hashing and
+    # repr see only the name, category and parameters
+    return field(default=None, compare=False, hash=False, repr=False)
+
+
 @dataclass(frozen=True)
 class ComponentSpec:
+    """One component: its name, category, hyperparameter domains and builder.
+
+    ``build(**params)`` returns what the category's entry point needs: a
+    ``(d, rng, deadline) -> Dataset`` callable for a sampler, an unfitted
+    preprocessor, or an unfitted estimator.
+    """
+
     name: str
     category: str
     params: tuple[tuple[str, object], ...] = ()  # (name, domain) in canonical order
+    build: Callable | None = _builder_field()
 
     def domain(self, name: str):
         for pname, dom in self.params:
@@ -95,6 +106,7 @@ class ComponentConfig:
     name: str
     category: str
     params: tuple[tuple[str, object], ...] = ()
+    build: Callable | None = _builder_field()
 
     def get(self, name: str):
         for pname, v in self.params:
@@ -104,6 +116,12 @@ class ComponentConfig:
 
     def as_dict(self) -> dict:
         return dict(self.params)
+
+    def instantiate(self):
+        """The builder's product for these hyperparameter values."""
+        if self.build is None:
+            raise DomainError(f"{self.name} has no builder")
+        return self.build(**self.as_dict())
 
 
 class SearchSpace:
@@ -150,7 +168,7 @@ class SearchSpace:
         if params:
             raise DomainError(
                 f"{name}: unknown hyperparameter '{sorted(params)[0]}'")
-        return ComponentConfig(spec.name, spec.category, tuple(bound))
+        return ComponentConfig(spec.name, spec.category, tuple(bound), spec.build)
 
     def default_config(self, name: str) -> ComponentConfig:
         return self.make_config(name, {})
@@ -159,92 +177,4 @@ class SearchSpace:
         spec = self.spec(name)
         return ComponentConfig(
             spec.name, spec.category,
-            tuple((pname, dom.draw(rng)) for pname, dom in spec.params))
-
-
-def _k(default=5):
-    return IntRange(1, 25, default)
-
-
-def build_default_space() -> SearchSpace:
-    frac = RealRange(0.05, 1.01, 1.0)
-    components = [
-        # resamplers
-        ComponentSpec("SMOTE", SAMPLER, (("k_neighbours", _k()),)),
-        ComponentSpec("BorderlineSMOTE", SAMPLER, (
-            ("k_neighbours", _k()),
-            ("kind", Categorical(("borderline-1", "borderline-2"), "borderline-1")),
-            ("m_neighbours", _k(10)),
-        )),
-        ComponentSpec("ADASYN", SAMPLER, (("k_neighbours", _k()),)),
-        ComponentSpec("EditedNearestNeighbours", SAMPLER, (("k_neighbours", _k()),)),
-        ComponentSpec("CondensedNearestNeighbour", SAMPLER, (("k_neighbours", _k()),)),
-        ComponentSpec("AllKNN", SAMPLER, (("k_neighbours", _k()),)),
-        ComponentSpec("ClusterCentroids", SAMPLER, (
-            ("voting", Categorical(("auto", "hard", "soft"), "auto")),
-        )),
-        ComponentSpec("TomekLinks", SAMPLER, ()),
-        ComponentSpec("SMOTEENN", SAMPLER, (
-            ("sampling_strategy", Categorical(("auto", "minority", "all"), "auto")),
-        )),
-        # the published table's strategy row carries a [1-25] range, which only
-        # fits a neighbour count; exposed here as the SMOTE side's k
-        ComponentSpec("SMOTETomek", SAMPLER, (("k_smote", _k()),)),
-        # preprocessors
-        ComponentSpec("Normalizer", PREPROCESSOR, (
-            ("norm", Categorical(("l2", "l1", "max"), "l2")),
-        )),
-        ComponentSpec("Binarizer", PREPROCESSOR, (
-            ("threshold", RealRange(0.0, 1.0, 0.0)),
-        )),
-        ComponentSpec("VarianceThreshold", PREPROCESSOR, (
-            ("threshold", RealRange(0.0, 0.05, 0.0)),
-        )),
-        ComponentSpec("PCA", PREPROCESSOR, (
-            ("n_components", IntRange(1, 20, 5)),
-        )),
-        ComponentSpec("PolynomialFeatures", PREPROCESSOR, (
-            ("degree", Categorical((2,), 2)),
-        )),
-        # imbalance ensembles
-        ComponentSpec("BalancedRandomForestClassifier", ESTIMATOR, (
-            ("n_estimators", Categorical((100,), 100)),
-            ("criterion", Categorical(("gini", "entropy"), "gini")),
-            ("max_features", frac),
-            ("min_impurity_decrease", RealRange(0.05, 1.01, 0.0)),
-        )),
-        ComponentSpec("BalancedBaggingClassifier", ESTIMATOR, (
-            ("n_estimators", Categorical((10, 100), 10)),
-            ("max_features", frac),
-            ("max_samples", frac),
-        )),
-        ComponentSpec("RUSBoostClassifier", ESTIMATOR, (
-            ("learning_rate", RealRange(0.05, 1.01, 1.0)),
-            ("n_estimators", Categorical((50, 100), 10)),
-            ("max_depth", IntRange(1, 3, 1)),
-        )),
-        # native estimators (frozen snapshot of searched domains)
-        ComponentSpec("DecisionTreeClassifier", ESTIMATOR, (
-            ("criterion", Categorical(("gini", "entropy"), "gini")),
-            ("max_depth", IntRange(1, 20, 20)),
-        )),
-        ComponentSpec("DecisionStumpClassifier", ESTIMATOR, (
-            ("criterion", Categorical(("gini", "entropy"), "gini")),
-        )),
-        ComponentSpec("RandomForestClassifier", ESTIMATOR, (
-            ("n_estimators", Categorical((100,), 100)),
-            ("criterion", Categorical(("gini", "entropy"), "gini")),
-            ("max_features", RealRange(0.05, 1.01, 0.5)),
-        )),
-        ComponentSpec("KNeighborsClassifier", ESTIMATOR, (
-            ("n_neighbors", _k()),
-        )),
-        ComponentSpec("LogisticRegression", ESTIMATOR, (
-            ("regularization", RealRange(1e-4, 10.0, 1.0)),
-        )),
-        ComponentSpec("GaussianNB", ESTIMATOR, ()),
-    ]
-    return SearchSpace(components)
-
-
-DEFAULT_SPACE = build_default_space()
+            tuple((pname, dom.draw(rng)) for pname, dom in spec.params), spec.build)

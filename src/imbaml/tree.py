@@ -47,7 +47,12 @@ class DecisionTreeClassifier:
         self.right = None
         self.value = None       # per node class-weight sums
 
-    def fit(self, X, y, n_classes: int | None = None, sample_weight=None, deadline=None):
+    def fit(self, X, y, n_classes: int | None = None, rng: Rng | None = None,
+            deadline=None, sample_weight=None):
+        """Grow the tree; ``rng``, when given, replaces the constructor's Rng
+        for per-node feature sampling."""
+        if rng is not None:
+            self.rng = rng
         X = np.asarray(X, dtype=np.float64)
         y = np.asarray(y, dtype=np.int64)
         if n_classes is None:
@@ -158,22 +163,3 @@ class DecisionTreeClassifier:
 
     def node_count(self) -> int:
         return len(self.feature)
-
-    def state(self) -> dict:
-        return {
-            "criterion": self.criterion,
-            "n_classes": self.n_classes,
-            "feature": self.feature,
-            "threshold": self.threshold,
-            "left": self.left,
-            "right": self.right,
-            "value": self.value,
-        }
-
-    @classmethod
-    def from_state(cls, state: dict) -> "DecisionTreeClassifier":
-        tree = cls(criterion=state["criterion"])
-        tree.n_classes = int(state["n_classes"])
-        for k in ("feature", "threshold", "left", "right", "value"):
-            setattr(tree, k, np.asarray(state[k]))
-        return tree

@@ -1,12 +1,10 @@
-import json
-
 import numpy as np
 import pytest
 
 from imbaml import DEFAULT_SPACE, Dataset, Rng, balanced_accuracy, confusion
 from imbaml.estimators import (BalancedBaggingClassifier,
                                BalancedRandomForestClassifier, EstimatorError,
-                               FittedModel, GaussianNB, KNeighborsClassifier,
+                               GaussianNB, KNeighborsClassifier,
                                LogisticRegression, RUSBoostClassifier,
                                _balanced_bootstrap, fit)
 from imbaml.preprocessing import (PCA, Binarizer, Normalizer, PolynomialFeatures,
@@ -347,20 +345,6 @@ def test_fitted_model_scores_finite_and_normalised():
         s = model.predict_score(d.features[:10])
         assert np.isfinite(s).all()
         assert np.allclose(s.sum(axis=1), 1.0, atol=1e-9)
-
-
-def test_model_json_round_trip():
-    d = overlapping_binary(25, 10, seed=24)
-    for name in ("DecisionTreeClassifier", "GaussianNB", "LogisticRegression",
-                 "KNeighborsClassifier", "BalancedBaggingClassifier",
-                 "RUSBoostClassifier"):
-        cfg = DEFAULT_SPACE.default_config(name)
-        model = fit(cfg, d, Rng(4))
-        doc = json.loads(json.dumps(model.to_json()))
-        back = FittedModel.from_json(doc)
-        probe = Rng(25).np.normal(size=(20, 2))
-        assert np.array_equal(model.predict(probe), back.predict(probe))
-        assert back.label_names == d.label_names
 
 
 def test_default_outside_search_range_is_legal():

@@ -232,6 +232,28 @@ def test_budget_compliance_quick():
         assert rep.wall_clock <= 2.0 + 0.2 + 0.05
 
 
+def test_late_dispatch_cap_is_what_remains(monkeypatch):
+    import time
+
+    from imbaml import search
+    from imbaml.evaluate import BudgetClock, EvaluationResult
+
+    # a clock that has already spent 95% of a 10 s budget: a tenth of the
+    # budget (1 s) is more than the 0.5 s that remains
+    monkeypatch.setattr(BudgetClock, "start", classmethod(
+        lambda cls, budget: cls(float(budget), time.monotonic() - 9.5, budget / 10.0)))
+    caps = []
+
+    def fake_evaluate(p, d, folds, metric, cap, rng, **kw):
+        caps.append(cap)
+        return EvaluationResult(p.id, serialize(p), metric, (0.5,), 0.5, 0.0)
+
+    monkeypatch.setattr(search, "evaluate", fake_evaluate)
+    rep = run_random(DEFAULT_SPACE, quick_dataset(), quick_cfg(budget=10.0, max_evals=1))
+    assert rep.header["per_eval_cap"] == 1.0
+    assert len(caps) == 1 and 0.0 < caps[0] <= 0.5
+
+
 def test_no_result_flag_on_empty_run():
     d = quick_dataset()
     rep = run_random(DEFAULT_SPACE, d, SearchConfig(budget=1.0, seed=1,
