@@ -22,7 +22,7 @@ from .dataset import ClassDistribution, Dataset, class_distribution, train_test_
 from .evaluate import holdout_final
 from .io import atomic_write_bytes, fetch_openml, load_arff, load_csv
 from .rng import Rng
-from .search import SearchConfig, SearchReport, run_search
+from .search import SearchConfig, run_search
 from .space import SearchSpace
 
 REGIME_BALANCED = "balanced"

@@ -25,7 +25,7 @@ from .metafeatures import extract_metafeatures
 from .metastore import (MetadataStore, MetaRecord, MetaStoreError, StoredPipeline,
                         rank_records, warm_start_candidates)
 from .metrics import METRIC_IDS
-from .pipeline import parse, serialize
+from .pipeline import serialize
 from .rng import Rng
 from .search import SearchConfig, run_search
 from .space import DomainError

@@ -18,7 +18,7 @@ from .dataset import Dataset
 from .neighbors import NeighborIndex
 from .rng import Rng
 from .space import ComponentConfig, DomainError, ESTIMATOR
-from .tree import DecisionTreeClassifier
+from .tree import DecisionTreeClassifier, grow_trees
 
 
 class EstimatorError(ValueError):
@@ -202,6 +202,9 @@ class _Forest:
 
 
 class RandomForestClassifier(_Forest):
+    """Trees on plain bootstraps, feature fraction sampled per node; all trees
+    grow in one ``grow_trees`` call."""
+
     def __init__(self, n_estimators=100, criterion="gini", max_features=0.5):
         self.n_estimators = n_estimators
         self.criterion = criterion
@@ -211,22 +214,20 @@ class RandomForestClassifier(_Forest):
         X = np.asarray(X, dtype=np.float64)
         y = np.asarray(y, dtype=np.int64)
         self.n_classes = n_classes
-        self.trees = []
+        all_cols = np.arange(X.shape[1])
+        bags = []
         for t in range(self.n_estimators):
-            if deadline is not None:
-                deadline.check()
             tree_rng = rng.child(t)
-            boot = tree_rng.np.integers(0, len(y), size=len(y))
-            tree = DecisionTreeClassifier(criterion=self.criterion,
-                                          max_features=self.max_features, rng=tree_rng)
-            tree.fit(X[boot], y[boot], n_classes, deadline=deadline)
-            self.trees.append(tree)
+            bags.append((tree_rng.np.integers(0, len(y), size=len(y)), all_cols, tree_rng))
+        self.trees = grow_trees(X, y, n_classes, bags, criterion=self.criterion,
+                                max_features=self.max_features, deadline=deadline)
         return self
 
 
 class BalancedRandomForestClassifier(_Forest):
     """Random forest over per-class balanced bootstraps (random undersampling
-    inside every bootstrap), feature fraction sampled per node."""
+    inside every bootstrap), feature fraction sampled per node; all trees grow
+    in one ``grow_trees`` call."""
 
     def __init__(self, n_estimators=100, criterion="gini", max_features=1.0,
                  min_impurity_decrease=0.0):
@@ -239,23 +240,22 @@ class BalancedRandomForestClassifier(_Forest):
         X = np.asarray(X, dtype=np.float64)
         y = np.asarray(y, dtype=np.int64)
         self.n_classes = n_classes
-        self.trees = []
+        all_cols = np.arange(X.shape[1])
+        bags = []
         for t in range(self.n_estimators):
-            if deadline is not None:
-                deadline.check()
             tree_rng = rng.child(t)
-            boot = _balanced_bootstrap(y, tree_rng)
-            tree = DecisionTreeClassifier(
-                criterion=self.criterion, max_features=self.max_features,
-                min_impurity_decrease=self.min_impurity_decrease, rng=tree_rng)
-            tree.fit(X[boot], y[boot], n_classes, deadline=deadline)
-            self.trees.append(tree)
+            bags.append((_balanced_bootstrap(y, tree_rng), all_cols, tree_rng))
+        self.trees = grow_trees(X, y, n_classes, bags, criterion=self.criterion,
+                                max_features=self.max_features,
+                                min_impurity_decrease=self.min_impurity_decrease,
+                                deadline=deadline)
         return self
 
 
 class BalancedBaggingClassifier(_Forest):
     """Bagging of full-depth trees on balanced bootstraps; ``max_samples``
-    then subsamples each bag and ``max_features`` picks a per-bag column set."""
+    then subsamples each bag and ``max_features`` picks a per-bag column set.
+    All trees grow in one ``grow_trees`` call."""
 
     def __init__(self, n_estimators=10, max_features=1.0, max_samples=1.0):
         self.n_estimators = n_estimators
@@ -267,12 +267,9 @@ class BalancedBaggingClassifier(_Forest):
         y = np.asarray(y, dtype=np.int64)
         self.n_classes = n_classes
         d = X.shape[1]
-        self.trees = []
-        self.bag_features = []
         n_cols = max(1, math.ceil(min(max(self.max_features, 0.0), 1.0) * d))
+        bags = []
         for t in range(self.n_estimators):
-            if deadline is not None:
-                deadline.check()
             bag_rng = rng.child(t)
             boot = _balanced_bootstrap(y, bag_rng)
             frac = min(max(self.max_samples, 0.0), 1.0)
@@ -280,10 +277,9 @@ class BalancedBaggingClassifier(_Forest):
             if n_keep < boot.size:
                 boot = boot[bag_rng.np.choice(boot.size, size=n_keep, replace=False)]
             cols = np.sort(bag_rng.np.choice(d, size=n_cols, replace=False))
-            tree = DecisionTreeClassifier(rng=bag_rng)
-            tree.fit(X[boot][:, cols], y[boot], n_classes, deadline=deadline)
-            self.trees.append(tree)
-            self.bag_features.append(cols)
+            bags.append((boot, cols, bag_rng))
+        self.trees = grow_trees(X, y, n_classes, bags, deadline=deadline)
+        self.bag_features = [cols for _, cols, _ in bags]
         return self
 
     def _member_preds(self, X):

@@ -15,7 +15,7 @@ from __future__ import annotations
 import json
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -95,6 +95,7 @@ class EvaluationResult:
     wall_clock: float
     status: str = STATUS_OK
     detail: str = ""
+    cap: float | None = None    # seconds the evaluation was given; None: no cap
 
     @property
     def ok(self) -> bool:
@@ -116,6 +117,7 @@ class EvaluationResult:
         }
         if include_timings:
             doc["wall_clock"] = self.wall_clock
+            doc["cap"] = self.cap
         return doc
 
     @classmethod
@@ -125,7 +127,8 @@ class EvaluationResult:
         return cls(doc["pipeline_id"], doc["pipeline"], doc["metric"],
                    tuple(doc.get("fold_scores") or ()),
                    WORST_SCORE if mean is None else float(mean),
-                   float(doc.get("wall_clock", 0.0)), status, doc.get("detail", ""))
+                   float(doc.get("wall_clock", 0.0)), status, doc.get("detail", ""),
+                   doc.get("cap"))
 
 
 class FittedPipeline:
@@ -223,13 +226,13 @@ def evaluate(p: Pipeline, d: Dataset, folds: FoldPlan, metric: str,
             fold_scores.append(score(cm, metric, positive=pos))
         wall = time.monotonic() - start
         return EvaluationResult(p.id, serialize(p), metric, tuple(fold_scores),
-                                float(np.mean(fold_scores)), wall)
+                                float(np.mean(fold_scores)), wall, cap=cap)
     except EvalTimeout:
         return EvaluationResult(p.id, serialize(p), metric, (), WORST_SCORE,
-                                time.monotonic() - start, STATUS_TIMEOUT)
+                                time.monotonic() - start, STATUS_TIMEOUT, cap=cap)
     except Exception as exc:  # estimator/sampler failure: search must continue
         return EvaluationResult(p.id, serialize(p), metric, (), WORST_SCORE,
-                                time.monotonic() - start, STATUS_ERROR, repr(exc))
+                                time.monotonic() - start, STATUS_ERROR, repr(exc), cap)
 
 
 def holdout_final(p: Pipeline, train: Dataset, test: Dataset, metric: str,

@@ -14,8 +14,7 @@ from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 from .rng import Rng
-from .space import (ComponentConfig, DomainError, ESTIMATOR, PREPROCESSOR,
-                    SAMPLER, SearchSpace)
+from .space import ComponentConfig, ESTIMATOR, PREPROCESSOR, SAMPLER, SearchSpace
 
 MAX_SAMPLERS = 2
 MAX_PREPROCESSORS = 3

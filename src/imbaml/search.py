@@ -9,7 +9,6 @@ single worker the whole trajectory is deterministic given the seed.
 
 from __future__ import annotations
 
-import time
 from concurrent.futures import FIRST_COMPLETED, ThreadPoolExecutor, wait
 from dataclasses import dataclass, field, replace
 

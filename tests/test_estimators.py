@@ -9,7 +9,8 @@ from imbaml.estimators import (BalancedBaggingClassifier,
                                _balanced_bootstrap, fit)
 from imbaml.preprocessing import (PCA, Binarizer, Normalizer, PolynomialFeatures,
                                   VarianceThreshold, fit_preprocessor)
-from imbaml.tree import DecisionTreeClassifier
+from imbaml.evaluate import EvalTimeout
+from imbaml.tree import DecisionTreeClassifier, grow_trees
 
 from helpers import make_dataset, overlapping_binary
 
@@ -42,18 +43,48 @@ def test_tree_deterministic_with_feature_sampling():
     assert np.array_equal(a.predict(d.features), b.predict(d.features))
 
 
-def test_tree_checks_deadline_per_candidate_feature():
-    class Counting:
-        calls = 0
+class CountingDeadline:
+    """Counts checks; raises EvalTimeout on check number ``fire_at``."""
 
-        def check(self):
-            self.calls += 1
+    def __init__(self, fire_at=None):
+        self.calls = 0
+        self.fire_at = fire_at
+
+    def check(self):
+        self.calls += 1
+        if self.calls == self.fire_at:
+            raise EvalTimeout()
+
+
+def test_tree_checks_deadline_per_block(monkeypatch):
+    import imbaml.tree as tree_mod
 
     d = overlapping_binary(40, 20, seed=3, d=6)
-    deadline = Counting()
-    DecisionTreeClassifier(max_depth=1).fit(d.features, d.labels, 2, deadline=deadline)
-    # root, its 6 candidate features, and the two leaves
-    assert deadline.calls == 1 + 6 + 2
+
+    def checks(cells):
+        monkeypatch.setattr(tree_mod, "MAX_BLOCK_CELLS", cells)
+        deadline = CountingDeadline()
+        stump = DecisionTreeClassifier(max_depth=1).fit(d.features, d.labels, 2,
+                                                        deadline=deadline)
+        assert stump.node_count() == 3
+        return deadline.calls
+
+    # 60 rows x 2 classes = 120 cells per column: the root's 6 columns fill
+    # one block at the default bound and three blocks at 240 cells
+    one_block = checks(tree_mod.MAX_BLOCK_CELLS)
+    assert one_block >= 3 + 1  # root and two leaves, one block
+    assert checks(240) >= one_block + 2
+
+
+def test_deadline_mid_forest_aborts_grow_trees():
+    d = overlapping_binary(60, 30, seed=4, d=4)
+    bags = [(Rng(t).np.integers(0, d.n, size=d.n), np.arange(4), Rng(t)) for t in range(20)]
+    counted = CountingDeadline()
+    grow_trees(d.features, d.labels, 2, bags, max_features=0.5, deadline=counted)
+    assert counted.calls > 10
+    with pytest.raises(EvalTimeout):
+        grow_trees(d.features, d.labels, 2, bags, max_features=0.5,
+                   deadline=CountingDeadline(fire_at=counted.calls // 2))
 
 
 def test_stump_depth_one():

@@ -232,26 +232,37 @@ def test_budget_compliance_quick():
         assert rep.wall_clock <= 2.0 + 0.2 + 0.05
 
 
-def test_late_dispatch_cap_is_what_remains(monkeypatch):
+def test_late_dispatch_cap_is_what_remains(monkeypatch, tmp_path):
+    import json
     import time
 
     from imbaml import search
-    from imbaml.evaluate import BudgetClock, EvaluationResult
+    from imbaml.evaluate import BudgetClock
+    from imbaml.search import SearchReport
 
     # a clock that has already spent 95% of a 10 s budget: a tenth of the
     # budget (1 s) is more than the 0.5 s that remains
     monkeypatch.setattr(BudgetClock, "start", classmethod(
         lambda cls, budget: cls(float(budget), time.monotonic() - 9.5, budget / 10.0)))
     caps = []
+    real_evaluate = search.evaluate
 
-    def fake_evaluate(p, d, folds, metric, cap, rng, **kw):
+    def spy_evaluate(p, d, folds, metric, cap, rng, **kw):
         caps.append(cap)
-        return EvaluationResult(p.id, serialize(p), metric, (0.5,), 0.5, 0.0)
+        return real_evaluate(p, d, folds, metric, cap, rng, **kw)
 
-    monkeypatch.setattr(search, "evaluate", fake_evaluate)
-    rep = run_random(DEFAULT_SPACE, quick_dataset(), quick_cfg(budget=10.0, max_evals=1))
+    monkeypatch.setattr(search, "evaluate", spy_evaluate)
+    log = tmp_path / "evals.jsonl"
+    rep = run_random(DEFAULT_SPACE, quick_dataset(),
+                     quick_cfg(budget=10.0, max_evals=1, log_path=str(log)))
     assert rep.header["per_eval_cap"] == 1.0
     assert len(caps) == 1 and 0.0 < caps[0] <= 0.5
+    # the record says which cap the evaluation ran under, not the header's
+    record = json.loads(log.read_text().splitlines()[0])
+    assert record["cap"] == caps[0]
+    assert rep.history[0].cap == caps[0]
+    assert SearchReport.from_json(rep.to_json()).history[0].cap == caps[0]
+    assert "cap" not in rep.to_json(include_timings=False)["history"][0]
 
 
 def test_no_result_flag_on_empty_run():
