@@ -220,6 +220,8 @@ def grow_trees(X, y, n_classes: int, bags, *, criterion: str = "gini",
     w = None if sample_weight is None else np.asarray(sample_weight, dtype=np.float64)
     if w is not None and len(bags) != 1:
         raise ValueError("a weighted fit grows exactly one tree")
+    if y.size and (y.min() < 0 or y.max() >= n_classes):
+        raise ValueError(f"class codes must lie in [0, {n_classes})")
     C = n_classes
     ranks = _Ranks(X)
     growths = []
@@ -250,7 +252,8 @@ def grow_trees(X, y, n_classes: int, bags, *, criterion: str = "gini",
             g.value[slot] = value[k]
             if not stop[k]:
                 local = g.candidates()
-                tasks.append((k, local, g.cols[local]))
+                if local.size:
+                    tasks.append((k, local, g.cols[local]))
         if tasks:
             node = _Nodes(sizes, np.concatenate([[0], np.cumsum(sizes)]), rows_cat,
                           value, node_w, imp, np.array([g.root_w for g, _, _, _ in popped]))

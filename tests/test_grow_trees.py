@@ -114,11 +114,18 @@ def test_node_wider_than_one_block():
     check(X, y, 2, [(np.arange(2600), np.arange(30))], seed=4, weights=w, max_depth=2)
 
 
-def test_weighted_fit_takes_one_bag():
+def test_weighted_fit_takes_one_bag_and_codes_in_range():
     X, y = data(20, 3, 2, seed=0)
     bag = (np.arange(20), np.arange(3), Rng(0))
     with pytest.raises(ValueError):
         grow_trees(X, y, 2, [bag, bag], sample_weight=np.ones(20))
+    with pytest.raises(ValueError):
+        grow_trees(X, y + 1, 2, [bag])
+
+
+def test_no_columns():
+    X, y = np.zeros((12, 0)), np.arange(12) % 3
+    check(X, y, 3, [(np.arange(12), np.arange(0))] * 3, seed=6)
 
 
 def test_empty_and_pure_bags():
