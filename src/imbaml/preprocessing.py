@@ -104,11 +104,18 @@ class PolynomialFeatures:
 
     def transform(self, X):
         X = np.asarray(X, dtype=np.float64)
-        d = X.shape[1]
-        prods = [X[:, i] * X[:, j] for i in range(d) for j in range(i, d)]
-        if not prods:
+        n, d = X.shape
+        if d == 0:
             return X
-        return np.hstack([X, np.stack(prods, axis=1)])
+        # products are written straight into the output, one block of
+        # columns x_i * x_j (j >= i) per i, so the only allocation is the result
+        out = np.empty((n, d + d * (d + 1) // 2))
+        out[:, :d] = X
+        at = d
+        for i in range(d):
+            np.multiply(X[:, i:i + 1], X[:, i:], out=out[:, at:at + d - i])
+            at += d - i
+        return out
 
 
 def fit_preprocessor(config: ComponentConfig, X: np.ndarray):

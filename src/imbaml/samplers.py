@@ -349,7 +349,9 @@ def cnn(d: Dataset, k: int, rng: Rng, deadline=None) -> Dataset:
 
 def _kmeans(X: np.ndarray, k: int, rng: Rng, max_iter: int = 300, deadline=None):
     """Lloyd's algorithm seeded with k distinct rows (padded with duplicates
-    when there are fewer distinct points than clusters)."""
+    when there are fewer distinct points than clusters). Each row joins its
+    nearest centroid (lowest index on ties) by a blocked ``query_batch``, so
+    no rows × clusters matrix is built; ``deadline`` is checked per block."""
     uniq = np.unique(X, axis=0)
     if len(uniq) >= k:
         pick = rng.np.choice(len(uniq), size=k, replace=False)
@@ -359,10 +361,7 @@ def _kmeans(X: np.ndarray, k: int, rng: Rng, max_iter: int = 300, deadline=None)
         centroids = np.array(reps)
     assign = None
     for _ in range(max_iter):
-        if deadline is not None:
-            deadline.check()
-        d2 = NeighborIndex(centroids).distances(X)
-        new_assign = d2.argmin(axis=1)
+        new_assign = NeighborIndex(centroids).query_batch(X, 1, deadline=deadline)[:, 0]
         if assign is not None and np.array_equal(new_assign, assign):
             break
         assign = new_assign
@@ -389,7 +388,7 @@ def cluster_centroids(d: Dataset, voting: str, rng: Rng, deadline=None) -> Datas
         Xc = d.features[rows[c]]
         centroids, _ = _kmeans(Xc, low, rng.child(c), deadline=deadline)
         if voting == "hard":
-            nearest = NeighborIndex(Xc).query_batch(centroids, 1)[:, 0]
+            nearest = NeighborIndex(Xc).query_batch(centroids, 1, deadline=deadline)[:, 0]
             out = Xc[nearest]
         else:
             out = centroids

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -148,6 +150,95 @@ def test_logreg_gradient_small_at_optimum():
     model = LogisticRegression(regularization=1.0)
     model.fit(X, y, 2)
     assert model.grad_norm < 1e-6
+
+
+def _logreg_problem(kind):
+    """(X, y, n_classes) of one oracle case."""
+    r = Rng(31).np
+    if kind in ("binary", "three", "ten"):
+        C = {"binary": 2, "three": 3, "ten": 10}[kind]
+        X = r.normal(size=(200, 5))
+        y = (X[:, :2] @ r.normal(size=(2, C)) + r.gumbel(size=(200, C))).argmax(axis=1)
+        return X, y, C
+    if kind == "near_separable_ten":
+        y = np.repeat(np.arange(10), 3)
+        return r.normal(scale=4.0, size=(10, 4))[y] + r.normal(scale=0.5, size=(30, 4)), y, 10
+    if kind == "scaled":
+        X = r.normal(size=(200, 6))
+        y = (X[:, 0] + 0.5 * r.normal(size=200) > 0).astype(np.int64) + (X[:, 1] > 1)
+        scale = np.array([1e3, 1.0, 1e-2, 50.0, 1e3, 3.0])
+        offset = np.array([1e3, -5.0, 0.0, 200.0, -1e3, 7.0])
+        return X * scale + offset, y, 3
+    if kind == "polynomial":
+        X = r.normal(size=(600, 19))
+        y = (X[:, :3].sum(axis=1) + X[:, 3] * X[:, 4] + r.normal(size=600) > 0).astype(np.int64)
+        return PolynomialFeatures(2).fit(X).transform(X), y, 2  # 19 + 190 columns
+    X = r.normal(size=(60, 3))  # two of six classes seen
+    return X, np.where(X[:, 0] + r.normal(size=60) > 0, 4, 1), 6
+
+
+def _lbfgs_minimum(X, y, regularization):
+    """Minimum of the LogisticRegression objective by scipy's L-BFGS-B, with
+    the objective written out independently of the estimator."""
+    optimize = pytest.importorskip("scipy.optimize")
+    special = pytest.importorskip("scipy.special")
+    classes = np.unique(y)
+    n = X.shape[0]
+    Xb = np.hstack([X, np.ones((n, 1))])
+    onehot = (y[:, None] == classes[None, :]).astype(np.float64)
+    shape = (Xb.shape[1], classes.size)
+    lam = regularization / n
+
+    def objective(w):
+        W = w.reshape(shape)
+        z = Xb @ W
+        logp = z - special.logsumexp(z, axis=1, keepdims=True)
+        penalised = W.copy()
+        penalised[-1] = 0.0
+        f = -(onehot * logp).sum() / n + 0.5 * lam * (penalised ** 2).sum()
+        return f, (Xb.T @ (np.exp(logp) - onehot) / n + lam * penalised).ravel()
+
+    res = optimize.minimize(objective, np.zeros(np.prod(shape)), jac=True,
+                            method="L-BFGS-B",
+                            options={"ftol": 0.0, "gtol": 1e-12, "maxcor": 50,
+                                     "maxiter": 100_000, "maxfun": 1_000_000})
+    return res.fun
+
+
+@pytest.mark.parametrize("regularization", [1e-4, 10.0])
+@pytest.mark.parametrize("kind", ["binary", "three", "ten", "near_separable_ten",
+                                  "scaled", "polynomial", "unseen_classes"])
+def test_logreg_reaches_the_lbfgs_minimum(kind, regularization):
+    X, y, n_classes = _logreg_problem(kind)
+    model = LogisticRegression(regularization=regularization).fit(X, y, n_classes)
+    assert model.grad_norm < model.GRAD_TOL
+    assert 0 < model.iterations < model.MAX_ITER
+    reference = _lbfgs_minimum(X, y, regularization)
+    assert model.loss(X, y) == pytest.approx(reference, rel=1e-9, abs=0)
+    score = model.predict_score(X)
+    assert score.shape == (X.shape[0], n_classes)
+    unseen = np.setdiff1d(np.arange(n_classes), y)
+    assert not score[:, unseen].any()
+
+
+def test_logreg_checks_deadline_per_hessian_product_and_trial(monkeypatch):
+    X, y, n_classes = _logreg_problem("three")
+    products = []
+    hessp = LogisticRegression._hessp
+
+    def counting_hessp(self, *args):
+        products.append(1)
+        return hessp(self, *args)
+
+    monkeypatch.setattr(LogisticRegression, "_hessp", counting_hessp)
+    counted = CountingDeadline()
+    model = LogisticRegression(regularization=1.0).fit(X, y, n_classes, deadline=counted)
+    # at least one line-search trial per Newton step on top of the products
+    assert counted.calls >= len(products) + model.iterations
+    assert len(products) >= model.iterations > 1
+    with pytest.raises(EvalTimeout):
+        LogisticRegression(regularization=1.0).fit(
+            X, y, n_classes, deadline=CountingDeadline(fire_at=counted.calls // 2))
 
 
 # --------------------------------------------------------- balanced ensembles
@@ -344,6 +435,32 @@ def test_polynomial_appends_degree2_products():
     out = PolynomialFeatures(2).fit(X).transform(X)
     assert out.shape == (2, 5)
     assert out[0].tolist() == [1.0, 2.0, 1.0, 2.0, 4.0]
+
+
+@pytest.mark.parametrize("shape", [(0, 3), (4, 0), (1, 1), (40, 7)])
+def test_polynomial_matches_columnwise_products(shape):
+    n, d = shape
+    X = Rng(21).np.normal(size=shape) * 10.0 ** Rng(22).np.integers(-3, 4, size=d)
+    if X.size:
+        X[0, 0], X[-1, -1] = np.nan, np.inf
+    prods = [X[:, i] * X[:, j] for i in range(d) for j in range(i, d)]
+    expected = np.column_stack([X, *prods]) if prods else X
+    with np.errstate(invalid="ignore"):
+        out = PolynomialFeatures(2).fit(X).transform(X)
+    assert out.dtype == np.float64 and out.shape == (n, d + d * (d + 1) // 2)
+    assert out.tobytes() == expected.tobytes()
+
+
+def test_polynomial_allocates_only_its_output():
+    # building the product columns apart and stacking them needs about 3x
+    X = Rng(23).np.normal(size=(2000, 40))
+    tracemalloc.start()
+    try:
+        out = PolynomialFeatures(2).fit(X).transform(X)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.2 * out.nbytes
 
 
 def test_preprocessor_state_is_training_only():

@@ -18,7 +18,7 @@ import pytest
 
 from imbaml import DEFAULT_SPACE, Rng
 from imbaml.estimators import KNeighborsClassifier
-from imbaml.samplers import apply_sampler, cnn
+from imbaml.samplers import _kmeans, apply_sampler, cnn
 
 from helpers import grid_dataset, make_dataset, overlapping_binary
 
@@ -140,3 +140,17 @@ def test_cnn_memory_is_not_quadratic():
         tracemalloc.stop()
     assert (out.labels == 1).sum() == 600
     assert peak < 0.1 * d.n * d.n * 8
+
+
+def test_kmeans_memory_is_not_rows_by_clusters():
+    # a rows x clusters float64 distance matrix would need 80 MB here
+    X = Rng(4).np.normal(size=(20_000, 2))
+    k = 500
+    tracemalloc.start()
+    try:
+        centroids, assign = _kmeans(X, k, Rng(0), max_iter=3)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert centroids.shape == (k, 2) and assign.shape == (20_000,)
+    assert peak < 0.1 * X.shape[0] * k * 8
