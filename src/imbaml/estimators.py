@@ -6,6 +6,11 @@ codes absent from the training fold simply never win. The ensembles need the
 Rng; the others accept and ignore it (a tree uses it for feature sampling).
 Fits are deterministic given the Rng passed in, which makes the replay
 oracles in the test suite possible.
+
+One bagged-tree ensemble, ``BaggedTrees``, fits and scores the random
+forest, the balanced random forest and balanced bagging; those three are
+constructors that set only its defaults and how each bag draws its rows and
+columns. RUSBoost is the one boosted ensemble.
 """
 
 from __future__ import annotations
@@ -15,21 +20,14 @@ import math
 import numpy as np
 
 from .dataset import Dataset
-from .neighbors import NeighborIndex
+from .neighbors import NeighborIndex, _vote_counts
 from .rng import Rng
 from .space import ComponentConfig, DomainError, ESTIMATOR
-from .tree import DecisionTreeClassifier, grow_trees
+from .tree import DecisionTreeClassifier, _n_candidates, grow_trees
 
 
 class EstimatorError(ValueError):
     pass
-
-
-def _vote_counts(labels: np.ndarray, n_classes: int) -> np.ndarray:
-    """Per-row class counts of an (n_rows, n_voters) matrix of class codes."""
-    n = labels.shape[0]
-    flat = (np.arange(n)[:, None] * n_classes + labels).ravel()
-    return np.bincount(flat, minlength=n * n_classes).reshape(n, n_classes)
 
 
 def _balanced_bootstrap(y: np.ndarray, rng: Rng) -> np.ndarray:
@@ -245,17 +243,60 @@ class LogisticRegression:
         return self.predict_score(X).argmax(axis=1)
 
 
-class _Forest:
-    """Shared vote/score machinery for tree ensembles."""
+class BaggedTrees:
+    """Bagged CART trees that vote: every tree grows in one ``grow_trees``
+    call and ``predict_score`` is each class's share of the votes.
 
-    trees: list
-    n_classes: int
+    Bag ``t`` draws from ``rng.child(t)``: its rows are a plain bootstrap, or
+    a per-class balanced one when ``balanced``, of which ``max_samples`` (a
+    fraction clamped to [0, 1]) are kept without replacement when that is
+    fewer. With ``bag_columns`` the bag then draws a sorted ``max_features``
+    fraction of the columns and its tree searches all of them; otherwise
+    every column is in the bag and each node samples ``max_features`` of
+    them. Trees hold original column ids, so each predicts on the full
+    matrix.
+    """
 
-    def _member_preds(self, X):
-        return np.stack([t.predict(X) for t in self.trees])
+    def __init__(self, n_estimators, criterion, max_features, min_impurity_decrease=0.0,
+                 max_samples=1.0, *, balanced=False, bag_columns=False):
+        self.n_estimators = n_estimators
+        self.criterion = criterion
+        self.max_features = max_features
+        self.min_impurity_decrease = min_impurity_decrease
+        self.max_samples = max_samples
+        self.balanced = balanced
+        self.bag_columns = bag_columns
+
+    def fit(self, X, y, n_classes, rng: Rng | None = None, deadline=None):
+        X = np.asarray(X, dtype=np.float64)
+        y = np.asarray(y, dtype=np.int64)
+        self.n_classes = n_classes
+        n, d = X.shape
+        frac = min(max(self.max_samples, 0.0), 1.0)
+        n_cols = _n_candidates(self.max_features, d)
+        bags = []
+        for t in range(self.n_estimators):
+            bag_rng = rng.child(t)
+            rows = (_balanced_bootstrap(y, bag_rng) if self.balanced
+                    else bag_rng.np.integers(0, n, size=n))
+            n_keep = max(1, math.ceil(frac * rows.size))
+            if n_keep < rows.size:
+                rows = rows[bag_rng.np.choice(rows.size, size=n_keep, replace=False)]
+            cols = (np.sort(bag_rng.np.choice(d, size=n_cols, replace=False))
+                    if self.bag_columns else np.arange(d))
+            bags.append((rows, cols, bag_rng))
+        self.trees = grow_trees(X, y, n_classes, bags, criterion=self.criterion,
+                                max_features=None if self.bag_columns else self.max_features,
+                                min_impurity_decrease=self.min_impurity_decrease,
+                                deadline=deadline)
+        for tree, (_, cols, _) in zip(self.trees, bags):
+            split = tree.feature >= 0
+            tree.feature[split] = cols[tree.feature[split]]
+        return self
 
     def predict_score(self, X):
-        return _vote_counts(self._member_preds(X).T, self.n_classes) / len(self.trees)
+        votes = np.stack([t.predict(X) for t in self.trees], axis=1)
+        return _vote_counts(votes, self.n_classes) / len(self.trees)
 
     def predict(self, X):
         # vote shares keep the order of the counts, so ties still go to the
@@ -263,91 +304,30 @@ class _Forest:
         return self.predict_score(X).argmax(axis=1)
 
 
-class RandomForestClassifier(_Forest):
-    """Trees on plain bootstraps, feature fraction sampled per node; all trees
-    grow in one ``grow_trees`` call."""
+class RandomForestClassifier(BaggedTrees):
+    """Trees on plain bootstraps, ``max_features`` sampled per node."""
 
     def __init__(self, n_estimators=100, criterion="gini", max_features=0.5):
-        self.n_estimators = n_estimators
-        self.criterion = criterion
-        self.max_features = max_features
-
-    def fit(self, X, y, n_classes, rng: Rng | None = None, deadline=None):
-        X = np.asarray(X, dtype=np.float64)
-        y = np.asarray(y, dtype=np.int64)
-        self.n_classes = n_classes
-        all_cols = np.arange(X.shape[1])
-        bags = []
-        for t in range(self.n_estimators):
-            tree_rng = rng.child(t)
-            bags.append((tree_rng.np.integers(0, len(y), size=len(y)), all_cols, tree_rng))
-        self.trees = grow_trees(X, y, n_classes, bags, criterion=self.criterion,
-                                max_features=self.max_features, deadline=deadline)
-        return self
+        super().__init__(n_estimators, criterion, max_features)
 
 
-class BalancedRandomForestClassifier(_Forest):
-    """Random forest over per-class balanced bootstraps (random undersampling
-    inside every bootstrap), feature fraction sampled per node; all trees grow
-    in one ``grow_trees`` call."""
+class BalancedRandomForestClassifier(BaggedTrees):
+    """Trees on per-class balanced bootstraps (random undersampling inside
+    every bootstrap), ``max_features`` sampled per node."""
 
     def __init__(self, n_estimators=100, criterion="gini", max_features=1.0,
                  min_impurity_decrease=0.0):
-        self.n_estimators = n_estimators
-        self.criterion = criterion
-        self.max_features = max_features
-        self.min_impurity_decrease = min_impurity_decrease
-
-    def fit(self, X, y, n_classes, rng: Rng | None = None, deadline=None):
-        X = np.asarray(X, dtype=np.float64)
-        y = np.asarray(y, dtype=np.int64)
-        self.n_classes = n_classes
-        all_cols = np.arange(X.shape[1])
-        bags = []
-        for t in range(self.n_estimators):
-            tree_rng = rng.child(t)
-            bags.append((_balanced_bootstrap(y, tree_rng), all_cols, tree_rng))
-        self.trees = grow_trees(X, y, n_classes, bags, criterion=self.criterion,
-                                max_features=self.max_features,
-                                min_impurity_decrease=self.min_impurity_decrease,
-                                deadline=deadline)
-        return self
+        super().__init__(n_estimators, criterion, max_features, min_impurity_decrease,
+                         balanced=True)
 
 
-class BalancedBaggingClassifier(_Forest):
-    """Bagging of full-depth trees on balanced bootstraps; ``max_samples``
-    then subsamples each bag and ``max_features`` picks a per-bag column set.
-    All trees grow in one ``grow_trees`` call."""
+class BalancedBaggingClassifier(BaggedTrees):
+    """Full-depth gini trees on balanced bootstraps subsampled to
+    ``max_samples``, each on its own ``max_features`` column set."""
 
     def __init__(self, n_estimators=10, max_features=1.0, max_samples=1.0):
-        self.n_estimators = n_estimators
-        self.max_features = max_features
-        self.max_samples = max_samples
-
-    def fit(self, X, y, n_classes, rng: Rng | None = None, deadline=None):
-        X = np.asarray(X, dtype=np.float64)
-        y = np.asarray(y, dtype=np.int64)
-        self.n_classes = n_classes
-        d = X.shape[1]
-        n_cols = max(1, math.ceil(min(max(self.max_features, 0.0), 1.0) * d))
-        bags = []
-        for t in range(self.n_estimators):
-            bag_rng = rng.child(t)
-            boot = _balanced_bootstrap(y, bag_rng)
-            frac = min(max(self.max_samples, 0.0), 1.0)
-            n_keep = max(1, math.ceil(frac * boot.size))
-            if n_keep < boot.size:
-                boot = boot[bag_rng.np.choice(boot.size, size=n_keep, replace=False)]
-            cols = np.sort(bag_rng.np.choice(d, size=n_cols, replace=False))
-            bags.append((boot, cols, bag_rng))
-        self.trees = grow_trees(X, y, n_classes, bags, deadline=deadline)
-        self.bag_features = [cols for _, cols, _ in bags]
-        return self
-
-    def _member_preds(self, X):
-        X = np.asarray(X, dtype=np.float64)
-        return np.stack([t.predict(X[:, cols])
-                         for t, cols in zip(self.trees, self.bag_features)])
+        super().__init__(n_estimators, "gini", max_features, max_samples=max_samples,
+                         balanced=True, bag_columns=True)
 
 
 class RUSBoostClassifier:

@@ -13,6 +13,8 @@ that its output does not change.
 
 ``query_batch`` works one block of queries at a time and keeps only that
 block's distance rows, so its working set is O(block × n + n_queries × k).
+``_vote_counts`` tallies the class codes of each row's neighbours (or of a
+forest's trees); its ``argmax`` gives ties to the lowest code.
 """
 
 from __future__ import annotations
@@ -47,6 +49,13 @@ def _top_k(d2: np.ndarray, k: int) -> np.ndarray:
     cand = np.nonzero(keep)[1].reshape(-1, k)  # ascending index within each row
     order = np.argsort(np.take_along_axis(d2, cand, axis=1), axis=1, kind="stable")
     return np.take_along_axis(cand, order, axis=1)
+
+
+def _vote_counts(labels: np.ndarray, n_classes: int) -> np.ndarray:
+    """Per-row class counts of an (n_rows, n_voters) matrix of class codes."""
+    n = labels.shape[0]
+    flat = (np.arange(n)[:, None] * n_classes + labels).ravel()
+    return np.bincount(flat, minlength=n * n_classes).reshape(n, n_classes)
 
 
 class NeighborIndex:

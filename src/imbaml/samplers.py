@@ -17,7 +17,7 @@ from __future__ import annotations
 import numpy as np
 
 from .dataset import Dataset, class_distribution
-from .neighbors import NeighborIndex
+from .neighbors import NeighborIndex, _vote_counts
 from .rng import Rng
 from .space import ComponentConfig, SAMPLER, DomainError
 
@@ -209,12 +209,11 @@ def adasyn(d: Dataset, k: int, rng: Rng, deadline=None) -> Dataset:
     return _append_synthetic(d, synth_X, synth_y, note)
 
 
-def _knn_vote(labels: np.ndarray, neigh: np.ndarray, n_classes: int) -> np.ndarray:
-    """Modal label among each row's neighbours; ties go to the lower class code."""
-    votes = np.zeros((neigh.shape[0], n_classes), dtype=np.int64)
-    for col in range(neigh.shape[1]):
-        np.add.at(votes, (np.arange(neigh.shape[0]), labels[neigh[:, col]]), 1)
-    return votes.argmax(axis=1)
+def _drop_rows(d: Dataset, removals: np.ndarray) -> Dataset:
+    """``d`` without the rows ``removals``; ``d`` itself when there are none."""
+    if removals.size == 0:
+        return d
+    return d.subset(np.setdiff1d(np.arange(d.n), removals))
 
 
 def _enn_removals(d: Dataset, k: int, editable: set[int], deadline=None) -> np.ndarray:
@@ -222,7 +221,7 @@ def _enn_removals(d: Dataset, k: int, editable: set[int], deadline=None) -> np.n
     k_eff = min(k, d.n - 1)
     neigh = NeighborIndex(d.features).query_batch(d.features, k_eff, exclude_self=True,
                                                   deadline=deadline)
-    votes = _knn_vote(d.labels, neigh, len(d.label_names))
+    votes = _vote_counts(d.labels[neigh], len(d.label_names)).argmax(axis=1)
     mask = np.zeros(d.n, dtype=bool)
     for c in editable:
         mask |= (d.labels == c) & (votes != d.labels)
@@ -235,11 +234,7 @@ def enn(d: Dataset, k: int, deadline=None) -> Dataset:
     if k < 1:
         raise SamplerError("k must be >= 1")
     _require_resampleable(d, need_pairs=False)
-    removals = _enn_removals(d, k, _editable_classes(d.labels), deadline)
-    if removals.size == 0:
-        return d
-    keep = np.setdiff1d(np.arange(d.n), removals)
-    return d.subset(keep)
+    return _drop_rows(d, _enn_removals(d, k, _editable_classes(d.labels), deadline))
 
 
 def all_knn(d: Dataset, k_max: int, deadline=None) -> Dataset:
@@ -409,10 +404,7 @@ def _tomek_removals(d: Dataset, editable: set[int], deadline=None) -> np.ndarray
 def tomek_links(d: Dataset, deadline=None) -> Dataset:
     """Remove the editable-class member of every mutual-1-NN opposite-class pair."""
     _require_resampleable(d, need_pairs=False)
-    removals = _tomek_removals(d, _editable_classes(d.labels), deadline)
-    if removals.size == 0:
-        return d
-    return d.subset(np.setdiff1d(np.arange(d.n), removals))
+    return _drop_rows(d, _tomek_removals(d, _editable_classes(d.labels), deadline))
 
 
 def _original_minority(d: Dataset) -> set[int]:
@@ -439,10 +431,7 @@ def smote_enn(d: Dataset, strategy: str, k_smote: int, k_enn: int, rng: Rng,
         editable = minority
     else:
         editable = all_classes
-    removals = _enn_removals(over, k_enn, editable, deadline)
-    if removals.size == 0:
-        return over
-    return over.subset(np.setdiff1d(np.arange(over.n), removals))
+    return _drop_rows(over, _enn_removals(over, k_enn, editable, deadline))
 
 
 def smote_tomek(d: Dataset, k_smote: int, rng: Rng, deadline=None) -> Dataset:
@@ -450,10 +439,7 @@ def smote_tomek(d: Dataset, k_smote: int, rng: Rng, deadline=None) -> Dataset:
     minority = _original_minority(d)
     over = smote(d, k_smote, rng, deadline)
     editable = set(over.labels.tolist()) - minority
-    removals = _tomek_removals(over, editable, deadline)
-    if removals.size == 0:
-        return over
-    return over.subset(np.setdiff1d(np.arange(over.n), removals))
+    return _drop_rows(over, _tomek_removals(over, editable, deadline))
 
 
 def apply_sampler(config: ComponentConfig, d: Dataset, rng: Rng, deadline=None) -> Dataset:

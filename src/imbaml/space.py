@@ -95,9 +95,6 @@ class ComponentSpec:
                 return dom
         raise DomainError(f"unknown hyperparameter '{name}' for {self.name}")
 
-    def param_names(self) -> tuple[str, ...]:
-        return tuple(n for n, _ in self.params)
-
 
 @dataclass(frozen=True)
 class ComponentConfig:

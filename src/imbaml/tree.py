@@ -3,7 +3,7 @@ them.
 
 ``grow_trees`` grows any number of trees, one per bag of rows and columns of
 one matrix, in lockstep. ``DecisionTreeClassifier.fit`` is that kernel with
-one bag; the forests in ``estimators`` draw their bags and make one call.
+one bag; ``estimators.BaggedTrees`` draws all of its bags and makes one call.
 """
 
 from __future__ import annotations

@@ -286,6 +286,24 @@ def test_bagging_single_bag_equals_replay():
     assert np.array_equal(bag.predict(probe), lone.predict(probe[:, cols]))
 
 
+def test_bagging_column_subset_replay_maps_original_ids():
+    d = overlapping_binary(40, 15, seed=13, d=6)
+    bag = BalancedBaggingClassifier(n_estimators=1, max_features=0.5, max_samples=1.0)
+    bag.fit(d.features, d.labels, 2, rng=Rng(29))
+    bag_rng = Rng(29).child(0)
+    boot = _balanced_bootstrap(d.labels, bag_rng)
+    cols = np.sort(bag_rng.np.choice(6, size=3, replace=False))
+    lone = DecisionTreeClassifier(rng=bag_rng)
+    lone.fit(d.features[boot][:, cols], d.labels[boot], 2)
+    split = lone.feature >= 0
+    # the bag's columns are not 0..2, so only a correct map passes
+    assert split.sum() > 1 and not np.array_equal(cols, np.arange(3))
+    tree = bag.trees[0]
+    assert np.array_equal(tree.feature, np.where(split, cols[lone.feature], -1))
+    probe = Rng(102).np.normal(size=(40, 6)) * 3
+    assert np.array_equal(bag.predict(probe), lone.predict(probe[:, cols]))
+
+
 def test_vote_of_identical_trees_equals_single_tree():
     d = separable()
     cfg = DEFAULT_SPACE.make_config("BalancedBaggingClassifier",
@@ -293,8 +311,7 @@ def test_vote_of_identical_trees_equals_single_tree():
     model = fit(cfg, d, Rng(2)).model
     single = model.trees[0]
     # separable data: every tree is perfect, so the vote matches any member
-    assert np.array_equal(model.predict(d.features),
-                          single.predict(d.features[:, model.bag_features[0]]))
+    assert np.array_equal(model.predict(d.features), single.predict(d.features))
 
 
 def test_forest_vote_is_mode_with_low_code_ties():
