@@ -1,9 +1,11 @@
 """Native classifiers and the imbalance ensembles.
 
 Every estimator exposes ``fit(X, y, n_classes, rng=None, deadline=None)``,
-``predict`` and ``predict_score`` over a shared global class-code space;
-codes absent from the training fold simply never win. The ensembles need the
-Rng; the others accept and ignore it (a tree uses it for feature sampling).
+``predict(X, deadline=None)`` and ``predict_score`` over a shared global
+class-code space; codes absent from the training fold simply never win. The
+ensembles need the Rng; the others accept and ignore it (a tree uses it for
+feature sampling). kNN prediction checks the deadline; every other
+``predict`` accepts and ignores it.
 Fits are deterministic given the Rng passed in, which makes the replay
 oracles in the test suite possible.
 
@@ -75,7 +77,7 @@ class GaussianNB:
         p[~np.isfinite(p)] = 0.0
         return p / np.maximum(p.sum(axis=1, keepdims=True), 1e-300)
 
-    def predict(self, X):
+    def predict(self, X, deadline=None):
         return self.predict_score(X).argmax(axis=1)
 
 
@@ -90,13 +92,13 @@ class KNeighborsClassifier:
         self._index = NeighborIndex(self.X)
         return self
 
-    def predict_score(self, X):
+    def predict_score(self, X, deadline=None):
         k = min(self.n_neighbors, len(self.X))
-        neigh = self._index.query_batch(np.asarray(X, dtype=np.float64), k)
+        neigh = self._index.query_batch(np.asarray(X, dtype=np.float64), k, deadline=deadline)
         return _vote_counts(self.y[neigh], self.n_classes) / k
 
-    def predict(self, X):
-        return self.predict_score(X).argmax(axis=1)
+    def predict(self, X, deadline=None):
+        return self.predict_score(X, deadline).argmax(axis=1)
 
 
 class LogisticRegression:
@@ -239,7 +241,7 @@ class LogisticRegression:
         out[:, self.classes_seen] = p
         return out
 
-    def predict(self, X):
+    def predict(self, X, deadline=None):
         return self.predict_score(X).argmax(axis=1)
 
 
@@ -298,7 +300,7 @@ class BaggedTrees:
         votes = np.stack([t.predict(X) for t in self.trees], axis=1)
         return _vote_counts(votes, self.n_classes) / len(self.trees)
 
-    def predict(self, X):
+    def predict(self, X, deadline=None):
         # vote shares keep the order of the counts, so ties still go to the
         # lowest class code
         return self.predict_score(X).argmax(axis=1)
@@ -402,7 +404,7 @@ class RUSBoostClassifier:
         acc = self._decision(X)
         return acc / np.maximum(acc.sum(axis=1, keepdims=True), 1e-300)
 
-    def predict(self, X):
+    def predict(self, X, deadline=None):
         return self._decision(X).argmax(axis=1)
 
 
@@ -414,8 +416,8 @@ class FittedModel:
         self.model = model
         self.label_names = label_names
 
-    def predict(self, X) -> np.ndarray:
-        return self.model.predict(X)
+    def predict(self, X, deadline=None) -> np.ndarray:
+        return self.model.predict(X, deadline=deadline)
 
     def predict_score(self, X) -> np.ndarray:
         return self.model.predict_score(X)

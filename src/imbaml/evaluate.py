@@ -4,10 +4,17 @@ Resampling and preprocessor fitting happen strictly inside each training
 partition; validation rows are passed through untouched, so every scored
 validation row is bit-identical to an original dataset row. Timeouts are
 cooperative: one ``Deadline`` per evaluation is checked between pipeline
-steps, after each fold, and inside the sampler, neighbour-query and estimator
-fit loops. There is no watchdog: preprocessor fitting and prediction run
-unchecked, and an evaluation overruns its cap by up to the longest stretch
-between two checks.
+steps, after each fold, and inside the sampler, neighbour-query, estimator
+fit and kNN prediction loops. There is no watchdog: preprocessor fitting and
+transforms and every other prediction run unchecked, and an evaluation
+overruns its cap by up to the longest stretch between two checks.
+
+A loop that knows how much work it has left may also end an evaluation
+early: the tree split search reports the cells it has done and has left in
+the current step, and the ``Deadline`` raises ``EvalTimeout`` as soon as the
+projected rest of that step exceeds ``PROJECTION_FACTOR`` times the time
+left. Such an evaluation gets the same ``timeout`` result as one that ran out
+its cap, plus the projected seconds in ``EvaluationResult.projected``.
 """
 
 from __future__ import annotations
@@ -41,21 +48,47 @@ _FIT_CHILD_BASE = 100
 _SUBSAMPLE_CHILD_BASE = 200
 
 
+# A loop's projected remaining seconds must exceed this multiple of the
+# deadline's remaining seconds before ``Deadline.check`` ends it early.
+PROJECTION_FACTOR = 2.0
+
+
 class EvalTimeout(Exception):
-    pass
+    """The deadline expired, or (``projected`` set) the checking loop was
+    projected to need that many more seconds than the deadline could give."""
+
+    def __init__(self, projected: float | None = None):
+        super().__init__(projected)
+        self.projected = projected
 
 
 class Deadline:
-    """Monotonic-clock deadline checked cooperatively inside fit loops."""
+    """Monotonic-clock deadline checked cooperatively inside fit loops.
+
+    ``check()`` raises ``EvalTimeout`` once the deadline has passed.
+    ``check(started, done, left)`` also projects: a loop that has done
+    ``done`` units of work since ``started`` (a ``time.monotonic()`` reading)
+    and has ``left`` units to go needs ``(now - started) / done * left`` more
+    seconds at its measured rate, and when that exceeds ``PROJECTION_FACTOR``
+    times the remaining time the check raises ``EvalTimeout(projected)``.
+    ``Deadline(None)`` never expires and never projects.
+    """
 
     __slots__ = ("expires_at",)
 
     def __init__(self, seconds: float | None):
         self.expires_at = None if seconds is None else time.monotonic() + seconds
 
-    def check(self):
-        if self.expires_at is not None and time.monotonic() > self.expires_at:
+    def check(self, started: float | None = None, done: float = 0, left: float = 0):
+        if self.expires_at is None:
+            return
+        now = time.monotonic()
+        if now > self.expires_at:
             raise EvalTimeout()
+        if started is not None and done > 0 and left > 0:
+            projected = (now - started) / done * left
+            if projected > PROJECTION_FACTOR * (self.expires_at - now):
+                raise EvalTimeout(projected)
 
     def remaining(self) -> float:
         if self.expires_at is None:
@@ -96,6 +129,7 @@ class EvaluationResult:
     status: str = STATUS_OK
     detail: str = ""
     cap: float | None = None    # seconds the evaluation was given; None: no cap
+    projected: float | None = None  # projected seconds, when a projection ended the run
 
     @property
     def ok(self) -> bool:
@@ -118,6 +152,8 @@ class EvaluationResult:
         if include_timings:
             doc["wall_clock"] = self.wall_clock
             doc["cap"] = self.cap
+            if self.projected is not None:
+                doc["projected"] = self.projected
         return doc
 
     @classmethod
@@ -128,7 +164,7 @@ class EvaluationResult:
                    tuple(doc.get("fold_scores") or ()),
                    WORST_SCORE if mean is None else float(mean),
                    float(doc.get("wall_clock", 0.0)), status, doc.get("detail", ""),
-                   doc.get("cap"))
+                   doc.get("cap"), doc.get("projected"))
 
 
 class FittedPipeline:
@@ -141,8 +177,8 @@ class FittedPipeline:
             X = t.transform(X)
         return X
 
-    def predict(self, X):
-        return self.model.predict(self._apply(X))
+    def predict(self, X, deadline: Deadline | None = None):
+        return self.model.predict(self._apply(X), deadline=deadline)
 
     def predict_score(self, X):
         return self.model.predict_score(self._apply(X))
@@ -193,7 +229,9 @@ def evaluate(p: Pipeline, d: Dataset, folds: FoldPlan, metric: str,
              train_fraction: float = 1.0, probe=None) -> EvaluationResult:
     """Mean validation score of a pipeline over the fold plan.
 
-    ``cap`` bounds the whole evaluation; expiry yields a ``timeout`` result.
+    ``cap`` bounds the whole evaluation; expiry, or a projection that the
+    running tree split search cannot finish in time, yields a ``timeout``
+    result.
     Estimator failures yield ``error`` so the surrounding search continues.
     ``probe``, when given, receives (fold, X_val, y_val) before scoring —
     an audit hook for the leakage guard.
@@ -220,16 +258,17 @@ def evaluate(p: Pipeline, d: Dataset, folds: FoldPlan, metric: str,
             fitted = fit_pipeline(p, d.subset(tr_idx),
                                   rng.child(_FIT_CHILD_BASE + i), deadline)
             deadline.check()
-            y_pred = fitted.predict(X_val)
+            y_pred = fitted.predict(X_val, deadline)
             cm = confusion(y_val, y_pred)
             pos = positive if metric == "sensitivity" and positive in cm.classes else None
             fold_scores.append(score(cm, metric, positive=pos))
         wall = time.monotonic() - start
         return EvaluationResult(p.id, serialize(p), metric, tuple(fold_scores),
                                 float(np.mean(fold_scores)), wall, cap=cap)
-    except EvalTimeout:
+    except EvalTimeout as exc:
         return EvaluationResult(p.id, serialize(p), metric, (), WORST_SCORE,
-                                time.monotonic() - start, STATUS_TIMEOUT, cap=cap)
+                                time.monotonic() - start, STATUS_TIMEOUT, cap=cap,
+                                projected=exc.projected)
     except Exception as exc:  # estimator/sampler failure: search must continue
         return EvaluationResult(p.id, serialize(p), metric, (), WORST_SCORE,
                                 time.monotonic() - start, STATUS_ERROR, repr(exc), cap)

@@ -13,6 +13,7 @@ that its output does not change.
 
 ``query_batch`` works one block of queries at a time and keeps only that
 block's distance rows, so its working set is O(block × n + n_queries × k).
+A deadline passed to either is checked once per block of points.
 ``_vote_counts`` tallies the class codes of each row's neighbours (or of a
 forest's trees); its ``argmax`` gives ties to the lowest code.
 """
@@ -67,8 +68,12 @@ class NeighborIndex:
     def __len__(self) -> int:
         return self.points.shape[0]
 
-    def distances(self, queries) -> np.ndarray:
-        """Squared Euclidean distances, shape (n_queries, n_points)."""
+    def distances(self, queries, deadline=None) -> np.ndarray:
+        """Squared Euclidean distances, shape (n_queries, n_points).
+
+        ``deadline``, when given, is checked once per block of points (and
+        so at least once per block of queries).
+        """
         Q = np.atleast_2d(np.asarray(queries, dtype=np.float64))
         n, d = self.points.shape
         out = np.empty((Q.shape[0], n), dtype=np.float64)
@@ -77,6 +82,8 @@ class NeighborIndex:
         for q0 in range(0, Q.shape[0], _QUERY_BLOCK):
             block = Q[q0:q0 + _QUERY_BLOCK, None, :]
             for p0 in range(0, n, _POINT_BLOCK):
+                if deadline is not None:
+                    deadline.check()
                 pts = self.points[None, p0:p0 + _POINT_BLOCK, :]
                 m, w = block.shape[0], pts.shape[1]
                 diff = np.subtract(block, pts, out=buf[:m * w * d].reshape(m, w, d))
@@ -89,7 +96,7 @@ class NeighborIndex:
 
         With ``exclude_self`` the i-th query skips reference point i (queries
         must then be the reference set itself). ``deadline``, when given, is
-        checked once per block of queries.
+        checked by ``distances`` once per block of points.
         """
         Q = np.atleast_2d(np.asarray(queries, dtype=np.float64))
         n = len(self)
@@ -100,9 +107,7 @@ class NeighborIndex:
             raise ValueError("no neighbours available")
         order = np.empty((Q.shape[0], k), dtype=np.int64)
         for q0 in range(0, Q.shape[0], _QUERY_BLOCK):
-            if deadline is not None:
-                deadline.check()
-            d2 = self.distances(Q[q0:q0 + _QUERY_BLOCK])
+            d2 = self.distances(Q[q0:q0 + _QUERY_BLOCK], deadline)
             if exclude_self:
                 rows = np.arange(d2.shape[0])
                 d2[rows, q0 + rows] = np.inf

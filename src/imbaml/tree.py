@@ -9,6 +9,7 @@ one bag; ``estimators.BaggedTrees`` draws all of its bags and makes one call.
 from __future__ import annotations
 
 import math
+import time
 
 import numpy as np
 
@@ -151,7 +152,7 @@ class DecisionTreeClassifier:
         totals = leaves.sum(axis=1, keepdims=True)
         return leaves / np.maximum(totals, 1e-300)
 
-    def predict(self, X) -> np.ndarray:
+    def predict(self, X, deadline=None) -> np.ndarray:
         return self.predict_score(X).argmax(axis=1)
 
     def node_count(self) -> int:
@@ -212,8 +213,16 @@ def grow_trees(X, y, n_classes: int, bags, *, criterion: str = "gini",
     the first column whose best is strictly larger wins, across blocks too.
     Unweighted class counts are integers, so their segmented prefix sums are
     exact in any order; weighted sums run sequentially in the node's row
-    order (a stable sort keeps it among ties), as a lone fit sums them. The
-    deadline is checked once per step and once per block.
+    order (a stable sort keeps it among ties), as a lone fit sums them.
+
+    The deadline is checked once per step and before every block. From the
+    end of a step's first block on, which carries one-off costs such as
+    ranking columns, each check also projects the rest of the step: its
+    seconds per cell so far times the cells (rows x candidate columns x
+    classes) it has left. That is a lower bound on the rest of the fit, and
+    ``Deadline.check`` raises ``EvalTimeout`` once it exceeds the deadline's
+    projection factor times the time left. A fit that completes is the same
+    with or without a deadline.
     """
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.int64)
@@ -258,10 +267,18 @@ def grow_trees(X, y, n_classes: int, bags, *, criterion: str = "gini",
             node = _Nodes(sizes, np.concatenate([[0], np.cumsum(sizes)]), rows_cat,
                           value, node_w, imp, np.array([g.root_w for g, _, _, _ in popped]))
             best = {}
+            left = C * sum(int(sizes[k]) * cols.size for k, _, cols in tasks)
+            started, done = None, 0
             for block in _blocks(tasks, sizes, C, single=w is not None):
                 if deadline is not None:
-                    deadline.check()
+                    deadline.check(started, done, left)
                 _search_block(block, node, X, y, w, C, ranks, criterion, best)
+                cells = C * sum(int(sizes[k]) * cols.size for k, _, cols in block)
+                left -= cells
+                if started is None:  # the first block carries one-off costs
+                    started = time.monotonic()
+                else:
+                    done += cells
             for k, (dec, f, thr, lo, hi) in best.items():
                 if dec <= 0.0 or dec < min_impurity_decrease:
                     continue

@@ -1,3 +1,4 @@
+import time
 import tracemalloc
 
 import numpy as np
@@ -11,7 +12,7 @@ from imbaml.estimators import (BalancedBaggingClassifier,
                                _balanced_bootstrap, fit)
 from imbaml.preprocessing import (PCA, Binarizer, Normalizer, PolynomialFeatures,
                                   VarianceThreshold, fit_preprocessor)
-from imbaml.evaluate import EvalTimeout
+from imbaml.evaluate import PROJECTION_FACTOR, Deadline, EvalTimeout
 from imbaml.tree import DecisionTreeClassifier, grow_trees
 
 from helpers import make_dataset, overlapping_binary
@@ -46,13 +47,14 @@ def test_tree_deterministic_with_feature_sampling():
 
 
 class CountingDeadline:
-    """Counts checks; raises EvalTimeout on check number ``fire_at``."""
+    """Counts checks; raises EvalTimeout on check number ``fire_at``. Like
+    ``Deadline(None)`` it takes and ignores the projection arguments."""
 
     def __init__(self, fire_at=None):
         self.calls = 0
         self.fire_at = fire_at
 
-    def check(self):
+    def check(self, started=None, done=0, left=0):
         self.calls += 1
         if self.calls == self.fire_at:
             raise EvalTimeout()
@@ -87,6 +89,67 @@ def test_deadline_mid_forest_aborts_grow_trees():
     with pytest.raises(EvalTimeout):
         grow_trees(d.features, d.labels, 2, bags, max_features=0.5,
                    deadline=CountingDeadline(fire_at=counted.calls // 2))
+
+
+class RecordingDeadline(Deadline):
+    """``Deadline(None)`` that records the arguments of every check."""
+
+    def __init__(self):
+        super().__init__(None)
+        self.calls = []
+
+    def check(self, started=None, done=0, left=0):
+        self.calls.append((started, done, left))
+
+
+def test_grow_trees_reports_the_cells_of_a_step(monkeypatch):
+    import imbaml.tree as tree_mod
+
+    # 60 rows x 2 classes = 120 cells per column; 240-cell blocks hold two
+    # of the root's 6 columns, so its search runs in three blocks
+    monkeypatch.setattr(tree_mod, "MAX_BLOCK_CELLS", 240)
+    d = overlapping_binary(40, 20, seed=3, d=6)
+    deadline = RecordingDeadline()
+    DecisionTreeClassifier(max_depth=1).fit(d.features, d.labels, 2, deadline=deadline)
+    step, *root = deadline.calls[:4]
+    assert step == (None, 0, 0)
+    # no rate before the first block ends; then the cells since it, and left
+    assert root[0] == (None, 0, 720)
+    assert root[1][1:] == (0, 480) and root[2][1:] == (240, 240)
+    assert root[1][0] == root[2][0] is not None
+
+
+def test_wide_node_is_ended_by_projection():
+    # 3,000 rows x 50,000 columns x 2 classes: 3e8 cells, tens of seconds of
+    # split search at the root. Column j of this read-only view is
+    # base[j:j + 3000], so the matrix costs 53,000 floats of memory.
+    rng = Rng(8)
+    base = rng.np.normal(size=3000 + 50000 - 1)
+    X = np.lib.stride_tricks.sliding_window_view(base, 3000).T
+    y = (rng.np.random(3000) < 0.4).astype(np.int64)
+    start = time.monotonic()
+    with pytest.raises(EvalTimeout) as info:
+        grow_trees(X, y, 2, [(np.arange(3000), np.arange(X.shape[1]), Rng(0))],
+                   deadline=Deadline(3.0))
+    assert time.monotonic() - start < 1.5
+    assert info.value.projected > PROJECTION_FACTOR * 1.5
+
+
+def test_ample_deadline_leaves_trees_bit_equal(monkeypatch):
+    import imbaml.tree as tree_mod
+
+    # small blocks, so most checks project
+    monkeypatch.setattr(tree_mod, "MAX_BLOCK_CELLS", 500)
+    d = overlapping_binary(60, 30, seed=9, d=5)
+
+    def grow(deadline):
+        bags = [(Rng(t).np.integers(0, d.n, size=d.n), np.arange(5), Rng(t)) for t in range(12)]
+        return grow_trees(d.features, d.labels, 2, bags, max_features=0.6, deadline=deadline)
+
+    plain, timed = grow(None), grow(Deadline(3600.0))
+    for a, b in zip(plain, timed):
+        for name in ("feature", "threshold", "left", "right", "value"):
+            assert getattr(a, name).tobytes() == getattr(b, name).tobytes()
 
 
 def test_stump_depth_one():

@@ -6,9 +6,9 @@ import pytest
 
 from imbaml import DEFAULT_SPACE, Dataset, Pipeline, Rng, parse, random_pipeline
 from imbaml.dataset import stratified_folds
-from imbaml.evaluate import (STATUS_ERROR, STATUS_OK, STATUS_TIMEOUT, BudgetClock,
-                             EvalLog, EvaluationResult, WORST_SCORE, evaluate,
-                             holdout_final)
+from imbaml.evaluate import (PROJECTION_FACTOR, STATUS_ERROR, STATUS_OK, STATUS_TIMEOUT,
+                             BudgetClock, Deadline, EvalLog, EvalTimeout, EvaluationResult,
+                             WORST_SCORE, evaluate, holdout_final)
 
 from helpers import make_dataset, overlapping_binary, row_bytes
 
@@ -65,6 +65,54 @@ def test_timeout_yields_timeout_status():
     assert r.status == STATUS_TIMEOUT
     assert r.mean_score == WORST_SCORE
     assert wall < 2.0  # cancelled cooperatively well before a full fit
+
+
+def test_deadline_check_projects():
+    deadline = Deadline(10.0)
+    now = time.monotonic()
+    deadline.check(now - 1.0, 1, 5)  # 5 s more at 1 s a unit fits in 10 s
+    with pytest.raises(EvalTimeout) as info:
+        deadline.check(now - 1.0, 1, 100)
+    assert 100.0 <= info.value.projected < 110.0
+    deadline.check(None, 1, 100)  # no start: no rate, no projection
+    Deadline(None).check(now - 1.0, 1, 1e9)
+
+
+def test_runaway_forest_ends_by_projection():
+    # 100 roots x ~270 rows x 3,320 columns x 2 classes after the expansion:
+    # seconds of split search in the first step, on a 1 s cap
+    rng = Rng(6)
+    X = rng.np.normal(size=(400, 80))
+    y = (rng.np.random(400) < 0.3).astype(np.int64)
+    d = Dataset.from_arrays("wide", X, y)
+    p = parse("PolynomialFeatures(degree=2) >> RandomForestClassifier(max_features=1.0)",
+              DEFAULT_SPACE)
+    r = evaluate(p, d, stratified_folds(d, 3, Rng(1)), "balanced_accuracy", 1.0, Rng(2))
+    assert r.status == STATUS_TIMEOUT and r.fold_scores == () and r.detail == ""
+    assert r.wall_clock < 0.5
+    assert r.projected > PROJECTION_FACTOR * 0.5
+    assert "projected" not in r.to_dict(include_timings=False)
+    doc = json.loads(json.dumps(r.to_dict()))
+    assert doc["projected"] == r.projected
+    assert EvaluationResult.from_dict(doc) == r
+
+
+def test_evaluate_hands_its_deadline_to_knn_prediction(monkeypatch):
+    from imbaml.neighbors import NeighborIndex
+
+    seen = []
+    query_batch = NeighborIndex.query_batch
+
+    def recording(self, queries, k, exclude_self=False, deadline=None):
+        seen.append(deadline)
+        return query_batch(self, queries, k, exclude_self, deadline)
+
+    monkeypatch.setattr(NeighborIndex, "query_batch", recording)
+    d = overlapping_binary(40, 16, seed=17)
+    p = parse("KNeighborsClassifier(n_neighbors=3)", DEFAULT_SPACE)
+    r = evaluate(p, d, stratified_folds(d, 3, Rng(1)), "balanced_accuracy", 60.0, Rng(2))
+    assert r.status == STATUS_OK
+    assert len(seen) == 3 and all(isinstance(x, Deadline) for x in seen)
 
 
 def test_error_status_on_estimator_failure():

@@ -90,16 +90,29 @@ def test_single_point_query_matches_batch_row():
         assert np.array_equal(index.query(P[i], 7), reference(P, P[i], 7)[0])
 
 
+class Counting:
+    calls = 0
+
+    def check(self):
+        self.calls += 1
+
+
 def test_deadline_checked_per_query_block():
-    class Counting:
-        calls = 0
-
-        def check(self):
-            self.calls += 1
-
     P = grid_points(10, 50)
     deadline = Counting()
     NeighborIndex(P).query_batch(grid_points(11, 2 * _QUERY_BLOCK + 1), 3, deadline=deadline)
+    assert deadline.calls == 3
+
+
+def test_deadline_checked_per_point_block_inside_one_query_block():
+    P = grid_points(12, 2 * _POINT_BLOCK + 1)
+    Q = grid_points(13, _QUERY_BLOCK)
+    deadline = Counting()
+    d2 = NeighborIndex(P).distances(Q, deadline)
+    assert deadline.calls == 3
+    assert d2.tobytes() == NeighborIndex(P).distances(Q).tobytes()
+    deadline = Counting()
+    NeighborIndex(P).query_batch(Q, 3, deadline=deadline)
     assert deadline.calls == 3
 
 
