@@ -27,7 +27,7 @@ from .metastore import (MetadataStore, MetaRecord, MetaStoreError, StoredPipelin
 from .metrics import METRIC_IDS
 from .pipeline import serialize
 from .rng import Rng
-from .search import SearchConfig, run_search
+from .search import KILL_GRACE_S, SearchConfig, run_search
 from .space import DomainError
 
 CACHE_ENV = "IMBAML_OPENML_CACHE"
@@ -73,7 +73,9 @@ def _search_flags(p: _Parser, budget_default: float = 3600.0):
     p.add_argument("--search", default="asyncea", choices=("asyncea", "random", "asha"))
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--workers", type=int, default=1,
-                   help="evaluator pool size (default 1: single-core protocol)")
+                   help="evaluations run at once (default 1: in this process, "
+                        "seed-deterministic; more: one forked process per "
+                        f"evaluation, killed {KILL_GRACE_S:g} s after its cap)")
     p.add_argument("--folds", type=int, default=5)
     p.add_argument("--max-evals", type=int, default=None,
                    help="stop after N evaluations (deterministic stopping)")

@@ -5,9 +5,12 @@ partition; validation rows are passed through untouched, so every scored
 validation row is bit-identical to an original dataset row. Timeouts are
 cooperative: one ``Deadline`` per evaluation is checked between pipeline
 steps, after each fold, and inside the sampler, neighbour-query, estimator
-fit and kNN prediction loops. There is no watchdog: preprocessor fitting and
-transforms and every other prediction run unchecked, and an evaluation
-overruns its cap by up to the longest stretch between two checks.
+fit and kNN prediction loops. Preprocessor fitting and transforms and every
+other prediction run unchecked. An evaluation run in-process (a search with
+one worker, or a direct call) has no watchdog and overruns its cap by up to
+the longest stretch between two checks; a search with several workers runs
+each evaluation in a forked child and kills it ``search.KILL_GRACE_S`` after
+its cap.
 
 A loop that knows how much work it has left may also end an evaluation
 early: the tree split search reports the cells it has done and has left in
@@ -234,7 +237,9 @@ def evaluate(p: Pipeline, d: Dataset, folds: FoldPlan, metric: str,
     result.
     Estimator failures yield ``error`` so the surrounding search continues.
     ``probe``, when given, receives (fold, X_val, y_val) before scoring —
-    an audit hook for the leakage guard.
+    an audit hook for the leakage guard. It runs in the process that
+    evaluates: in a search with several workers that is a forked child, so
+    what the probe records there stays in the child.
     """
     start = time.monotonic()
     deadline = Deadline(cap)

@@ -2,21 +2,25 @@
 evolution, and asynchronous successive halving (rungs over training-subsample
 fractions).
 
-One logical coordinator owns all algorithm state; evaluations run on a pool
-of ``worker_count`` threads and may complete out of submission order. With a
-single worker the whole trajectory is deterministic given the seed.
+One coordinator owns all algorithm state. With a single worker it runs each
+evaluation itself and the whole trajectory is deterministic given the seed.
+With ``worker_count`` > 1 it forks one child process per evaluation, keeps up
+to ``worker_count`` of them running, and takes their results in completion
+order; a child still running ``KILL_GRACE_S`` after its cap is killed.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import FIRST_COMPLETED, ThreadPoolExecutor, wait
+import multiprocessing
+import time
 from dataclasses import dataclass, field, replace
+from multiprocessing.connection import Connection, wait
 
 from .dataset import Dataset, FoldPlan, stratified_folds
-from .evaluate import (STATUS_TIMEOUT, BudgetClock, EvalLog, EvaluationResult,
-                       WORST_SCORE, evaluate)
+from .evaluate import (STATUS_ERROR, STATUS_TIMEOUT, BudgetClock, EvalLog,
+                       EvaluationResult, WORST_SCORE, evaluate)
 from .metrics import BALANCED_ACCURACY_DEFINITION, METRIC_IDS
-from .pipeline import Pipeline, crossover, mutate, random_pipeline
+from .pipeline import Pipeline, crossover, mutate, random_pipeline, serialize
 from .rng import Rng
 from .space import SearchSpace
 
@@ -26,6 +30,10 @@ _EVAL_CHILD_BASE = 1_000_000
 
 ASHA_RESOURCE_AXIS = ("training rows per fold: rung resource r keeps a "
                       "stratified fraction r of each training partition")
+
+# Seconds past its cap after which a worker process still evaluating is
+# killed; cooperative deadline checks normally end an evaluation well before.
+KILL_GRACE_S = 0.5
 
 
 class SearchError(ValueError):
@@ -59,6 +67,11 @@ class SearchConfig:
             raise SearchError("budget must be positive")
         if self.worker_count < 1:
             raise SearchError("worker_count must be >= 1")
+        if self.worker_count > 1 and "fork" not in multiprocessing.get_all_start_methods():
+            raise SearchError(
+                "worker_count > 1 needs the 'fork' start method, which this platform "
+                "lacks: each evaluation runs in a forked child that inherits the "
+                "dataset and the search space, whose builders cannot be pickled")
         if (self.population_size < 1 or self.tournament_size < 1
                 or self.reduction_factor < 2 or not 0 < self.min_resource <= 1):
             raise SearchError("invalid algorithm knob")
@@ -119,8 +132,50 @@ class _Job:
     tag: object = None
 
 
+@dataclass
+class _Child:
+    """One evaluation running in a forked worker process."""
+
+    job: _Job
+    cap: float
+    metric: str
+    started: float
+    process: multiprocessing.process.BaseProcess
+    reader: Connection
+
+    @property
+    def kill_at(self) -> float:
+        return self.started + self.cap + KILL_GRACE_S
+
+    def result(self) -> EvaluationResult:
+        """The result the child sent, once its pipe is ready; ``error`` naming
+        the exit code when it died without sending one."""
+        try:
+            doc = self.reader.recv()
+        except (EOFError, OSError):  # closed, or closed mid-message
+            doc = None
+        self.process.join()
+        self.reader.close()
+        if doc is not None:
+            return EvaluationResult.from_dict(doc)
+        return self._failed(STATUS_ERROR, f"worker process exited with code "
+                                          f"{self.process.exitcode} without a result")
+
+    def kill(self) -> EvaluationResult:
+        """Kill and reap the child; its evaluation counts as a timeout."""
+        self.process.kill()
+        self.process.join()
+        self.reader.close()
+        return self._failed(STATUS_TIMEOUT, "")
+
+    def _failed(self, status: str, detail: str) -> EvaluationResult:
+        p = self.job.pipeline
+        return EvaluationResult(p.id, serialize(p), self.metric, (), WORST_SCORE,
+                                time.monotonic() - self.started, status, detail, self.cap)
+
+
 class _Driver:
-    """Owns the clock, worker pool, history and incumbent for one search run."""
+    """Owns the clock, worker processes, history and incumbent for one search run."""
 
     def __init__(self, space: SearchSpace, d: Dataset, cfg: SearchConfig, probe=None):
         self.space = space
@@ -147,12 +202,31 @@ class _Driver:
         self.submitted += 1
         return job
 
-    def execute(self, job: _Job) -> EvaluationResult:
+    def cap(self) -> float:
         # a late dispatch gets only what is left of the budget
-        cap = min(self.clock.per_eval_cap, self.clock.remaining())
+        return min(self.clock.per_eval_cap, self.clock.remaining())
+
+    def execute(self, job: _Job, cap: float) -> EvaluationResult:
         return evaluate(job.pipeline, self.d, self.folds, self.cfg.metric, cap,
                         self._root.child(_EVAL_CHILD_BASE + job.index),
                         train_fraction=job.train_fraction, probe=self.probe)
+
+    def fork(self, job: _Job) -> _Child:
+        """Start ``job`` in a forked child, which inherits the dataset, folds
+        and search space and sends back only ``EvaluationResult.to_dict()``."""
+        # fork, not spawn: user search spaces hold lambda builders, which do
+        # not pickle, and the coordinator starts no threads of its own
+        ctx = multiprocessing.get_context("fork")
+        cap = self.cap()
+        reader, writer = ctx.Pipe(duplex=False)
+        started = time.monotonic()
+        process = ctx.Process(target=self._evaluate_in_child, args=(job, cap, writer))
+        process.start()
+        writer.close()  # the child holds the only writer: its exit ends the pipe
+        return _Child(job, cap, self.cfg.metric, started, process, reader)
+
+    def _evaluate_in_child(self, job: _Job, cap: float, writer: Connection):
+        writer.send(self.execute(job, cap).to_dict())
 
     def record(self, job: _Job, result: EvaluationResult):
         self.history.append(result)
@@ -175,16 +249,25 @@ class _Driver:
             self.log.close()
 
     def run(self, propose, on_result):
-        """Dispatch pump: keeps up to worker_count evaluations in flight."""
+        """Dispatch pump: keeps up to worker_count evaluations in flight.
+
+        One worker evaluates in this process. More workers each run one
+        evaluation in a forked child. The coordinator sleeps until a result
+        arrives or the earliest kill time; a child still running
+        ``KILL_GRACE_S`` past its cap is killed (``timeout``), and one that
+        dies without a result gets ``error``. Evaluations that finish in the
+        same wake-up reach ``on_result`` in job-index order. If ``propose``
+        or ``on_result`` raises, every child still in flight is killed.
+        """
         if self.cfg.worker_count == 1:
             while self.can_dispatch():
                 job = propose()
                 if job is None:
                     break
-                on_result(job, self.execute(job))
+                on_result(job, self.execute(job, self.cap()))
             return
-        with ThreadPoolExecutor(max_workers=self.cfg.worker_count) as pool:
-            in_flight = {}
+        in_flight: dict[Connection, _Child] = {}
+        try:
             while True:
                 stalled = False
                 while self.can_dispatch() and len(in_flight) < self.cfg.worker_count:
@@ -192,14 +275,29 @@ class _Driver:
                     if job is None:
                         stalled = True
                         break
-                    in_flight[pool.submit(self.execute, job)] = job
+                    child = self.fork(job)
+                    in_flight[child.reader] = child
                 if not in_flight:
                     if stalled or not self.can_dispatch():
                         break
                     continue
-                done, _ = wait(in_flight, return_when=FIRST_COMPLETED)
-                for fut in done:
-                    on_result(in_flight.pop(fut), fut.result())
+                kill_at = min(child.kill_at for child in in_flight.values())
+                ready = wait(list(in_flight), max(0.0, kill_at - time.monotonic()))
+                now = time.monotonic()
+                done = []
+                for reader, child in list(in_flight.items()):
+                    if reader in ready:
+                        done.append((child.job, child.result()))
+                    elif child.kill_at <= now:
+                        done.append((child.job, child.kill()))
+                    else:
+                        continue
+                    del in_flight[reader]
+                for job, result in sorted(done, key=lambda jr: jr[0].index):
+                    on_result(job, result)
+        finally:
+            for child in in_flight.values():
+                child.kill()
 
     def report(self, algorithm: str, selected: EvaluationResult | None = None,
                events: list[dict] | None = None) -> SearchReport:

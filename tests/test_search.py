@@ -1,12 +1,18 @@
+import multiprocessing
+import os
+import time
+
 import numpy as np
 import pytest
 
-from imbaml import (DEFAULT_SPACE, Pipeline, Rng, SearchConfig, parse,
-                    random_pipeline, serialize)
+from imbaml import (DEFAULT_SPACE, ComponentSpec, Pipeline, Rng, SearchConfig,
+                    SearchSpace, parse, random_pipeline, serialize)
 from imbaml.dataset import stratified_folds
-from imbaml.evaluate import evaluate
-from imbaml.search import (AshaState, SearchError, asha_rungs, audit_asha_events,
-                           run_asha, run_asyncea, run_random, run_search)
+from imbaml.evaluate import STATUS_ERROR, STATUS_OK, STATUS_TIMEOUT, evaluate
+from imbaml.search import (KILL_GRACE_S, AshaState, SearchError, asha_rungs,
+                           audit_asha_events, run_asha, run_asyncea, run_random,
+                           run_search)
+from imbaml.space import ESTIMATOR
 
 from helpers import make_dataset, overlapping_binary
 
@@ -301,3 +307,86 @@ def test_multi_worker_run_completes():
     rep = run_random(DEFAULT_SPACE, d, quick_cfg(worker_count=3, budget=3.0))
     assert rep.evaluations_completed >= 1
     assert rep.wall_clock <= 3.0 + 0.3 + 0.1
+
+
+# ------------------------------------------------------ forked worker processes
+
+class _Sleeper:
+    """An estimator whose fit ignores the deadline."""
+
+    def fit(self, X, y, n_classes, rng=None, deadline=None):
+        time.sleep(20.0)
+
+
+class _Crasher:
+    """An estimator whose fit ends the whole process: only ever run it in a
+    forked worker."""
+
+    def fit(self, X, y, n_classes, rng=None, deadline=None):
+        os._exit(3)
+
+
+def space_with(*extra):
+    specs = [ComponentSpec(name, ESTIMATOR, (), build=cls) for name, cls in extra]
+    return SearchSpace(list(DEFAULT_SPACE.components.values()) + specs)
+
+
+def test_worker_past_its_cap_is_killed():
+    space = space_with(("Sleeper", _Sleeper))
+    warm = tuple(parse(t, space) for t in
+                 ("Sleeper()", "DecisionTreeClassifier()", "GaussianNB()"))
+    rep = run_random(space, quick_dataset(), quick_cfg(
+        budget=10.0, worker_count=2, warm_start=warm, max_evals=3))
+    by_text = {r.pipeline_text: r for r in rep.history}
+    slept = by_text["Sleeper()"]
+    assert slept.status == STATUS_TIMEOUT and slept.cap == 1.0
+    assert slept.wall_clock <= slept.cap + KILL_GRACE_S + 0.3
+    others = [r for r in rep.history if r is not slept]
+    assert len(others) == 2 and all(r.status == STATUS_OK for r in others)
+
+
+def test_worker_crash_is_an_error_and_the_search_goes_on():
+    space = space_with(("Crasher", _Crasher))
+    warm = tuple(parse(t, space) for t in ("Crasher()", "DecisionTreeClassifier()"))
+    rep = run_random(space, quick_dataset(), quick_cfg(
+        worker_count=2, warm_start=warm, max_evals=4))
+    assert rep.evaluations_completed == 4
+    crashed = [r for r in rep.history if r.pipeline_text == "Crasher()"]
+    assert len(crashed) == 1 and crashed[0].status == STATUS_ERROR
+    assert "exited with code 3" in crashed[0].detail
+    assert rep.best is not None
+
+
+def test_coordinator_failure_kills_workers_in_flight(monkeypatch):
+    from imbaml import search
+
+    def failing_proposal(space, rng):
+        raise RuntimeError("proposal failed")
+
+    monkeypatch.setattr(search, "random_pipeline", failing_proposal)
+    space = space_with(("Sleeper", _Sleeper))
+    warm = (parse("Sleeper()", space),) * 2
+    started = time.monotonic()
+    with pytest.raises(RuntimeError, match="proposal failed"):
+        run_random(space, quick_dataset(), quick_cfg(
+            budget=60.0, worker_count=3, warm_start=warm))
+    assert time.monotonic() - started < 5.0
+    assert multiprocessing.active_children() == []
+
+
+def test_two_workers_give_the_single_worker_results():
+    d = quick_dataset()
+    runs = [run_random(DEFAULT_SPACE, d, quick_cfg(budget=100.0, max_evals=8,
+                                                  worker_count=w))
+            for w in (1, 2)]
+    one, two = (sorted((r.pipeline_text, r.status, r.fold_scores) for r in rep.history)
+                for rep in runs)
+    assert all(status != STATUS_TIMEOUT for _, status, _ in one)
+    assert one == two
+
+
+def test_several_workers_need_fork(monkeypatch):
+    monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+    with pytest.raises(SearchError, match="'fork' start method"):
+        SearchConfig(worker_count=2)
+    assert SearchConfig(worker_count=1).worker_count == 1
