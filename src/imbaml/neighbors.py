@@ -1,19 +1,32 @@
 """Deterministic brute-force nearest neighbours.
 
 Every resampler is defined on Euclidean distance over the coded feature
-space, with ties broken by lower row index. Distances are computed with
-element-wise operations (no BLAS matmul shortcuts): the squared difference
-is reduced by ``np.einsum`` over a block of queries × points. Each distance
-is a reduction over one row's features only, so its value does not depend on
-the block sizes; equal inputs give bit-equal distances and therefore stable
-tie-breaks. That bit-equality holds within one NumPy build and CPU dispatch
-(einsum picks a SIMD/FMA reduction at run time); across builds the last bit
-may differ. ``samplers.cnn`` keeps its own per-column distance expression so
-that its output does not change.
+space, with ties broken by lower row index. ``distances`` computes squared
+distances element-wise: the squared difference is reduced by ``np.einsum``
+over a block of queries × points. Each distance is a reduction over one
+row's features only, so its value does not depend on the block sizes or on
+how points are grouped; equal inputs give bit-equal distances and therefore
+stable tie-breaks. That bit-equality holds within one NumPy build and CPU
+dispatch (einsum picks a SIMD/FMA reduction at run time); across builds the
+last bit may differ. ``samplers.cnn`` keeps its own per-column distance
+expression so that its output does not change.
 
-``query_batch`` works one block of queries at a time and keeps only that
-block's distance rows, so its working set is O(block × n + n_queries × k).
-A deadline passed to either is checked once per block of points.
+``query_batch`` works one block of queries at a time. It first screens the
+block with the product formula |p - mu|^2 - 2 (q - mu).(p - mu), where mu is
+the points' column mean. The product is einsum's own single-threaded loop,
+not a BLAS matrix product: a threaded BLAS competes for the cores with the
+other forked evaluation workers. The formula's rounding error is bounded (see
+``NeighborIndex._screened_top_k``), so the screen only drops points that
+cannot be in the top k; the survivors are re-ranked by einsum distances
+bit-equal to ``distances``, so the result is bit-for-bit that of ranking
+full distance rows. A block falls back to full ``distances`` rows when it
+or the points hold a non-finite value, when the norms could overflow, when
+4k >= n, or when some row keeps n/4 points or more than a block of points
+(heavy ties). The working set is one block × n key or distance matrix plus
+the n_queries × k result; the re-rank gathers block × kept × d differences
+(kept <= one point block), and the fallback one block × point block × d
+difference buffer. A deadline passed to either method is checked once per
+block of points.
 ``_vote_counts`` tallies the class codes of each row's neighbours (or of a
 forest's trees); its ``argmax`` gives ties to the lowest code.
 """
@@ -24,6 +37,9 @@ import numpy as np
 
 _QUERY_BLOCK = 128
 _POINT_BLOCK = 1024
+_EPS = np.finfo(np.float64).eps
+_TINY = np.finfo(np.float64).smallest_subnormal
+_MAX_SCALE = np.finfo(np.float64).max / 4
 
 
 def _top_k(d2: np.ndarray, k: int) -> np.ndarray:
@@ -64,6 +80,14 @@ class NeighborIndex:
         self.points = np.ascontiguousarray(points, dtype=np.float64)
         if self.points.ndim != 2:
             raise ValueError("reference points must be a 2-d matrix")
+        # screen state; non-finite or overflowing points leave _max_norm
+        # non-finite, which sends every query block to the exact path
+        with np.errstate(all="ignore"):
+            self._centre = self.points.mean(axis=0) if len(self.points) else 0.0
+            centred = self.points - self._centre
+            self._sq_norms = np.einsum("ij,ij->i", centred, centred)
+            self._max_norm = np.sqrt(self._sq_norms.max(initial=0.0))
+            self._minus2_centred_t = np.ascontiguousarray(-2.0 * centred.T)
 
     def __len__(self) -> int:
         return self.points.shape[0]
@@ -95,8 +119,13 @@ class NeighborIndex:
         """Indices of the k nearest points per query, ordered by (distance, index).
 
         With ``exclude_self`` the i-th query skips reference point i (queries
-        must then be the reference set itself). ``deadline``, when given, is
-        checked by ``distances`` once per block of points.
+        must then be the reference set itself). Each block of queries is
+        screened by the product formula and only its survivors are re-ranked
+        by exact distances (``_screened_top_k``); a block with a non-finite
+        value, overflowing norms, 4k >= n or heavy ties ranks full
+        ``distances`` rows instead. Either way the result is the exact one.
+        ``deadline``, when given, is checked once per block of points, by
+        the screen or by ``distances``, never by both.
         """
         Q = np.atleast_2d(np.asarray(queries, dtype=np.float64))
         n = len(self)
@@ -107,12 +136,97 @@ class NeighborIndex:
             raise ValueError("no neighbours available")
         order = np.empty((Q.shape[0], k), dtype=np.int64)
         for q0 in range(0, Q.shape[0], _QUERY_BLOCK):
-            d2 = self.distances(Q[q0:q0 + _QUERY_BLOCK], deadline)
-            if exclude_self:
-                rows = np.arange(d2.shape[0])
-                d2[rows, q0 + rows] = np.inf
-            order[q0:q0 + d2.shape[0]] = _top_k(d2, k)
+            block = Q[q0:q0 + _QUERY_BLOCK]
+            order[q0:q0 + block.shape[0]] = self._screened_top_k(block, q0, k, exclude_self,
+                                                                 deadline)
         return order
+
+    def _exact_top_k(self, block, q0, k, exclude_self, deadline) -> np.ndarray:
+        """Top k of one query block from its full ``distances`` rows."""
+        d2 = self.distances(block, deadline)
+        if exclude_self:
+            rows = np.arange(d2.shape[0])
+            d2[rows, q0 + rows] = np.inf
+        return _top_k(d2, k)
+
+    def _screened_top_k(self, block, q0, k, exclude_self, deadline) -> np.ndarray:
+        """Top k of one query block: screen by a product formula, re-rank exactly.
+
+        With centred points p~ = fl(p - mu) and queries q~ = fl(q - mu), the
+        key ``|p~|^2 - 2 q~.p~`` ranks a row's points as the distance does:
+        in exact arithmetic it is |q~ - p~|^2 - |q~|^2, and |q~|^2 is constant
+        per row. Let S = |q~| + max |p~|, u = eps / 2 and gamma_m = m u /
+        (1 - m u). The computed key differs from (computed distance -
+        |q~|^2) by at most E, the sum of
+          * gamma_d S^2 + 2 u S^2 for the norm, the dot product and the
+            final subtraction (Higham 2002, eq. 3.5; Cauchy-Schwarz bounds
+            |q~.p~| and |p~|^2 by S^2);
+          * 2 u S^2 + u^2 S^2 for the centring: each coordinate of q~ - p~
+            is off from q - p by at most u (|q - mu| + |p - mu|), a vector of
+            norm at most about u S;
+          * gamma_(d+2) S^2 for the einsum distance of ``distances``, since
+            |q - p| <= S;
+          * under gradual underflow, at most one smallest subnormal per
+            product, 4 d of them in all.
+        That is about (d + 3) eps S^2 + 4 d tiny; the slack e = 16 (d + 4)
+        (eps S^2 + tiny) also covers the rounding of S and of the bound. If
+        t is the k-th smallest key, the k points behind it have distance -
+        |q~|^2 <= t + E, so every exact top-k point does too, and its key is
+        <= t + 2E <= t + 2e: only points with a larger key are dropped. The
+        survivors are re-ranked by ``_gathered_distances``, whose values are
+        bit-equal to ``distances``, so order and ties are those of the
+        exact path. ``deadline`` is checked once per block of points, by the
+        screen or by the fallback, never by both.
+        """
+        n, d = self.points.shape
+        if 4 * k >= n or not (np.isfinite(self._max_norm) and np.isfinite(block).all()):
+            return self._exact_top_k(block, q0, k, exclude_self, deadline)
+        with np.errstate(over="ignore"):
+            qc = block - self._centre
+            scale = (np.sqrt(np.einsum("ij,ij->i", qc, qc)) + self._max_norm) ** 2
+        if not (np.isfinite(scale).all() and scale.max() < _MAX_SCALE):
+            return self._exact_top_k(block, q0, k, exclude_self, deadline)
+        m = block.shape[0]
+        key = np.empty((m, n))
+        for p0 in range(0, n, _POINT_BLOCK):
+            if deadline is not None:
+                deadline.check()
+            np.einsum("ik,kj->ij", qc, self._minus2_centred_t[:, p0:p0 + _POINT_BLOCK],
+                      out=key[:, p0:p0 + _POINT_BLOCK])
+        key += self._sq_norms
+        rows = np.arange(m)
+        if exclude_self:
+            key[rows, q0 + rows] = np.inf
+        top = key.argmin(axis=1)[:, None] if k == 1 else np.argpartition(key, k - 1, axis=1)
+        bound = key[rows, top[:, k - 1]] + 2 * 16 * (d + 4) * (_EPS * scale + _TINY)
+        keep = key <= bound[:, None]
+        counts = np.count_nonzero(keep, axis=1)  # >= k per row
+        widest = counts.max()
+        if widest == k:  # the kept points are exactly the top k
+            if k == 1:
+                return top
+            cand = np.sort(top[:, :k], axis=1)
+        elif 4 * widest >= n or widest > _POINT_BLOCK:
+            # heavy ties: this block's deadline checks are already done
+            return self._exact_top_k(block, q0, k, exclude_self, None)
+        else:
+            # kept points per row in ascending index order, padded with -1
+            r, c = np.nonzero(keep)
+            cand = np.full((m, widest), -1, dtype=np.intp)
+            cand[r, np.arange(r.size) - np.repeat(np.cumsum(counts) - counts, counts)] = c
+        return np.take_along_axis(cand, _top_k(self._gathered_distances(block, cand), k),
+                                  axis=1)
+
+    def _gathered_distances(self, block, cand) -> np.ndarray:
+        """Squared distances from each query row to its candidate points.
+
+        ``cand`` holds point indices per row, -1 for padding (distance inf).
+        Each value is bit-equal to the matching ``distances`` entry.
+        """
+        diff = block[:, None, :] - self.points[cand]
+        d2 = np.einsum("ijk,ijk->ij", diff, diff)
+        d2[cand < 0] = np.inf
+        return d2
 
     def query(self, point, k: int) -> np.ndarray:
         return self.query_batch(np.atleast_2d(point), k)[0]

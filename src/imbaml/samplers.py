@@ -216,11 +216,14 @@ def _drop_rows(d: Dataset, removals: np.ndarray) -> Dataset:
     return d.subset(np.setdiff1d(np.arange(d.n), removals))
 
 
-def _enn_removals(d: Dataset, k: int, editable: set[int], deadline=None) -> np.ndarray:
-    """Single-pass ENN rule: editable-class rows whose k-neighbour vote disagrees."""
-    k_eff = min(k, d.n - 1)
-    neigh = NeighborIndex(d.features).query_batch(d.features, k_eff, exclude_self=True,
-                                                  deadline=deadline)
+def _neighbour_table(d: Dataset, k: int, deadline=None) -> np.ndarray:
+    """Each row's min(k, n - 1) nearest other rows, in (distance, index) order."""
+    return NeighborIndex(d.features).query_batch(d.features, min(k, d.n - 1),
+                                                 exclude_self=True, deadline=deadline)
+
+
+def _enn_removals(d: Dataset, neigh: np.ndarray, editable: set[int]) -> np.ndarray:
+    """Single-pass ENN rule: editable-class rows whose vote over ``neigh`` disagrees."""
     votes = _vote_counts(d.labels[neigh], len(d.label_names)).argmax(axis=1)
     mask = np.zeros(d.n, dtype=bool)
     for c in editable:
@@ -234,18 +237,25 @@ def enn(d: Dataset, k: int, deadline=None) -> Dataset:
     if k < 1:
         raise SamplerError("k must be >= 1")
     _require_resampleable(d, need_pairs=False)
-    return _drop_rows(d, _enn_removals(d, k, _editable_classes(d.labels), deadline))
+    return _drop_rows(d, _enn_removals(d, _neighbour_table(d, k, deadline),
+                                       _editable_classes(d.labels)))
 
 
 def all_knn(d: Dataset, k_max: int, deadline=None) -> Dataset:
     """Apply ENN for k = 1..k_max on the progressively edited set, stopping
-    before any class would be emptied."""
+    before any class would be emptied.
+
+    Each edited set is queried once, for k_max neighbours: the first k
+    columns of that (distance, index)-ordered table are its k-neighbour
+    table, so a k that removes nothing needs no new query.
+    """
     if k_max < 1:
         raise SamplerError("k_max must be >= 1")
     _require_resampleable(d, need_pairs=False)
     current = d
+    neigh = _neighbour_table(current, k_max, deadline)
     for k in range(1, k_max + 1):
-        removals = _enn_removals(current, k, _editable_classes(current.labels), deadline)
+        removals = _enn_removals(current, neigh[:, :k], _editable_classes(current.labels))
         if removals.size == 0:
             continue
         keep = np.setdiff1d(np.arange(current.n), removals)
@@ -253,6 +263,8 @@ def all_knn(d: Dataset, k_max: int, deadline=None) -> Dataset:
         if kept_classes != set(current.labels.tolist()):
             break
         current = current.subset(keep)
+        if k < k_max:
+            neigh = _neighbour_table(current, k_max, deadline)
     return current
 
 
@@ -431,7 +443,8 @@ def smote_enn(d: Dataset, strategy: str, k_smote: int, k_enn: int, rng: Rng,
         editable = minority
     else:
         editable = all_classes
-    return _drop_rows(over, _enn_removals(over, k_enn, editable, deadline))
+    neigh = _neighbour_table(over, k_enn, deadline)
+    return _drop_rows(over, _enn_removals(over, neigh, editable))
 
 
 def smote_tomek(d: Dataset, k_smote: int, rng: Rng, deadline=None) -> Dataset:

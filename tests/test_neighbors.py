@@ -90,6 +90,100 @@ def test_single_point_query_matches_batch_row():
         assert np.array_equal(index.query(P[i], 7), reference(P, P[i], 7)[0])
 
 
+def adversarial_points(kind, seed, n, d=4):
+    """Point sets on which the product-formula screen has the least room."""
+    rng = np.random.default_rng(seed)
+    if kind == "grid":
+        return grid_points(seed, n, d)
+    if kind == "ulp":  # near-duplicates 1-2 ulp apart
+        base = rng.normal(size=(n // 6, d))[rng.integers(0, n // 6, n)]
+        return base + rng.integers(-2, 3, size=(n, d)) * np.spacing(base)
+    if kind == "offset":  # the centring must not lose the spread
+        return 1e8 + 1e-3 * rng.normal(size=(n, d))
+    if kind == "scaled":
+        return rng.normal(size=(n, d)) * np.logspace(-6, 6, d)
+    if kind == "half":  # half-integers near 1e6: exact ties at large norms
+        return 1e6 + rng.integers(-8, 9, size=(n, d)) / 2
+    if kind == "tiny":  # products underflow into subnormals
+        return 1e-160 * rng.integers(0, 4, size=(n, d)) + 1e-161 * rng.normal(size=(n, d))
+    raise ValueError(kind)
+
+
+KINDS = ("grid", "ulp", "offset", "scaled", "half", "tiny")
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("k", [1, 3, 74, 75])  # 4k < n = 300 <= 4 * 75
+@pytest.mark.parametrize("exclude_self", [False, True])
+def test_screen_matches_reference_on_adversarial_points(kind, k, exclude_self):
+    P = adversarial_points(kind, 20, 300)
+    Q = P if exclude_self else np.vstack([adversarial_points(kind, 21, 150), P[::37]])
+    got = NeighborIndex(P).query_batch(Q, k, exclude_self=exclude_self)
+    assert np.array_equal(got, reference(P, Q, k, exclude_self))
+
+
+@pytest.mark.parametrize("k", [1, 5, 74, 75])
+@pytest.mark.parametrize("case", ["nan_inf_rows", "overflowing_query", "overflowing_point"])
+def test_non_finite_and_overflowing_blocks(case, k):
+    # the second query block holds the bad rows; the first is ordinary
+    P = np.round(np.random.default_rng(22).normal(size=(300, 3)), 2)
+    Q = np.round(np.random.default_rng(23).normal(size=(_QUERY_BLOCK + 40, 3)), 2)
+    if case == "nan_inf_rows":
+        Q[_QUERY_BLOCK + np.arange(4)] = [[np.nan, 0, 0], [np.inf, 1, 1], [-np.inf, 0, 2],
+                                          [np.inf, -np.inf, 0]]
+    elif case == "overflowing_query":
+        Q[_QUERY_BLOCK + 3] = 1e200
+    else:
+        P[17] = 1e200
+    with np.errstate(invalid="ignore", over="ignore"):
+        got = NeighborIndex(P).query_batch(Q, k)
+        want = reference(P, Q, k)
+    assert np.array_equal(got, want)
+
+
+def test_ordinary_block_is_screened_without_full_distances(monkeypatch):
+    P = np.random.default_rng(24).normal(size=(600, 5))
+    Q = np.random.default_rng(25).normal(size=(2 * _QUERY_BLOCK, 5))
+    Q[_QUERY_BLOCK + 7, 2] = np.nan  # only the second block falls back
+    calls = []
+    distances = NeighborIndex.distances
+
+    def spy(self, queries, deadline=None):
+        calls.append(len(queries))
+        return distances(self, queries, deadline)
+
+    monkeypatch.setattr(NeighborIndex, "distances", spy)
+    for k in (1, 5):
+        calls.clear()
+        with np.errstate(invalid="ignore"):
+            got = NeighborIndex(P).query_batch(Q, k)
+            want = reference(P, Q, k)
+        assert np.array_equal(got, want)
+        assert calls == [_QUERY_BLOCK]
+        calls.clear()
+        NeighborIndex(P).query_batch(P, k, exclude_self=True)
+        assert calls == []
+
+
+@pytest.mark.parametrize("kind", ["random", "offset", "scaled"])
+@pytest.mark.parametrize("d", [1, 2, 5, 11, 31])
+def test_gathered_distances_are_bit_equal_to_distances(kind, d):
+    rng = np.random.default_rng(26 + d)
+    P = rng.normal(size=(_POINT_BLOCK + 50, d))
+    if kind == "offset":
+        P = 1e8 + 1e-3 * P
+    elif kind == "scaled":
+        P *= np.logspace(-6, 6, d)
+    Q = P[rng.integers(0, len(P), 70)] + rng.normal(size=(70, d)) * P.std(axis=0)
+    index = NeighborIndex(P)
+    cand = rng.integers(-1, len(P), size=(70, 40))
+    got = index._gathered_distances(Q, cand)
+    want = np.take_along_axis(index.distances(Q), np.maximum(cand, 0), axis=1)
+    real = cand >= 0
+    assert got[real].tobytes() == want[real].tobytes()
+    assert np.isinf(got[~real]).all()
+
+
 class Counting:
     calls = 0
 

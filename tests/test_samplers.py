@@ -288,6 +288,34 @@ def test_all_knn_matches_sequential_oracle():
     assert np.array_equal(out.features, cur.features)
 
 
+
+@pytest.mark.parametrize("separation, k_max", [(0.7, 8), (8.0, 6)])
+def test_all_knn_queries_once_per_edited_set(monkeypatch, separation, k_max):
+    d = overlapping_binary(60, 20, seed=10, separation=separation)
+    edits = 0  # sets edited by some k < k_max, each of which needs a new query
+    cur = d
+    for k in range(1, k_max + 1):
+        removed = enn_oracle_removals(cur, k)
+        if not removed:
+            continue
+        keep = np.delete(np.arange(cur.n), removed)
+        if set(cur.labels[keep].tolist()) != set(cur.labels.tolist()):
+            break
+        cur = cur.subset(keep)
+        edits += k < k_max
+    calls = []
+    query_batch = NeighborIndex.query_batch
+
+    def counting(self, queries, k, exclude_self=False, deadline=None):
+        calls.append(k)
+        return query_batch(self, queries, k, exclude_self, deadline)
+
+    monkeypatch.setattr(NeighborIndex, "query_batch", counting)
+    out = all_knn(d, k_max)
+    assert np.array_equal(out.features, cur.features)
+    assert len(calls) == 1 + edits
+    assert len(calls) < k_max
+
 # ----------------------------------------------------------------------- CNN
 
 def test_cnn_pure_clusters_keep_minority_plus_seed():
