@@ -12,7 +12,7 @@ from .dataset import (ClassDistribution, ColumnMeta, DataError, Dataset, FoldPla
                       class_distribution, stratified_folds, train_test_split)
 from .evaluate import (BudgetClock, EvaluationResult, evaluate, fit_pipeline,
                        holdout_final)
-from .io import fetch_openml, load_arff, load_csv
+from .io import fetch_openml, load_arff, load_csv, load_source
 from .metafeatures import FEATURE_NAMES, MetaFeatureVector, extract_metafeatures
 from .metastore import (MetadataStore, MetaRecord, StoredPipeline, similarity,
                         warm_start_candidates)

@@ -20,7 +20,7 @@ from pathlib import Path
 from .components import DEFAULT_SPACE
 from .dataset import ClassDistribution, Dataset, class_distribution, train_test_split
 from .evaluate import holdout_final
-from .io import atomic_write_bytes, fetch_openml, load_arff, load_csv
+from .io import atomic_write_bytes, load_source
 from .rng import Rng
 from .search import SearchConfig, run_search
 from .space import SearchSpace
@@ -36,6 +36,8 @@ MIN_MINORITY = 2
 
 WIN_MARGIN = 0.01  # absolute balanced-accuracy difference
 
+HOLDOUT_FRACTION = 0.25  # stratified test share split off each suite entry
+
 BUILTIN_SUITES = (
     "imbalanced_binary",
     "extremely_imbalanced_binary",
@@ -48,9 +50,8 @@ class BenchmarkError(ValueError):
     pass
 
 
-def classify_regime(dist: ClassDistribution, task: str = "binary") -> str:
-    """Place a class distribution in the taxonomy; ``task`` is carried for
-    manifest bookkeeping and does not change the thresholds."""
+def classify_regime(dist: ClassDistribution) -> str:
+    """Place a class distribution in the taxonomy."""
     if dist.minority_size < MIN_MINORITY:
         return REGIME_INVALID
     if dist.imbalance_ratio >= EXTREME_RATIO:
@@ -92,28 +93,24 @@ class SuiteManifest:
             raise BenchmarkError("duplicate dataset names in manifest")
 
     def to_json(self) -> dict:
-        return {"suite": self.name, "entries": [
-            {"name": e.name, "expected_regime": e.expected_regime, "task": e.task,
-             "source": e.source, "majority_size": e.majority_size,
-             "minority_size": e.minority_size, "n_features": e.n_features,
-             "n_instances": e.n_instances} for e in self.entries]}
+        return {"suite": self.name,
+                "entries": [dataclasses.asdict(e) for e in self.entries]}
 
     @classmethod
     def from_json(cls, doc: dict) -> "SuiteManifest":
-        return cls(doc["suite"], tuple(
-            ManifestEntry(e["name"], e["expected_regime"], e["task"],
-                          e.get("source"), e.get("majority_size"),
-                          e.get("minority_size"), e.get("n_features"),
-                          e.get("n_instances"))
-            for e in doc["entries"]))
+        names = [f.name for f in dataclasses.fields(ManifestEntry)]
+        entries = []
+        for e in doc["entries"]:
+            try:
+                entries.append(ManifestEntry(**{k: e[k] for k in names if k in e}))
+            except TypeError as exc:  # a required key is missing
+                raise BenchmarkError(f"manifest entry {e.get('name')!r}: {exc}") from exc
+        return cls(doc["suite"], tuple(entries))
 
     @classmethod
     def load(cls, path) -> "SuiteManifest":
         with open(path, encoding="utf-8") as fh:
             return cls.from_json(json.load(fh))
-
-    def save(self, path) -> None:
-        atomic_write_bytes(path, json.dumps(self.to_json(), indent=1).encode("utf-8"))
 
 
 def builtin_suite(name: str) -> SuiteManifest:
@@ -131,7 +128,7 @@ def verify_manifest(manifest: SuiteManifest) -> list[dict]:
         dist = e.recorded_distribution()
         if dist is None:
             continue
-        actual = classify_regime(dist, e.task)
+        actual = classify_regime(dist)
         if actual != e.expected_regime:
             flags.append({"name": e.name, "expected": e.expected_regime,
                           "actual": actual, "ratio": dist.imbalance_ratio})
@@ -139,17 +136,12 @@ def verify_manifest(manifest: SuiteManifest) -> list[dict]:
 
 
 def _resolve(entry: ManifestEntry, cache_dir) -> Dataset:
-    if not entry.source:
-        raise BenchmarkError(f"{entry.name}: no resolvable source")
     src = entry.source
-    if src.startswith("openml:"):
-        return fetch_openml(int(src.split(":", 1)[1]), cache_dir)
-    path = Path(src)
-    if not path.exists():
+    if not src:
+        raise BenchmarkError(f"{entry.name}: no resolvable source")
+    if not src.startswith("openml:") and not Path(src).exists():
         raise BenchmarkError(f"{entry.name}: source {src} does not exist")
-    if path.suffix.lower() == ".arff":
-        return load_arff(path)
-    return load_csv(path)
+    return load_source(src, cache_dir=cache_dir)
 
 
 def _entry_report_path(output_dir: Path, name: str) -> Path:
@@ -158,16 +150,16 @@ def _entry_report_path(output_dir: Path, name: str) -> Path:
 
 
 def run_suite(manifest: SuiteManifest, search_cfg: SearchConfig, output_dir,
-              space: SearchSpace | None = None, cache_dir=None,
-              test_fraction: float = 0.25, loader=None) -> dict:
+              space: SearchSpace | None = None, cache_dir=None) -> dict:
     """Run the configured search over every manifest entry.
 
-    Per entry: verify the expected regime (a mismatch is recorded as a
-    warning and the run proceeds), split off a stratified holdout, search on
-    the training part, persist the report plus the final holdout score.
-    Entries with an existing completed report are skipped (resume), and
-    unresolvable entries are skipped with a recorded reason. Entries run
-    sequentially.
+    Per entry: load its source with ``io.load_source`` (OpenML ids cached in
+    ``cache_dir``, or its default), verify the expected regime (a mismatch
+    is recorded as a warning and the run proceeds), split off a stratified
+    holdout of ``HOLDOUT_FRACTION`` of the rows, search on the training
+    part, persist the report plus the final holdout score. Entries with an
+    existing completed report are skipped (resume), and unresolvable entries
+    are skipped with a recorded reason. Entries run sequentially.
     """
     space = space or DEFAULT_SPACE
     output_dir = Path(output_dir)
@@ -187,21 +179,21 @@ def run_suite(manifest: SuiteManifest, search_cfg: SearchConfig, output_dir,
             except ValueError:
                 pass  # broken file: redo the entry
         try:
-            d = loader(entry) if loader else _resolve(entry, cache_dir)
+            d = _resolve(entry, cache_dir)
         except Exception as exc:
             row.update(status="skipped", reason=str(exc))
             summary["skipped"] += 1
             summary["entries"].append(row)
             continue
         dist = class_distribution(d)
-        actual = classify_regime(dist, entry.task)
+        actual = classify_regime(dist)
         if actual != entry.expected_regime:
             row["regime_warning"] = {"expected": entry.expected_regime,
                                      "actual": actual,
                                      "ratio": dist.imbalance_ratio}
         entry_seed = Rng(search_cfg.seed).child(pos).seed
         cfg = dataclasses.replace(search_cfg, seed=entry_seed, folds=None)
-        train, test = train_test_split(d, test_fraction, Rng(entry_seed).child(1))
+        train, test = train_test_split(d, HOLDOUT_FRACTION, Rng(entry_seed).child(1))
         report = run_search(space, train, cfg)
         holdout = None
         if report.selected is not None:

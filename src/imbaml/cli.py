@@ -1,17 +1,20 @@
 """Command-line surface: fit, resample, meta build/query, benchmark
 classify/run, report compare.
 
-Exit codes: 0 success, 1 usage error (validated before any computation),
-2 runtime failure. Report files are written atomically; an interrupted run
-leaves at most a ``.partial`` file, never a truncated JSON.
+Exit codes: 0 success; 2 runtime failure; 1 usage error, reported before
+any dataset is read: a malformed flag or a count below 1, a missing dataset,
+manifest or score file, a bad ``openml:<id>``, or a ``SearchConfig``
+rejection (every search command builds its config first). Report files are
+written atomically; an interrupted run leaves at most a ``.partial`` file,
+never a truncated JSON.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -19,18 +22,17 @@ from .benchmark import (BUILTIN_SUITES, BenchmarkError, builtin_suite, compare,
                         classify_regime, load_scores, render_comparison,
                         run_suite, SuiteManifest, verify_manifest)
 from .components import DEFAULT_SPACE
-from .dataset import ClassDistribution, DataError, Dataset, class_distribution
-from .io import atomic_write_bytes, fetch_openml, load_arff, load_csv
+from .dataset import ClassDistribution, DataError, class_distribution
+from .io import atomic_write_bytes, load_source
 from .metafeatures import extract_metafeatures
 from .metastore import (MetadataStore, MetaRecord, MetaStoreError, StoredPipeline,
                         rank_records, warm_start_candidates)
 from .metrics import METRIC_IDS
-from .pipeline import serialize
+from .pipeline import PipelineError, parse_component, serialize
 from .rng import Rng
-from .search import KILL_GRACE_S, SearchConfig, run_search
+from .samplers import apply_sampler
+from .search import KILL_GRACE_S, SearchConfig, SearchError, run_search
 from .space import DomainError
-
-CACHE_ENV = "IMBAML_OPENML_CACHE"
 
 
 class UsageError(Exception):
@@ -42,19 +44,11 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _default_cache() -> str:
-    return os.environ.get(CACHE_ENV, str(Path.home() / ".cache" / "imbaml" / "openml"))
-
-
-def _load_dataset(source: str, label=None, cache_dir=None) -> Dataset:
-    if source.startswith("openml:"):
-        return fetch_openml(int(source.split(":", 1)[1]), cache_dir or _default_cache())
-    path = Path(source)
-    if path.suffix.lower() == ".arff":
-        return load_arff(path, label_attribute=label)
-    if label is not None and isinstance(label, str) and label.isdigit():
-        label = int(label)
-    return load_csv(path, label_column=label)
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
 
 
 def _check_source(source: str):
@@ -66,8 +60,8 @@ def _check_source(source: str):
         raise UsageError(f"dataset file '{source}' does not exist")
 
 
-def _search_flags(p: _Parser, budget_default: float = 3600.0):
-    p.add_argument("--budget", type=float, default=budget_default,
+def _search_flags(p: _Parser):
+    p.add_argument("--budget", type=float, default=3600.0,
                    help="time budget in seconds (default %(default)s)")
     p.add_argument("--metric", default="balanced_accuracy", choices=METRIC_IDS)
     p.add_argument("--search", default="asyncea", choices=("asyncea", "random", "asha"))
@@ -81,23 +75,31 @@ def _search_flags(p: _Parser, budget_default: float = 3600.0):
                    help="stop after N evaluations (deterministic stopping)")
 
 
+def _search_config(args, **extra) -> SearchConfig:
+    return SearchConfig(algorithm=args.search, metric=args.metric, budget=args.budget,
+                        worker_count=args.workers, seed=args.seed,
+                        folds_k=args.folds, max_evals=args.max_evals, **extra)
+
+
 def build_parser() -> _Parser:
     root = _Parser(prog="imbaml", description=__doc__)
     sub = root.add_subparsers(dest="command", required=True)
 
-    fit = sub.add_parser("fit", parents=[], help="search pipelines for a dataset")
+    fit = sub.add_parser("fit", help="search pipelines for a dataset")
+    fit.set_defaults(run=_cmd_fit)
     fit.add_argument("data", help="CSV/ARFF path or openml:<id>")
     fit.add_argument("--label", default=None, help="label column (CSV name/index "
                                                    "or ARFF attribute)")
     _search_flags(fit)
     fit.add_argument("--warm-start", default=None, help="metadata store path")
-    fit.add_argument("--warm-candidates", type=int, default=10)
+    fit.add_argument("--warm-candidates", type=_positive_int, default=10)
     fit.add_argument("--out", default=None, help="report JSON path")
     fit.add_argument("--log", default=None, help="evaluation JSONL log path")
     fit.add_argument("--no-timings", action="store_true",
                      help="omit wall-clock fields from the report (reproducible diffs)")
 
     res = sub.add_parser("resample", help="apply one resampler and write a CSV")
+    res.set_defaults(run=_cmd_resample)
     res.add_argument("data")
     res.add_argument("--label", default=None)
     res.add_argument("--sampler", required=True,
@@ -108,6 +110,7 @@ def build_parser() -> _Parser:
     meta = sub.add_parser("meta", help="metadata store operations")
     meta_sub = meta.add_subparsers(dest="meta_command", required=True)
     mb = meta_sub.add_parser("build", help="build a store from a dataset directory")
+    mb.set_defaults(run=_cmd_meta_build)
     mb.add_argument("dataset_dir")
     mb.add_argument("--store", required=True)
     mb.add_argument("--budget-per-dataset", type=float, default=60.0)
@@ -116,36 +119,39 @@ def build_parser() -> _Parser:
     mb.add_argument("--metric", default="balanced_accuracy", choices=METRIC_IDS)
     mb.add_argument("--search", default="asyncea", choices=("asyncea", "random", "asha"))
     mb.add_argument("--seed", type=int, default=0)
-    mb.add_argument("--top", type=int, default=5, help="pipelines kept per dataset")
+    mb.add_argument("--top", type=_positive_int, default=5,
+                    help="pipelines kept per dataset")
     mq = meta_sub.add_parser("query", help="rank stored records against a dataset")
+    mq.set_defaults(run=_cmd_meta_query)
     mq.add_argument("data")
     mq.add_argument("--label", default=None)
     mq.add_argument("--store", required=True)
-    mq.add_argument("-m", type=int, default=10)
+    mq.add_argument("-m", type=_positive_int, default=10)
     mq.add_argument("--similarity", default="standardized",
                     choices=("standardized", "raw-cosine"))
     mq.add_argument("--seed", type=int, default=0)
-    mq.add_argument("--per-dataset", dest="per_dataset", action="store_true",
-                    default=True)
     mq.add_argument("--pooled", dest="per_dataset", action="store_false",
                     help="take m pipelines from the most similar records")
 
     bench = sub.add_parser("benchmark", help="benchmark suite operations")
     bench_sub = bench.add_subparsers(dest="bench_command", required=True)
     bc = bench_sub.add_parser("classify", help="imbalance regime of a dataset")
+    bc.set_defaults(run=_cmd_bench_classify)
     group = bc.add_mutually_exclusive_group(required=True)
     group.add_argument("--data", default=None)
     group.add_argument("--counts", default=None,
                        help="majority,minority (classify published counts)")
     bc.add_argument("--label", default=None)
     br = bench_sub.add_parser("run", help="run a suite manifest")
+    br.set_defaults(run=_cmd_bench_run)
     br.add_argument("manifest", help=f"manifest path or one of {BUILTIN_SUITES}")
     br.add_argument("--out", required=True, help="output directory")
-    _search_flags(br, budget_default=3600.0)
+    _search_flags(br)
 
     rep = sub.add_parser("report", help="report operations")
     rep_sub = rep.add_subparsers(dest="report_command", required=True)
     rc = rep_sub.add_parser("compare", help="win/draw/lose table of two score files")
+    rc.set_defaults(run=_cmd_report_compare)
     rc.add_argument("a")
     rc.add_argument("b")
 
@@ -153,21 +159,16 @@ def build_parser() -> _Parser:
 
 
 def _cmd_fit(args) -> int:
+    cfg = _search_config(args, log_path=args.log)
     _check_source(args.data)
-    if args.budget <= 0:
-        raise UsageError("--budget must be positive")
     if args.out:
         Path(args.out).parent.mkdir(parents=True, exist_ok=True)
-    d = _load_dataset(args.data, args.label)
-    warm = ()
+    d = load_source(args.data, args.label)
     if args.warm_start:
         store = MetadataStore.load(args.warm_start)
         query = extract_metafeatures(d, Rng(args.seed).child(3))
-        warm = tuple(warm_start_candidates(store, query, m=args.warm_candidates))
-    cfg = SearchConfig(algorithm=args.search, metric=args.metric, budget=args.budget,
-                       worker_count=args.workers, seed=args.seed, warm_start=warm,
-                       folds_k=args.folds, max_evals=args.max_evals,
-                       log_path=args.log)
+        cfg = dataclasses.replace(cfg, warm_start=tuple(
+            warm_start_candidates(store, query, m=args.warm_candidates)))
     report = run_search(DEFAULT_SPACE, d, cfg)
     if report.selected is None:
         print("no evaluation completed within the budget", file=sys.stderr)
@@ -182,12 +183,13 @@ def _cmd_fit(args) -> int:
 
 def _cmd_resample(args) -> int:
     _check_source(args.data)
-    from .pipeline import parse_component
-    config = parse_component(args.sampler, DEFAULT_SPACE)
+    try:
+        config = parse_component(args.sampler, DEFAULT_SPACE)
+    except (PipelineError, DomainError) as exc:
+        raise UsageError(f"--sampler: {exc}") from exc
     if config.category != "sampler":
         raise UsageError(f"{config.name} is not a resampler")
-    d = _load_dataset(args.data, args.label)
-    from .samplers import apply_sampler
+    d = load_source(args.data, args.label)
     out = apply_sampler(config, d, Rng(args.seed))
     with open(args.out, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
@@ -200,6 +202,8 @@ def _cmd_resample(args) -> int:
 
 
 def _cmd_meta_build(args) -> int:
+    base_cfg = SearchConfig(algorithm=args.search, metric=args.metric,
+                            budget=args.budget_per_dataset, seed=args.seed)
     root = Path(args.dataset_dir)
     if not root.is_dir():
         raise UsageError(f"'{root}' is not a directory")
@@ -207,8 +211,6 @@ def _cmd_meta_build(args) -> int:
                    if p.suffix.lower() in (".csv", ".arff"))
     if not files:
         raise UsageError(f"no CSV/ARFF datasets in '{root}'")
-    if args.budget_per_dataset <= 0:
-        raise UsageError("--budget-per-dataset must be positive")
     store = MetadataStore()
     built = failures = 0
     for pos, path in enumerate(files):
@@ -216,11 +218,10 @@ def _cmd_meta_build(args) -> int:
             print(f"skipping excluded dataset {path.stem}", file=sys.stderr)
             continue
         try:
-            d = _load_dataset(str(path))
+            d = load_source(str(path))
             seed = Rng(args.seed).child(pos).seed
             feats = extract_metafeatures(d, Rng(seed).child(3))
-            cfg = SearchConfig(algorithm=args.search, metric=args.metric,
-                               budget=args.budget_per_dataset, seed=seed)
+            cfg = dataclasses.replace(base_cfg, seed=seed)
             report = run_search(DEFAULT_SPACE, d, cfg)
             pipelines = []
             seen = set()
@@ -249,7 +250,7 @@ def _cmd_meta_build(args) -> int:
 def _cmd_meta_query(args) -> int:
     _check_source(args.data)
     store = MetadataStore.load(args.store)
-    d = _load_dataset(args.data, args.label)
+    d = load_source(args.data, args.label)
     query = extract_metafeatures(d, Rng(args.seed).child(3))
     mode = "raw" if args.similarity == "raw-cosine" else "standardized"
     ranked = rank_records(store, query, mode)
@@ -273,13 +274,14 @@ def _cmd_bench_classify(args) -> int:
         dist = ClassDistribution.from_counts({0: majority, 1: minority})
     else:
         _check_source(args.data)
-        dist = class_distribution(_load_dataset(args.data, args.label))
+        dist = class_distribution(load_source(args.data, args.label))
     regime = classify_regime(dist)
     print(f"ratio {dist.imbalance_ratio:.2f} -> {regime}")
     return 0
 
 
 def _cmd_bench_run(args) -> int:
+    cfg = _search_config(args)
     if args.manifest in BUILTIN_SUITES:
         manifest = builtin_suite(args.manifest)
     else:
@@ -290,10 +292,7 @@ def _cmd_bench_run(args) -> int:
     for f in flags:
         print(f"manifest warning: {f['name']} classifies as {f['actual']} "
               f"(declared {f['expected']})", file=sys.stderr)
-    cfg = SearchConfig(algorithm=args.search, metric=args.metric, budget=args.budget,
-                       worker_count=args.workers, seed=args.seed,
-                       folds_k=args.folds, max_evals=args.max_evals)
-    summary = run_suite(manifest, cfg, args.out, cache_dir=_default_cache())
+    summary = run_suite(manifest, cfg, args.out)
     print(f"suite '{manifest.name}': {summary['completed']} completed, "
           f"{summary['resumed']} resumed, {summary['skipped']} skipped")
     return 0
@@ -309,27 +308,10 @@ def _cmd_report_compare(args) -> int:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return 1
-    try:
-        if args.command == "fit":
-            return _cmd_fit(args)
-        if args.command == "resample":
-            return _cmd_resample(args)
-        if args.command == "meta":
-            return _cmd_meta_build(args) if args.meta_command == "build" \
-                else _cmd_meta_query(args)
-        if args.command == "benchmark":
-            return _cmd_bench_classify(args) if args.bench_command == "classify" \
-                else _cmd_bench_run(args)
-        if args.command == "report":
-            return _cmd_report_compare(args)
-        raise UsageError(f"unknown command {args.command}")
-    except UsageError as exc:
+        args = build_parser().parse_args(argv)
+        return args.run(args)
+    except (UsageError, SearchError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
     except (DataError, DomainError, BenchmarkError, MetaStoreError) as exc:

@@ -18,6 +18,7 @@ MISSING_MARKERS = {"", "?"}
 MISSING_CATEGORY = "<missing>"
 
 OPENML_DESCRIPTION_URL = "https://www.openml.org/api/v1/json/data/{id}"
+OPENML_CACHE_ENV = "IMBAML_OPENML_CACHE"
 
 
 class OpenMLError(RuntimeError):
@@ -287,3 +288,21 @@ def fetch_openml(dataset_id: int, cache_dir, http_get=None) -> Dataset:
     if isinstance(target, str) and "," in target:
         target = None  # multi-target descriptions fall back to the last nominal
     return load_arff(arff_path, label_attribute=target)
+
+
+def load_source(source: str, label=None, cache_dir=None) -> Dataset:
+    """The one path from a source string to a Dataset: ``openml:<id>`` via
+    :func:`fetch_openml` (``label`` unused; ``cache_dir`` defaults to
+    ``$IMBAML_OPENML_CACHE``, else ``~/.cache/imbaml/openml``), ``.arff`` via
+    :func:`load_arff`, else :func:`load_csv`, where an all-digit ``label`` is
+    a column index."""
+    if source.startswith("openml:"):
+        cache_dir = cache_dir or os.environ.get(
+            OPENML_CACHE_ENV, str(Path.home() / ".cache" / "imbaml" / "openml"))
+        return fetch_openml(int(source.split(":", 1)[1]), cache_dir)
+    path = Path(source)
+    if path.suffix.lower() == ".arff":
+        return load_arff(path, label_attribute=label)
+    if isinstance(label, str) and label.isdigit():
+        label = int(label)
+    return load_csv(path, label_column=label)

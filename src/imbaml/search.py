@@ -67,6 +67,10 @@ class SearchConfig:
             raise SearchError("budget must be positive")
         if self.worker_count < 1:
             raise SearchError("worker_count must be >= 1")
+        if self.folds is None and self.folds_k < 2:
+            raise SearchError("folds_k must be >= 2")
+        if self.max_evals is not None and self.max_evals < 0:
+            raise SearchError("max_evals must be >= 0")
         if self.worker_count > 1 and "fork" not in multiprocessing.get_all_start_methods():
             raise SearchError(
                 "worker_count > 1 needs the 'fork' start method, which this platform "

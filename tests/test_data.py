@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from imbaml import (ClassDistribution, DataError, Dataset, Rng, class_distribution,
-                    load_arff, load_csv, stratified_folds, train_test_split)
+                    load_arff, load_csv, load_source, stratified_folds,
+                    train_test_split)
 
 from helpers import make_dataset
 
@@ -129,6 +130,17 @@ def test_load_arff_label_override(tmp_path):
             "@data\nm,a\nf,b\n")
     d = load_arff(write(tmp_path, "o.arff", text), label_attribute="g")
     assert d.label_names == ("m", "f")
+
+
+def test_load_source_dispatches_by_suffix(tmp_path):
+    csv_path = write(tmp_path, "t.csv", "a,b,c\nx,1,yes\ny,2,no\nx,3,yes\n")
+    by_index = load_source(str(csv_path), "0")  # an all-digit CSV label is an index
+    assert by_index.label_names == ("x", "y")
+    assert load_source(str(csv_path), "a").features.tobytes() == by_index.features.tobytes()
+    arff_path = write(tmp_path, "o.arff", "@relation r\n@attribute g {m,f}\n"
+                      "@attribute class {a,b}\n@data\nm,a\nf,b\n")
+    assert load_source(str(arff_path)).label_names == ("a", "b")
+    assert load_source(str(arff_path), "g").label_names == ("m", "f")
 
 
 # -------------------------------------------------------- class distribution

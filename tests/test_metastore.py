@@ -1,0 +1,89 @@
+"""Metadata store persistence, warm-start retrieval and meta-feature
+extraction."""
+
+from __future__ import annotations
+
+import json
+
+import numpy as np
+import pytest
+
+from imbaml import (DataError, MetadataStore, MetaRecord, Rng, StoredPipeline,
+                    extract_metafeatures, serialize, warm_start_candidates)
+from imbaml.metafeatures import FEATURE_NAMES, MetaFeatureVector
+from imbaml.metastore import MetaStoreError, rank_records
+
+from helpers import make_dataset
+
+NB, KNN = "GaussianNB()", "KNeighborsClassifier(n_neighbors=5)"
+SMOTE_NB, TOMEK_NB = "SMOTE(k_neighbours=5) >> GaussianNB()", "TomekLinks() >> GaussianNB()"
+
+
+def _vectors():
+    rng = np.random.default_rng(0)
+    a, b, c = (rng.normal(size=len(FEATURE_NAMES)) for _ in range(3))
+    return [MetaFeatureVector(tuple(map(float, v))) for v in (a, b, c, 0.7 * a + 0.3 * b)]
+
+
+@pytest.fixture
+def store() -> MetadataStore:
+    """Records a, b, c, ranked in that order against ``query``; b's best
+    pipeline repeats a's best."""
+    a, b, c, _ = _vectors()
+    s = MetadataStore()
+    s.insert(MetaRecord("a", a, (StoredPipeline(KNN, "balanced_accuracy", 0.8),
+                                 StoredPipeline(NB, "balanced_accuracy", 0.9))))
+    s.insert(MetaRecord("b", b, (StoredPipeline(NB, "balanced_accuracy", 0.85),
+                                 StoredPipeline(SMOTE_NB, "balanced_accuracy", 0.7))))
+    s.insert(MetaRecord("c", c, (StoredPipeline(TOMEK_NB, "balanced_accuracy", 0.6),)))
+    return s
+
+
+@pytest.fixture
+def query() -> MetaFeatureVector:
+    return _vectors()[3]
+
+
+def test_store_round_trips(tmp_path, store):
+    path = tmp_path / "store.json"
+    store.save(path)
+    loaded = MetadataStore.load(path)
+    assert loaded.to_json() == store.to_json()
+    assert [r.pipelines[0].text for r in loaded.records] == [NB, NB, TOMEK_NB]
+
+
+@pytest.mark.parametrize("field", ["normalization_mean", "format_version"])
+def test_tampered_store_is_rejected(tmp_path, store, field):
+    doc = store.to_json()
+    if field == "format_version":
+        doc["format_version"] = "0"
+    else:
+        doc["normalization"]["mean"][0] += 1e-3
+    path = tmp_path / "store.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(MetaStoreError):
+        MetadataStore.load(path)
+
+
+def test_warm_start_orders_per_dataset_and_pooled(store, query):
+    assert [i for i, _ in rank_records(store, query)] == [0, 1, 2]
+
+    def texts(**kw):
+        return [serialize(p) for p in warm_start_candidates(store, query, **kw)]
+
+    assert texts(m=3) == [NB, TOMEK_NB, KNN]
+    assert texts(m=3, per_dataset=False) == [NB, KNN, SMOTE_NB]
+    # duplicates of NB are skipped, so only four distinct texts exist
+    assert texts(m=10) == [NB, TOMEK_NB, KNN, SMOTE_NB]
+    assert texts(m=10, per_dataset=False) == [NB, KNN, SMOTE_NB, TOMEK_NB]
+
+
+def test_extract_metafeatures_is_deterministic():
+    d = make_dataset({0: 40, 1: 10}, seed=3, d=3)
+    first = extract_metafeatures(d, Rng(5))
+    again = extract_metafeatures(d, Rng(5))
+    assert len(first.values) == len(FEATURE_NAMES) == 36
+    assert np.array_equal(first.as_arrays()[0], again.as_arrays()[0], equal_nan=True)
+    assert first.get("MajorityClassSize") == 40.0
+    with pytest.raises(DataError):
+        extract_metafeatures(make_dataset({0: 2, 1: 1}), Rng(5))

@@ -2,8 +2,8 @@ import json
 
 import pytest
 
-from imbaml import class_distribution, fetch_openml
-from imbaml.io import OPENML_DESCRIPTION_URL, OpenMLError
+from imbaml import class_distribution, fetch_openml, load_source
+from imbaml.io import OPENML_CACHE_ENV, OPENML_DESCRIPTION_URL, OpenMLError
 
 LAWSUIT_LIKE_ARFF = "\n".join(
     ["@relation analcat", "@attribute f1 numeric", "@attribute class {maj,min}",
@@ -51,6 +51,14 @@ def test_fetch_warm_cache_is_idempotent_and_offline(tmp_path):
     assert len(get.calls) == n_calls
     assert d1.features.tobytes() == d2.features.tobytes()
     assert d1.labels.tolist() == d2.labels.tolist()
+
+
+def test_load_source_reads_the_openml_cache(tmp_path, monkeypatch):
+    expected = fetch_openml(77, tmp_path, http_get=fake_http())
+    monkeypatch.setenv(OPENML_CACHE_ENV, str(tmp_path))
+    for d in (load_source("openml:77"), load_source("openml:77", cache_dir=tmp_path)):
+        assert d.features.tobytes() == expected.features.tobytes()
+        assert d.labels.tolist() == expected.labels.tolist()
 
 
 def test_fetch_unknown_id_carries_status(tmp_path):
