@@ -3,10 +3,10 @@ classify/run, report compare.
 
 Exit codes: 0 success; 2 runtime failure; 1 usage error, reported before
 any dataset is read: a malformed flag or a count below 1, a missing dataset,
-manifest or score file, a bad ``openml:<id>``, or a ``SearchConfig``
-rejection (every search command builds its config first). Report files are
-written atomically; an interrupted run leaves at most a ``.partial`` file,
-never a truncated JSON.
+manifest, metadata store or score file, a bad ``openml:<id>``, or a
+``SearchConfig`` rejection (every search command builds its config first).
+Report files are written atomically; an interrupted run leaves at most a
+``.partial`` file, never a truncated JSON.
 """
 
 from __future__ import annotations
@@ -56,8 +56,13 @@ def _check_source(source: str):
         tail = source.split(":", 1)[1]
         if not tail.isdigit():
             raise UsageError(f"bad OpenML source '{source}', expected openml:<id>")
-    elif not Path(source).exists():
-        raise UsageError(f"dataset file '{source}' does not exist")
+    else:
+        _require_file(source, "dataset file")
+
+
+def _require_file(path: str, what: str):
+    if not Path(path).exists():
+        raise UsageError(f"{what} '{path}' does not exist")
 
 
 def _search_flags(p: _Parser):
@@ -161,6 +166,8 @@ def build_parser() -> _Parser:
 def _cmd_fit(args) -> int:
     cfg = _search_config(args, log_path=args.log)
     _check_source(args.data)
+    if args.warm_start:
+        _require_file(args.warm_start, "metadata store")
     if args.out:
         Path(args.out).parent.mkdir(parents=True, exist_ok=True)
     d = load_source(args.data, args.label)
@@ -249,6 +256,7 @@ def _cmd_meta_build(args) -> int:
 
 def _cmd_meta_query(args) -> int:
     _check_source(args.data)
+    _require_file(args.store, "metadata store")
     store = MetadataStore.load(args.store)
     d = load_source(args.data, args.label)
     query = extract_metafeatures(d, Rng(args.seed).child(3))
@@ -285,8 +293,7 @@ def _cmd_bench_run(args) -> int:
     if args.manifest in BUILTIN_SUITES:
         manifest = builtin_suite(args.manifest)
     else:
-        if not Path(args.manifest).exists():
-            raise UsageError(f"manifest '{args.manifest}' does not exist")
+        _require_file(args.manifest, "manifest")
         manifest = SuiteManifest.load(args.manifest)
     flags = verify_manifest(manifest)
     for f in flags:
@@ -300,8 +307,7 @@ def _cmd_bench_run(args) -> int:
 
 def _cmd_report_compare(args) -> int:
     for path in (args.a, args.b):
-        if not Path(path).exists():
-            raise UsageError(f"score file '{path}' does not exist")
+        _require_file(path, "score file")
     outcome = compare(load_scores(args.a), load_scores(args.b))
     print(render_comparison(outcome, Path(args.a).stem, Path(args.b).stem))
     return 0

@@ -1,32 +1,37 @@
 """Deterministic brute-force nearest neighbours.
 
 Every resampler is defined on Euclidean distance over the coded feature
-space, with ties broken by lower row index. ``distances`` computes squared
-distances element-wise: the squared difference is reduced by ``np.einsum``
-over a block of queries × points. Each distance is a reduction over one
-row's features only, so its value does not depend on the block sizes or on
-how points are grouped; equal inputs give bit-equal distances and therefore
-stable tie-breaks. That bit-equality holds within one NumPy build and CPU
-dispatch (einsum picks a SIMD/FMA reduction at run time); across builds the
-last bit may differ. ``samplers.cnn`` keeps its own per-column distance
-expression so that its output does not change.
+space, with ties broken by lower row index. Squared distances are computed
+element-wise, each one a reduction over one row's features only, so its
+value does not depend on block sizes or on how points are grouped; equal
+inputs give bit-equal distances and therefore stable tie-breaks. Two
+expressions exist, and an index uses one of them on every path:
+
+* ``NeighborIndex`` reduces the squared differences with ``np.einsum`` over
+  a block of queries × points. Its bit-equality holds within one NumPy
+  build and CPU dispatch (einsum picks a SIMD/FMA reduction at run time);
+  across builds the last bit may differ.
+* ``SumOfSquaresIndex`` computes ``((a - b) ** 2).sum(axis=-1)``, the
+  expression ``samplers.cnn`` has always used, so that CNN's output does not
+  change.
 
 ``query_batch`` works one block of queries at a time. It first screens the
 block with the product formula |p - mu|^2 - 2 (q - mu).(p - mu), where mu is
 the points' column mean. The product is einsum's own single-threaded loop,
 not a BLAS matrix product: a threaded BLAS competes for the cores with the
-other forked evaluation workers. The formula's rounding error is bounded (see
-``NeighborIndex._screened_top_k``), so the screen only drops points that
-cannot be in the top k; the survivors are re-ranked by einsum distances
-bit-equal to ``distances``, so the result is bit-for-bit that of ranking
-full distance rows. A block falls back to full ``distances`` rows when it
-or the points hold a non-finite value, when the norms could overflow, when
-4k >= n, or when some row keeps n/4 points or more than a block of points
-(heavy ties). The working set is one block × n key or distance matrix plus
-the n_queries × k result; the re-rank gathers block × kept × d differences
+other forked evaluation workers. The formula's rounding error is bounded
+(``_screen_slack``), so the screen only drops points that cannot be in the
+top k; the survivors are re-ranked by exact distances bit-equal to
+``distances``, so the result is bit-for-bit that of ranking full distance
+rows. A block falls back to full ``distances`` rows when it or the points
+hold a non-finite value, when the norms could overflow, when 4k >= n, or
+when some row keeps n/4 points or more than a block of points (heavy ties).
+The working set is one block × n key or distance matrix plus the
+n_queries × k result; the re-rank gathers block × kept × d differences
 (kept <= one point block), and the fallback one block × point block × d
 difference buffer. A deadline passed to either method is checked once per
-block of points.
+block of points. ``within`` screens every point against one query, each
+point with its own radius, by the same key and bound.
 ``_vote_counts`` tallies the class codes of each row's neighbours (or of a
 forest's trees); its ``argmax`` gives ties to the lowest code.
 """
@@ -40,6 +45,33 @@ _POINT_BLOCK = 1024
 _EPS = np.finfo(np.float64).eps
 _TINY = np.finfo(np.float64).smallest_subnormal
 _MAX_SCALE = np.finfo(np.float64).max / 4
+
+
+def _screen_slack(d: int, scale):
+    """Slack e on a screen key's rounding error, for d features.
+
+    With centred points p~ = fl(p - mu) and a query q~ = fl(q - mu), the key
+    ``|p~|^2 - 2 q~.p~`` is, in exact arithmetic, |q~ - p~|^2 - |q~|^2. Let
+    ``scale`` be S^2 with S = |q~| + max |p~|, u = eps / 2 and gamma_m =
+    m u / (1 - m u). The computed key differs from (computed distance -
+    |q~|^2) by at most E, the sum of
+      * gamma_d S^2 + 2 u S^2 for the norm, the dot product and the final
+        subtraction (Higham 2002, eq. 3.5; Cauchy-Schwarz bounds |q~.p~| and
+        |p~|^2 by S^2);
+      * 2 u S^2 + u^2 S^2 for the centring: each coordinate of q~ - p~ is
+        off from q - p by at most u (|q - mu| + |p - mu|), a vector of norm
+        at most about u S;
+      * gamma_(d+2) S^2 for the computed distance, since |q - p| <= S. This
+        holds for either expression of the module docstring: each rounds
+        one difference and one square per feature and sums d terms, and the
+        bound does not depend on the order of summation;
+      * under gradual underflow, at most one smallest subnormal per
+        product, 4 d of them in all.
+    That is about (d + 3) eps S^2 + 4 d tiny; e = 16 (d + 4) (eps S^2 +
+    tiny) also covers the rounding of S and a few more additions of terms no
+    larger than a few S^2, such as those that form a threshold.
+    """
+    return 16 * (d + 4) * (_EPS * scale + _TINY)
 
 
 def _top_k(d2: np.ndarray, k: int) -> np.ndarray:
@@ -92,6 +124,11 @@ class NeighborIndex:
     def __len__(self) -> int:
         return self.points.shape[0]
 
+    @staticmethod
+    def _squared_sums(diff, out=None) -> np.ndarray:
+        """Sum of squares over the last axis of a (rows, points, d) block."""
+        return np.einsum("ijk,ijk->ij", diff, diff, out=out)
+
     def distances(self, queries, deadline=None) -> np.ndarray:
         """Squared Euclidean distances, shape (n_queries, n_points).
 
@@ -111,7 +148,7 @@ class NeighborIndex:
                 pts = self.points[None, p0:p0 + _POINT_BLOCK, :]
                 m, w = block.shape[0], pts.shape[1]
                 diff = np.subtract(block, pts, out=buf[:m * w * d].reshape(m, w, d))
-                np.einsum("ijk,ijk->ij", diff, diff, out=out[q0:q0 + m, p0:p0 + w])
+                self._squared_sums(diff, out=out[q0:q0 + m, p0:p0 + w])
         return out
 
     def query_batch(self, queries, k: int, exclude_self: bool = False,
@@ -152,31 +189,16 @@ class NeighborIndex:
     def _screened_top_k(self, block, q0, k, exclude_self, deadline) -> np.ndarray:
         """Top k of one query block: screen by a product formula, re-rank exactly.
 
-        With centred points p~ = fl(p - mu) and queries q~ = fl(q - mu), the
-        key ``|p~|^2 - 2 q~.p~`` ranks a row's points as the distance does:
-        in exact arithmetic it is |q~ - p~|^2 - |q~|^2, and |q~|^2 is constant
-        per row. Let S = |q~| + max |p~|, u = eps / 2 and gamma_m = m u /
-        (1 - m u). The computed key differs from (computed distance -
-        |q~|^2) by at most E, the sum of
-          * gamma_d S^2 + 2 u S^2 for the norm, the dot product and the
-            final subtraction (Higham 2002, eq. 3.5; Cauchy-Schwarz bounds
-            |q~.p~| and |p~|^2 by S^2);
-          * 2 u S^2 + u^2 S^2 for the centring: each coordinate of q~ - p~
-            is off from q - p by at most u (|q - mu| + |p - mu|), a vector of
-            norm at most about u S;
-          * gamma_(d+2) S^2 for the einsum distance of ``distances``, since
-            |q - p| <= S;
-          * under gradual underflow, at most one smallest subnormal per
-            product, 4 d of them in all.
-        That is about (d + 3) eps S^2 + 4 d tiny; the slack e = 16 (d + 4)
-        (eps S^2 + tiny) also covers the rounding of S and of the bound. If
-        t is the k-th smallest key, the k points behind it have distance -
-        |q~|^2 <= t + E, so every exact top-k point does too, and its key is
-        <= t + 2E <= t + 2e: only points with a larger key are dropped. The
-        survivors are re-ranked by ``_gathered_distances``, whose values are
-        bit-equal to ``distances``, so order and ties are those of the
-        exact path. ``deadline`` is checked once per block of points, by the
-        screen or by the fallback, never by both.
+        The key ``|p~|^2 - 2 q~.p~`` ranks a row's points as the distance
+        does, up to the constant |q~|^2 and an error of at most e =
+        ``_screen_slack``. If t is the k-th smallest key, the k points
+        behind it have distance - |q~|^2 <= t + e, so every exact top-k
+        point does too, and its key is <= t + 2e: only points with a larger
+        key are dropped. The survivors are re-ranked by
+        ``_gathered_distances``, whose values are bit-equal to
+        ``distances``, so order and ties are those of the exact path.
+        ``deadline`` is checked once per block of points, by the screen or
+        by the fallback, never by both.
         """
         n, d = self.points.shape
         if 4 * k >= n or not (np.isfinite(self._max_norm) and np.isfinite(block).all()):
@@ -198,7 +220,7 @@ class NeighborIndex:
         if exclude_self:
             key[rows, q0 + rows] = np.inf
         top = key.argmin(axis=1)[:, None] if k == 1 else np.argpartition(key, k - 1, axis=1)
-        bound = key[rows, top[:, k - 1]] + 2 * 16 * (d + 4) * (_EPS * scale + _TINY)
+        bound = key[rows, top[:, k - 1]] + 2 * _screen_slack(d, scale)
         keep = key <= bound[:, None]
         counts = np.count_nonzero(keep, axis=1)  # >= k per row
         widest = counts.max()
@@ -224,9 +246,51 @@ class NeighborIndex:
         Each value is bit-equal to the matching ``distances`` entry.
         """
         diff = block[:, None, :] - self.points[cand]
-        d2 = np.einsum("ijk,ijk->ij", diff, diff)
+        d2 = self._squared_sums(diff)
         d2[cand < 0] = np.inf
         return d2
 
+    def within(self, query, radii) -> tuple[np.ndarray, np.ndarray]:
+        """Points no farther from ``query`` than their own radius.
+
+        Returns the ascending indices of the points p with distance(query,
+        p) <= ``radii[p]``, and those distances, bit-equal to ``distances``.
+        A radius of inf keeps its point, -inf drops it. The key of
+        ``_screened_top_k`` drops first every point whose key exceeds
+        radius - |q~|^2 + e (e = ``_screen_slack``): its distance is above
+        the radius. The threshold's own rounding is within e while the
+        radius is at most 4 S^2; a larger radius keeps its point anyway, as
+        no key exceeds about S^2. Only the survivors get exact distances. A
+        non-finite or overflowing query or points get every distance
+        instead.
+        """
+        q = np.asarray(query, dtype=np.float64)
+        n, d = self.points.shape
+        with np.errstate(over="ignore", invalid="ignore"):
+            qc = q - self._centre
+            q_norm = np.einsum("i,i->", qc, qc)
+            scale = (np.sqrt(q_norm) + self._max_norm) ** 2
+        if np.isfinite(scale) and scale < _MAX_SCALE:
+            key = np.einsum("k,kj->j", qc, self._minus2_centred_t)
+            key += self._sq_norms
+            cand = np.flatnonzero(key <= radii + (_screen_slack(d, scale) - q_norm))
+        else:
+            cand = np.arange(n)
+        dist = self._gathered_distances(q[None], cand[None])[0]
+        near = dist <= radii[cand]
+        return cand[near], dist[near]
+
     def query(self, point, k: int) -> np.ndarray:
         return self.query_batch(np.atleast_2d(point), k)[0]
+
+
+class SumOfSquaresIndex(NeighborIndex):
+    """A ``NeighborIndex`` whose exact distances are ``((a - b) ** 2).sum(axis=-1)``.
+
+    Screens, bounds and fallbacks are those of ``NeighborIndex``; only the
+    exact expression differs, on every path.
+    """
+
+    @staticmethod
+    def _squared_sums(diff, out=None) -> np.ndarray:
+        return np.square(diff, out=diff).sum(axis=-1, out=out)

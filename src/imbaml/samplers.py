@@ -17,7 +17,7 @@ from __future__ import annotations
 import numpy as np
 
 from .dataset import Dataset, class_distribution
-from .neighbors import NeighborIndex, _vote_counts
+from .neighbors import NeighborIndex, SumOfSquaresIndex, _vote_counts
 from .rng import Rng
 from .space import ComponentConfig, SAMPLER, DomainError
 
@@ -268,90 +268,93 @@ def all_knn(d: Dataset, k_max: int, deadline=None) -> Dataset:
     return current
 
 
-def _merge_members(near_d: np.ndarray, near_r: np.ndarray, cand_d: np.ndarray,
-                   cand_r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Merge candidate members into every row's nearest-member table.
-
-    ``near_d``/``near_r`` hold each row's k nearest (squared distance, member
-    row) pairs in (distance, row) order; ``cand_d``/``cand_r`` hold the
-    candidates' pairs, one column per candidate. Returns the merged tables.
-    """
-    all_d = np.hstack([near_d, cand_d])
-    all_r = np.hstack([near_r, cand_r])
-    keep = np.lexsort((all_r, all_d), axis=1)[:, :near_d.shape[1]]
-    return np.take_along_axis(all_d, keep, axis=1), np.take_along_axis(all_r, keep, axis=1)
-
-
-def _insert_member(near_d: np.ndarray, near_r: np.ndarray, col: np.ndarray, j: int):
-    """Insert one member ``j``, at squared distances ``col``, into the tables.
-
-    Only rows whose k-th entry ``j`` beats change: their entries from ``j``'s
-    place on shift one slot right. Cheaper than ``_merge_members`` for a
-    single candidate, which matters while the store is smaller than k and
-    every row changes.
-    """
-    last_d, last_r = near_d[:, -1], near_r[:, -1]
-    rows = np.flatnonzero((col < last_d) | ((col == last_d) & (j < last_r)))
-    sub_d, sub_r, c = near_d[rows], near_r[rows], col[rows, None]
-    before = (sub_d < c) | ((sub_d == c) & (sub_r < j))  # a prefix of each row
-    at = np.arange(near_d.shape[1]) == before.sum(axis=1, keepdims=True)
-    for table, sub, new in ((near_d, sub_d, c), (near_r, sub_r, j)):
-        shifted = np.concatenate([sub[:, :1], sub[:, :-1]], axis=1)
-        table[rows] = np.where(before, sub, np.where(at, new, shifted))
+def _farthest(near_d: np.ndarray, near_r: np.ndarray) -> np.ndarray:
+    """Slot of each row's farthest member: its largest (squared distance, row)."""
+    far = near_d.max(axis=1, keepdims=True)
+    return np.where(near_d == far, near_r, -1).argmax(axis=1)
 
 
 def cnn(d: Dataset, k: int, rng: Rng, deadline=None) -> Dataset:
-    """Condensed nearest neighbours.
+    """Condensed nearest neighbours (Hart 1968).
 
     The store starts with every minimum-count-class sample plus one random
     seed per editable class; remaining editable samples are visited in rng
     order and added when the store's k-NN vote misclassifies them, repeating
     passes until a full pass adds nothing. The vote uses the k nearest store
-    members in (squared distance, row) order.
+    members in (squared distance, row) order, distances being
+    ``((a - b) ** 2).sum(axis=-1)`` (``SumOfSquaresIndex``), and gives ties
+    to the lowest class code.
+
+    That protocol is replayed without a step per visited row. Every pool
+    row, in visit order, keeps its k nearest store members (in no order),
+    their class votes, its farthest member and a flag saying whether the
+    vote misclassifies it now. The initial store, sorted by row so that
+    index order is row order, ranks the pool by the screened
+    ``query_batch``. Each added member is screened against the pool by
+    ``NeighborIndex.within``, with each row's farthest distance as its
+    radius; in the rows it beats, it replaces the farthest member, and only
+    their votes and flags are updated. The next row to add is the first
+    flagged row after the last one added or, when there is none, the first
+    flagged row of the next pass. ``deadline`` is checked once per block of
+    the initial ranking and once per insertion.
     """
     if k < 1:
         raise SamplerError("k must be >= 1")
     rows = _require_resampleable(d, need_pairs=False)
     editable = _editable_classes(d.labels)
-    store = [int(i) for c, idx in rows.items() if c not in editable for i in idx]
-    pool = []
+    store = [idx for c, idx in rows.items() if c not in editable]
+    pool = [np.empty(0, dtype=np.int64)]  # stays empty when no class is editable
     for c in sorted(editable):
         idx = rows[c]
         seed_pos = int(rng.np.integers(idx.size))
-        store.append(int(idx[seed_pos]))
-        pool.extend(int(i) for p, i in enumerate(idx) if p != seed_pos)
-    order = [pool[int(i)] for i in rng.np.permutation(len(pool))]
+        store.append(idx[seed_pos:seed_pos + 1])
+        pool.append(np.delete(idx, seed_pos))
+    store = np.sort(np.concatenate(store))
+    order = np.concatenate(pool)
+    order = order[rng.np.permutation(order.size)]
 
-    # per row, its k nearest store members; every member beats an empty
-    # (inf, d.n) slot, since features are finite and no distance is NaN
-    X = d.features
-    near_d = np.full((d.n, min(k, d.n)), np.inf)
+    # per pool row in visit order, its k nearest store members; every member
+    # beats an empty (inf, d.n) slot, since features are finite
+    X, y = d.features, d.labels
+    X_pool, y_pool = X[order], y[order]
+    near_d = np.full((order.size, min(k, d.n)), np.inf)
     near_r = np.full(near_d.shape, d.n, dtype=np.int64)
-    for s in range(0, len(store), 64):  # 64 members at a time bounds the working set
-        js = np.array(store[s:s + 64])
-        block = np.stack([((X - X[j]) ** 2).sum(axis=1) for j in js], axis=1)
-        near_d, near_r = _merge_members(near_d, near_r, block,
-                                        np.broadcast_to(js, block.shape))
-    n_store = len(store)
-    in_store = set(store)
-    changed = True
-    while changed:
-        changed = False
-        for i in order:
-            if i in in_store:
-                continue
-            counts = np.bincount(d.labels[near_r[i, :min(k, n_store)]],
-                                 minlength=len(d.label_names))
-            if counts.argmax() != d.labels[i]:
-                if deadline is not None:
-                    deadline.check()
-                _insert_member(near_d, near_r, ((X - X[i]) ** 2).sum(axis=1), i)
-                n_store += 1
-                in_store.add(i)
-                changed = True
-    keep = np.fromiter(in_store, dtype=np.int64)
-    keep.sort()
-    return d.subset(keep)
+    k0 = min(k, store.size)
+    near_r[:, :k0] = store[SumOfSquaresIndex(X[store]).query_batch(X_pool, k0,
+                                                                    deadline=deadline)]
+    for c in range(k0):
+        near_d[:, c] = ((X_pool - X[near_r[:, c]]) ** 2).sum(axis=1)
+
+    n_classes = len(d.label_names)
+    codes = np.append(y, n_classes)  # an empty slot votes for no class
+    votes = _vote_counts(codes[near_r], n_classes + 1)
+    flag = votes[:, :n_classes].argmax(axis=1) != y_pool
+    slot = _farthest(near_d, near_r)
+    radius = near_d[np.arange(order.size), slot]
+    index = SumOfSquaresIndex(X_pool)
+    added = []
+    pos = -1
+    while flag.any():
+        later = flag[pos + 1:]
+        pos = pos + 1 + int(later.argmax()) if later.any() else int(flag.argmax())
+        if deadline is not None:
+            deadline.check()
+        j = int(order[pos])
+        added.append(j)
+        flag[pos], radius[pos] = False, -np.inf
+        hit, dist = index.within(X[j], radius)
+        # within keeps dist <= radius; on a tie the lower row is nearer
+        beat = (dist < radius[hit]) | (j < near_r[hit, slot[hit]])
+        hit, dist = hit[beat], dist[beat]
+        if hit.size:  # j takes the farthest member's slot and vote
+            s = slot[hit]
+            votes[hit, codes[near_r[hit, s]]] -= 1
+            votes[hit, y[j]] += 1
+            near_d[hit, s], near_r[hit, s] = dist, j
+            slot[hit] = s = _farthest(near_d[hit], near_r[hit])
+            radius[hit] = near_d[hit, s]
+            flag[hit] = votes[hit, :n_classes].argmax(axis=1) != y_pool[hit]
+    return d.subset(np.sort(np.concatenate([store, np.array(added, dtype=np.int64)])))
 
 
 def _kmeans(X: np.ndarray, k: int, rng: Rng, max_iter: int = 300, deadline=None):

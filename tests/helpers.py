@@ -1,10 +1,11 @@
-"""Shared dataset builders for the test suite."""
+"""Shared dataset builders and a counting deadline for the test suite."""
 
 from __future__ import annotations
 
 import numpy as np
 
 from imbaml import Dataset, Rng
+from imbaml.evaluate import EvalTimeout
 
 
 def make_dataset(counts: dict[int, int], seed: int = 0, d: int = 2,
@@ -37,5 +38,29 @@ def grid_dataset(rows) -> Dataset:
     return Dataset.from_arrays("fixture", X, y)
 
 
+def grid_classes(seed: int, counts: tuple[int, ...]) -> Dataset:
+    """Points on a 4 x 4 integer grid (exact duplicates and tied distances),
+    ``counts[c]`` of class c in shuffled order."""
+    rng = Rng(seed)
+    n = sum(counts)
+    X = rng.np.integers(0, 4, size=(n, 2)).astype(np.float64)
+    y = np.repeat(np.arange(len(counts)), counts)[rng.np.permutation(n)]
+    return Dataset.from_arrays("grid", X, y)
+
+
 def row_bytes(X: np.ndarray) -> set[bytes]:
     return {np.ascontiguousarray(row).tobytes() for row in np.asarray(X, dtype=np.float64)}
+
+
+class CountingDeadline:
+    """Counts checks; raises EvalTimeout on check number ``fire_at``. Like
+    ``Deadline(None)`` it takes and ignores the projection arguments."""
+
+    def __init__(self, fire_at=None):
+        self.calls = 0
+        self.fire_at = fire_at
+
+    def check(self, started=None, done=0, left=0):
+        self.calls += 1
+        if self.calls == self.fire_at:
+            raise EvalTimeout()

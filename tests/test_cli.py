@@ -181,6 +181,7 @@ BAD_FLAGS = [
     ["fit", "{data}", "--max-evals", "-1", "--budget", "5"],
     ["fit", "{data}", "--warm-start", "{store}", "--warm-candidates", "0"],
     ["fit", "{dir}/missing.csv"],
+    ["fit", "{data}", "--warm-start", "{dir}/nostore.json"],
     ["fit", "openml:abc"],
     ["resample", "{dir}/missing.csv", "--sampler", "SMOTE(k_neighbours=3)",
      "--out", "{dir}/out.csv"],
@@ -188,6 +189,7 @@ BAD_FLAGS = [
     ["resample", "{data}", "--sampler", "SMOTE(k_neighbours=0)", "--out", "{dir}/out.csv"],
     ["meta", "query", "{data}", "--store", "{store}", "-m", "0"],
     ["meta", "query", "openml:abc", "--store", "{store}"],
+    ["meta", "query", "{data}", "--store", "{dir}/nostore.json"],
     ["meta", "build", "{dir}", "--store", "{dir}/s.json", "--top", "0",
      "--budget-per-dataset", "0.5"],
     ["meta", "build", "{dir}", "--store", "{dir}/s.json", "--budget-per-dataset", "0"],
@@ -205,6 +207,16 @@ def test_flag_errors_exit_1_before_reading_data(argv, tmp_path, data_csv, store_
             "manifest": str(write_manifest(tmp_path / "suite.json", data_csv))}
     assert main([a.format(**fill) for a in argv]) == 1
     assert capsys.readouterr().err.startswith("usage error: ")
+    assert load_calls == []
+
+
+@pytest.mark.parametrize("argv", [["fit", "{data}", "--warm-start", "{store}"],
+                                  ["meta", "query", "{data}", "--store", "{store}"]],
+                         ids=["fit", "meta query"])
+def test_missing_store_names_its_path(argv, tmp_path, data_csv, load_calls, capsys):
+    store = tmp_path / "nostore.json"
+    assert main([a.format(data=data_csv, store=store) for a in argv]) == 1
+    assert capsys.readouterr().err == f"usage error: metadata store '{store}' does not exist\n"
     assert load_calls == []
 
 

@@ -15,7 +15,7 @@ from imbaml.preprocessing import (PCA, Binarizer, Normalizer, PolynomialFeatures
 from imbaml.evaluate import PROJECTION_FACTOR, Deadline, EvalTimeout
 from imbaml.tree import DecisionTreeClassifier, grow_trees
 
-from helpers import make_dataset, overlapping_binary
+from helpers import CountingDeadline, make_dataset, overlapping_binary
 
 
 def separable():
@@ -44,20 +44,6 @@ def test_tree_deterministic_with_feature_sampling():
     a = DecisionTreeClassifier(max_features=0.5, rng=Rng(5)).fit(d.features, d.labels, 2)
     b = DecisionTreeClassifier(max_features=0.5, rng=Rng(5)).fit(d.features, d.labels, 2)
     assert np.array_equal(a.predict(d.features), b.predict(d.features))
-
-
-class CountingDeadline:
-    """Counts checks; raises EvalTimeout on check number ``fire_at``. Like
-    ``Deadline(None)`` it takes and ignores the projection arguments."""
-
-    def __init__(self, fire_at=None):
-        self.calls = 0
-        self.fire_at = fire_at
-
-    def check(self, started=None, done=0, left=0):
-        self.calls += 1
-        if self.calls == self.fire_at:
-            raise EvalTimeout()
 
 
 def test_tree_checks_deadline_per_block(monkeypatch):

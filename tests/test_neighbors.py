@@ -9,7 +9,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from imbaml.neighbors import _POINT_BLOCK, _QUERY_BLOCK, NeighborIndex
+from imbaml.neighbors import _POINT_BLOCK, _QUERY_BLOCK, NeighborIndex, SumOfSquaresIndex
 
 
 def reference(points, queries, k, exclude_self=False):
@@ -182,6 +182,72 @@ def test_gathered_distances_are_bit_equal_to_distances(kind, d):
     real = cand >= 0
     assert got[real].tobytes() == want[real].tobytes()
     assert np.isinf(got[~real]).all()
+
+
+@pytest.mark.parametrize("d", [1, 2, 5, 8, 11, 31])
+def test_sum_of_squares_index_uses_its_expression_on_every_path(d):
+    rng = np.random.default_rng(40 + d)
+    P = rng.normal(size=(_POINT_BLOCK + 50, d)) * np.logspace(-3, 3, d)
+    Q = P[rng.integers(0, len(P), 30)] + rng.normal(size=(30, d))
+    index = SumOfSquaresIndex(P)
+    want = np.stack([((P - q) ** 2).sum(axis=1) for q in Q])
+    assert index.distances(Q).tobytes() == want.tobytes()
+    cand = rng.integers(0, len(P), size=(30, 40))
+    got = index._gathered_distances(Q, cand)
+    assert got.tobytes() == np.take_along_axis(want, cand, axis=1).tobytes()
+
+
+@pytest.mark.parametrize("index_type", [NeighborIndex, SumOfSquaresIndex])
+@pytest.mark.parametrize("kind", KINDS)
+def test_within_matches_brute_force(kind, index_type):
+    P = adversarial_points(kind, 30, 300)
+    index = index_type(P)
+    full = index.distances(P)
+    # radii on exact ties: each point's 5th smallest distance to the others
+    radii = np.sort(full, axis=1)[:, 5].copy()
+    radii[::7], radii[3::11] = np.inf, -np.inf
+    for i in (0, 41, 299):
+        hit, dist = index.within(P[i], radii)
+        want = np.flatnonzero(full[i] <= radii)
+        assert np.array_equal(hit, want)
+        assert dist.tobytes() == full[i, want].tobytes()
+
+
+def test_within_gets_exact_distances_for_the_screen_survivors_only(monkeypatch):
+    P = np.random.default_rng(32).normal(size=(1000, 5))
+    index = NeighborIndex(P)
+    radii = np.full(len(P), np.sort(index.distances(P[:1])[0])[10])
+    gathered = []
+    gathered_distances = NeighborIndex._gathered_distances
+
+    def spy(self, block, cand):
+        gathered.append(cand.size)
+        return gathered_distances(self, block, cand)
+
+    monkeypatch.setattr(NeighborIndex, "_gathered_distances", spy)
+    hit, _ = index.within(P[0], radii)
+    assert len(hit) == 11 and gathered == [11]
+
+
+@pytest.mark.parametrize("case", ["overflowing_point", "overflowing_query", "nan_point"])
+def test_within_falls_back_on_non_finite_or_overflowing_input(case):
+    P = np.round(np.random.default_rng(31).normal(size=(200, 3)), 2)
+    q = P[5].copy()
+    if case == "overflowing_point":
+        P[17] = 1e200
+    elif case == "overflowing_query":
+        q[1] = -1e200
+    else:
+        P[17, 0] = np.nan
+    radii = np.full(len(P), 2.0)
+    radii[17] = np.inf
+    with np.errstate(invalid="ignore", over="ignore"):
+        index = SumOfSquaresIndex(P)
+        full = index.distances(q)[0]
+        hit, dist = index.within(q, radii)
+    want = np.flatnonzero(full <= radii)
+    assert np.array_equal(hit, want)
+    assert dist.tobytes() == full[want].tobytes()
 
 
 class Counting:

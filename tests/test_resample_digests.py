@@ -20,7 +20,7 @@ from imbaml import DEFAULT_SPACE, Rng
 from imbaml.estimators import KNeighborsClassifier
 from imbaml.samplers import _kmeans, apply_sampler, cnn
 
-from helpers import grid_dataset, make_dataset, overlapping_binary
+from helpers import grid_classes, make_dataset, overlapping_binary
 
 PINNED = {
     "SMOTE": "1c8e949b73088997721e7337a7fedbbb7a4c03b05eaf12117eefa9a6a4911f86",
@@ -54,22 +54,14 @@ SWEEP = {
 }
 
 
-def _grid(seed: int, n: int, counts: tuple[int, ...]):
-    """Integer-grid points (16 distinct positions): ties and exact duplicates."""
-    rng = Rng(seed)
-    X = rng.np.integers(0, 4, size=(n, 2)).astype(np.float64)
-    y = np.repeat(np.arange(len(counts)), counts)[rng.np.permutation(n)]
-    return grid_dataset([(*row, int(c)) for row, c in zip(X, y)])
-
-
 def fixtures():
     """Small datasets covering the cases the neighbour order depends on."""
     huge = overlapping_binary(30, 8, seed=8, d=2)
     return {
         "binary": overlapping_binary(60, 14, seed=3, d=3, separation=1.0),
         "multiclass": make_dataset({0: 40, 1: 15, 2: 8}, seed=4, d=3, spread=2.0),
-        "grid_binary": _grid(5, 70, (54, 16)),
-        "grid_multiclass": _grid(6, 80, (50, 20, 10)),
+        "grid_binary": grid_classes(5, (54, 16)),
+        "grid_multiclass": grid_classes(6, (50, 20, 10)),
         # squared distances overflow to inf between the two halves
         "overflow": huge.with_data(
             huge.features * np.where(huge.labels == 1, 1e160, 1.0)[:, None], huge.labels),

@@ -4,13 +4,15 @@ import numpy as np
 import pytest
 
 from imbaml import DEFAULT_SPACE, Dataset, Rng, class_distribution
-from imbaml.neighbors import NeighborIndex
+from imbaml.evaluate import Deadline, EvalTimeout
+from imbaml.neighbors import _QUERY_BLOCK, NeighborIndex, SumOfSquaresIndex
 from imbaml.samplers import (SamplerError, adasyn, all_knn, apply_sampler,
                              borderline_smote, cluster_centroids, cnn, enn,
                              smote, smote_enn, smote_tomek, tomek_links)
 from imbaml.space import DomainError
 
-from helpers import grid_dataset, make_dataset, overlapping_binary, row_bytes
+from helpers import (CountingDeadline, grid_classes, grid_dataset, make_dataset,
+                     overlapping_binary, row_bytes)
 
 
 # ------------------------------------------------------------------- oracles
@@ -332,13 +334,9 @@ def test_cnn_all_minority_retained():
         assert (out.labels == 1).sum() == 9
 
 
-def test_cnn_matches_replay_oracle():
-    d = grid_dataset([(float(i), 0.0, i % 2) for i in range(20)]
-                     + [(float(i) + 0.4, 0.0, 0) for i in range(8)])
-    seed = 13
-    out = cnn(d, 1, Rng(seed))
-
-    # oracle: replay the documented store-growth protocol with the same rng
+def cnn_replay(d: Dataset, k: int, seed: int) -> np.ndarray:
+    """The documented store-growth protocol, one visited row at a time, with
+    full distance columns over the store and the same rng draws."""
     rng = Rng(seed)
     counts = collections.Counter(d.labels.tolist())
     low = min(counts.values())
@@ -360,17 +358,83 @@ def test_cnn_matches_replay_oracle():
             if i in in_store:
                 continue
             members = sorted(in_store)
-            d2 = ((d.features[members] - d.features[i]) ** 2).sum(axis=1)
-            nearest = np.lexsort((np.array(members), d2))[:min(1, len(members))]
+            with np.errstate(over="ignore"):
+                d2 = ((d.features[members] - d.features[i]) ** 2).sum(axis=1)
+            nearest = np.lexsort((np.array(members), d2))[:k]
             votes = collections.Counter(int(d.labels[members[j]]) for j in nearest)
             top = max(votes.values())
             winner = min(c for c, v in votes.items() if v == top)
             if winner != d.labels[i]:
                 in_store.add(i)
                 changed = True
-    assert sorted(in_store) == sorted(
-        int(np.flatnonzero((d.features == row).all(axis=1))[0])
-        for row in out.features)
+    return np.array(sorted(in_store))
+
+
+def test_cnn_matches_replay_oracle():
+    d = grid_dataset([(float(i), 0.0, i % 2) for i in range(20)]
+                     + [(float(i) + 0.4, 0.0, 0) for i in range(8)])
+    out = cnn(d, 1, Rng(13))
+    want = d.subset(cnn_replay(d, 1, 13))
+    assert out.features.tobytes() == want.features.tobytes()
+    assert out.labels.tobytes() == want.labels.tobytes()
+
+
+def _overflowing(seed: int) -> Dataset:
+    """The editable class scaled by 1e160: its squared norms and distances
+    overflow, so both screens must fall back to exact distances."""
+    d = overlapping_binary(40, 7, seed=seed, d=2)
+    return d.with_data(d.features * np.where(d.labels == 0, 1e160, 1.0)[:, None], d.labels)
+
+
+def _near_duplicates(seed: int) -> Dataset:
+    """Rows 1-2 ulp apart in 11 features, so that orders hang on the last bit
+    of the distance expression."""
+    rng = np.random.default_rng(seed)
+    base = rng.normal(size=(20, 11))[rng.integers(0, 20, 120)]
+    X = base + rng.integers(-2, 3, size=base.shape) * np.spacing(base)
+    return Dataset.from_arrays("ulp", X, (rng.random(120) < 0.3).astype(np.int64))
+
+
+CNN_REPLAY_CASES = {
+    # one block of the initial ranking, then several (pool > 128 rows)
+    "binary": lambda s: overlapping_binary(60, 8, seed=s, d=3, separation=1.0),
+    "binary_blocks": lambda s: overlapping_binary(300, 40, seed=s, d=4, separation=1.0),
+    # three editable classes, each with its own seed
+    "multiclass": lambda s: make_dataset({0: 40, 1: 25, 2: 12, 3: 5}, seed=s, d=3,
+                                         spread=1.5),
+    "grid": lambda s: grid_classes(s, (45, 20, 9)),
+    "grid_tiny": lambda s: grid_classes(s, (10, 4)),  # k = 24 exceeds every row count
+    "overflow": _overflowing,
+    "near_duplicates": _near_duplicates,
+    "balanced": lambda s: make_dataset({0: 9, 1: 9}, seed=s),  # nothing is editable
+}
+
+
+@pytest.mark.parametrize("k", [1, 3, 7, 24])
+@pytest.mark.parametrize("case", sorted(CNN_REPLAY_CASES))
+def test_cnn_matches_replay_oracle_randomised(case, k):
+    for seed in range(3):
+        d = CNN_REPLAY_CASES[case](seed)
+        with np.errstate(over="ignore"):  # the overflow case overflows by design
+            out = cnn(d, k, Rng(100 + seed))
+        want = d.subset(cnn_replay(d, k, 100 + seed))
+        assert out.features.tobytes() == want.features.tobytes()
+        assert out.labels.tobytes() == want.labels.tobytes()
+
+
+def test_cnn_checks_deadline_per_ranking_block_and_per_insertion(monkeypatch):
+    d = overlapping_binary(2 * _QUERY_BLOCK + 40, 30, seed=5, d=3, separation=1.0)
+    counted = CountingDeadline()
+    out = cnn(d, 3, Rng(2), deadline=counted)
+    blocks = -(-(d.n - 31) // _QUERY_BLOCK)  # pool rows: all but the store of 31
+    assert counted.calls == blocks + out.n - 31 and out.n > 31
+
+    within = []
+    monkeypatch.setattr(SumOfSquaresIndex, "within", lambda *args: within.append(args))
+    for deadline in (CountingDeadline(fire_at=blocks), Deadline(-1.0)):
+        with pytest.raises(EvalTimeout):
+            cnn(d, 3, Rng(2), deadline=deadline)
+    assert within == []  # both fired before the first insertion
 
 
 # --------------------------------------------------------- cluster centroids
