@@ -25,22 +25,28 @@ from .dataset import Dataset
 from .neighbors import NeighborIndex, _vote_counts
 from .rng import Rng
 from .space import ComponentConfig, DomainError, ESTIMATOR
-from .tree import DecisionTreeClassifier, _n_candidates, grow_trees
+from .tree import DecisionTreeClassifier, Forest, _n_candidates, grow_trees
 
 
 class EstimatorError(ValueError):
     pass
 
 
-def _balanced_bootstrap(y: np.ndarray, rng: Rng) -> np.ndarray:
-    """Per-class bootstrap with equal counts = the minority count."""
-    classes = sorted(set(y.tolist()))
-    low = min(int((y == c).sum()) for c in classes)
-    picks = []
-    for c in classes:
-        idx = np.flatnonzero(y == c)
-        picks.append(idx[rng.np.integers(0, idx.size, size=low)])
-    return np.concatenate(picks)
+def _class_rows(y: np.ndarray) -> list[np.ndarray]:
+    """The rows of each class present in ``y``, ascending, in class order."""
+    order = np.argsort(y, kind="stable")
+    return np.split(order, np.flatnonzero(np.diff(y[order])) + 1)
+
+
+def _balanced_bootstrap(by_class, rng: Rng) -> np.ndarray:
+    """Per-class bootstrap with equal counts = the minority count.
+
+    ``by_class`` is ``_class_rows(y)``, built once per fit, or the labels
+    ``y`` themselves; the draws are the same."""
+    if isinstance(by_class, np.ndarray):
+        by_class = _class_rows(by_class)
+    low = min(idx.size for idx in by_class)
+    return np.concatenate([idx[rng.np.integers(0, idx.size, size=low)] for idx in by_class])
 
 
 class GaussianNB:
@@ -250,13 +256,16 @@ class BaggedTrees:
     call and ``predict_score`` is each class's share of the votes.
 
     Bag ``t`` draws from ``rng.child(t)``: its rows are a plain bootstrap, or
-    a per-class balanced one when ``balanced``, of which ``max_samples`` (a
-    fraction clamped to [0, 1]) are kept without replacement when that is
-    fewer. With ``bag_columns`` the bag then draws a sorted ``max_features``
-    fraction of the columns and its tree searches all of them; otherwise
-    every column is in the bag and each node samples ``max_features`` of
-    them. Trees hold original column ids, so each predicts on the full
-    matrix.
+    a per-class balanced one when ``balanced`` (from per-class row lists
+    built once per fit), of which ``max_samples`` (a fraction clamped to
+    [0, 1]) are kept without replacement when that is fewer. With
+    ``bag_columns`` the bag then draws a sorted ``max_features`` fraction of
+    the columns and its tree searches all of them, so ``grow_trees`` grows it
+    a level per step; otherwise every column is in the bag and each node
+    samples ``max_features`` of them, so a tree with fewer candidates than
+    columns grows a node per step. Trees hold original column ids, so each
+    predicts on the full matrix; after the fit they are stacked into one
+    ``Forest``, which votes for every (row, tree) pair in one walk.
     """
 
     def __init__(self, n_estimators, criterion, max_features, min_impurity_decrease=0.0,
@@ -276,10 +285,11 @@ class BaggedTrees:
         n, d = X.shape
         frac = min(max(self.max_samples, 0.0), 1.0)
         n_cols = _n_candidates(self.max_features, d)
+        by_class = _class_rows(y) if self.balanced else None
         bags = []
         for t in range(self.n_estimators):
             bag_rng = rng.child(t)
-            rows = (_balanced_bootstrap(y, bag_rng) if self.balanced
+            rows = (_balanced_bootstrap(by_class, bag_rng) if self.balanced
                     else bag_rng.np.integers(0, n, size=n))
             n_keep = max(1, math.ceil(frac * rows.size))
             if n_keep < rows.size:
@@ -294,11 +304,11 @@ class BaggedTrees:
         for tree, (_, cols, _) in zip(self.trees, bags):
             split = tree.feature >= 0
             tree.feature[split] = cols[tree.feature[split]]
+        self.forest = Forest(self.trees)
         return self
 
     def predict_score(self, X):
-        votes = np.stack([t.predict(X) for t in self.trees], axis=1)
-        return _vote_counts(votes, self.n_classes) / len(self.trees)
+        return _vote_counts(self.forest.predict(X), self.n_classes) / len(self.trees)
 
     def predict(self, X, deadline=None):
         # vote shares keep the order of the counts, so ties still go to the
@@ -335,7 +345,8 @@ class BalancedBaggingClassifier(BaggedTrees):
 class RUSBoostClassifier:
     """SAMME boosting where each round fits a shallow tree on a randomly
     undersampled (class-balanced) draw of the current training set; the
-    weighted error is measured on the full set."""
+    weighted error is measured on the full set. The accepted trees are
+    stacked into one ``Forest`` for prediction."""
 
     MAX_RETRIES = 10
 
@@ -353,6 +364,7 @@ class RUSBoostClassifier:
         if C < 2:
             raise EstimatorError("boosting needs at least 2 classes")
         w = np.full(n, 1.0 / n)
+        by_class = _class_rows(y)
         self.trees = []
         self.alphas = []
         for t in range(self.n_estimators):
@@ -361,7 +373,7 @@ class RUSBoostClassifier:
             for _ in range(self.MAX_RETRIES):
                 if deadline is not None:
                     deadline.check()
-                boot = _balanced_bootstrap(y, round_rng)
+                boot = _balanced_bootstrap(by_class, round_rng)
                 tree = DecisionTreeClassifier(max_depth=self.max_depth, rng=round_rng)
                 tree.fit(X[boot], y[boot], n_classes,
                          sample_weight=w[boot] / max(w[boot].sum(), 1e-300),
@@ -382,15 +394,17 @@ class RUSBoostClassifier:
             self.alphas.append(alpha)
         if not self.trees:
             raise EstimatorError("boosting failed to find weak learner")
+        self.forest = Forest(self.trees)
         return self
 
     def staged_decision(self, X):
         """Cumulative weighted-vote matrices after each accepted round."""
         X = np.asarray(X, dtype=np.float64)
         acc = np.zeros((X.shape[0], self.n_classes))
-        for tree, alpha in zip(self.trees, self.alphas):
+        votes = self.forest.predict(X)
+        for t, alpha in enumerate(self.alphas):
             onehot = np.zeros_like(acc)
-            onehot[np.arange(X.shape[0]), tree.predict(X)] = 1.0
+            onehot[np.arange(X.shape[0]), votes[:, t]] = 1.0
             acc = acc + alpha * onehot
             yield acc.copy()
 

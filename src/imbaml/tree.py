@@ -1,9 +1,14 @@
-"""CART-style classification trees and the one split-search kernel behind
-them.
+"""CART-style classification trees, the one split-search kernel behind them
+and the one walk that predicts with them.
 
 ``grow_trees`` grows any number of trees, one per bag of rows and columns of
-one matrix, in lockstep. ``DecisionTreeClassifier.fit`` is that kernel with
-one bag; ``estimators.BaggedTrees`` draws all of its bags and makes one call.
+one matrix, together: each step takes a set of pending nodes from every
+unfinished tree and does its counting, split search and row partitioning
+with NumPy calls over all of them at once. ``DecisionTreeClassifier.fit`` is
+that kernel with one bag; ``estimators.BaggedTrees`` draws all of its bags
+and makes one call. ``Forest`` stacks fitted trees into one node array and
+finds the leaf of every (row, tree) pair in one level-by-level walk, the
+walk a single tree's ``predict_score`` also uses.
 """
 
 from __future__ import annotations
@@ -16,8 +21,9 @@ import numpy as np
 from .rng import Rng
 
 # Upper bound on the rows x candidate columns x classes of one split-search
-# block (and on the rows x columns ranked at once), unless one node column
-# alone is larger: a block holds at least one whole (node, column) segment.
+# block (and on the rows x columns ranked at once, and on the (row, tree)
+# pairs one prediction walk holds), unless one (node, column) segment alone
+# is larger: a block holds at least one whole segment.
 MAX_BLOCK_CELLS = 1 << 16
 
 
@@ -46,6 +52,38 @@ def _n_candidates(max_features: float | None, d: int) -> int:
         return d
     frac = min(max(float(max_features), 0.0), 1.0)
     return max(1, math.ceil(frac * d)) if d else 0
+
+
+def _starts(sizes: np.ndarray) -> np.ndarray:
+    """Exclusive prefix sums: where each of consecutive segments starts."""
+    out = np.zeros(sizes.size, dtype=np.int64)
+    np.cumsum(sizes[:-1], out=out[1:])
+    return out
+
+
+def _segments(starts: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+    """The indices ``starts[k] + arange(sizes[k])`` for every k, concatenated."""
+    return np.arange(int(sizes.sum()), dtype=np.int64) + np.repeat(starts - _starts(sizes), sizes)
+
+
+def _pairs(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``a[0], b[0], a[1], b[1], ...``"""
+    return np.stack([a, b], axis=1).ravel()
+
+
+def _walk(X: np.ndarray, rows: np.ndarray, node: np.ndarray, feature, threshold,
+          left, right) -> np.ndarray:
+    """Leaf reached from node ``node[i]`` by row ``rows[i]`` of ``X``, for
+    every pair i: all pairs descend one level per pass, left when the value
+    is ``<=`` the threshold (so NaN goes right)."""
+    node = node.copy()
+    live = np.flatnonzero(feature[node] >= 0)
+    while live.size:
+        at = node[live]
+        go_left = X[rows[live], feature[at]] <= threshold[at]
+        node[live] = np.where(go_left, left[at], right[at])
+        live = live[feature[node[live]] >= 0]
+    return node
 
 
 class _Ranks:
@@ -91,7 +129,9 @@ class DecisionTreeClassifier:
 
     ``max_features`` is a fraction of columns sampled per node (values above
     1.0 clamp to 1.0); a split is kept when its root-normalised impurity
-    decrease is positive and at least ``min_impurity_decrease``.
+    decrease is positive and at least ``min_impurity_decrease``. Nodes are
+    numbered as a depth-first fit creates them: the root is 0, and the k-th
+    node split in left-first depth-first order has children 2k+1 and 2k+2.
     """
 
     def __init__(self, criterion: str = "gini", max_depth: int | None = None,
@@ -135,17 +175,9 @@ class DecisionTreeClassifier:
 
     def _leaf_of(self, X: np.ndarray) -> np.ndarray:
         X = np.asarray(X, dtype=np.float64)
-        node = np.zeros(len(X), dtype=np.int64)
-        pending = [(np.arange(len(X)), 0)]
-        while pending:
-            rows, nd = pending.pop()
-            if self.feature[nd] < 0:
-                node[rows] = nd
-                continue
-            go_left = X[rows, self.feature[nd]] <= self.threshold[nd]
-            pending.append((rows[go_left], self.left[nd]))
-            pending.append((rows[~go_left], self.right[nd]))
-        return node
+        rows = np.arange(len(X))
+        return _walk(X, rows, np.zeros_like(rows), self.feature, self.threshold,
+                     self.left, self.right)
 
     def predict_score(self, X) -> np.ndarray:
         leaves = self.value[self._leaf_of(X)]
@@ -159,38 +191,48 @@ class DecisionTreeClassifier:
         return len(self.feature)
 
 
-class _Growth:
-    """One tree under construction: its bag, Rng, DFS stack and node lists."""
+class Forest:
+    """Fitted trees stacked into one node array, for predicting with all of
+    them at once.
 
-    def __init__(self, rows, cols, rng, n_feat, root_w):
-        self.cols = np.asarray(cols, dtype=np.int64)
-        self.rng = rng
-        self.n_feat = n_feat
-        self.root_w = root_w
-        self.feature, self.threshold, self.left, self.right, self.value = [], [], [], [], []
-        self.stack = [(rows, 0, self.new_node())]
+    ``label`` is each node's class, ``predict_score``'s argmax of ``value /
+    max(total, 1e-300)`` for a row that ends there; child links point into
+    the stacked arrays and tree t's root is ``roots[t]``.
+    """
 
-    def new_node(self) -> int:
-        self.feature.append(-1)
-        self.threshold.append(0.0)
-        self.left.append(-1)
-        self.right.append(-1)
-        self.value.append(None)
-        return len(self.feature) - 1
+    def __init__(self, trees: list[DecisionTreeClassifier]):
+        sizes = np.array([t.node_count() for t in trees], dtype=np.int64)
+        self.roots = _starts(sizes)
+        self.feature = np.concatenate([t.feature for t in trees])
+        self.threshold = np.concatenate([t.threshold for t in trees])
+        self.left = np.concatenate([np.where(t.left >= 0, t.left + root, -1)
+                                    for t, root in zip(trees, self.roots)])
+        self.right = np.concatenate([np.where(t.right >= 0, t.right + root, -1)
+                                     for t, root in zip(trees, self.roots)])
+        value = np.concatenate([t.value for t in trees])
+        self.label = (value / np.maximum(value.sum(axis=1, keepdims=True), 1e-300)).argmax(axis=1)
 
-    def candidates(self) -> np.ndarray:
-        """Local candidate columns of one node, drawing them when sampled."""
-        d = self.cols.size
-        if self.n_feat < d:
-            return np.sort(self.rng.np.choice(d, size=self.n_feat, replace=False))
-        return np.arange(d)
+    def predict(self, X) -> np.ndarray:
+        """Class of each (row, tree) pair, shape (rows, trees), walked in
+        chunks of at most ``MAX_BLOCK_CELLS`` pairs."""
+        X = np.asarray(X, dtype=np.float64)
+        n, T = len(X), self.roots.size
+        out = np.empty((n, T), dtype=np.int64)
+        step = max(1, MAX_BLOCK_CELLS // max(T, 1))
+        for a in range(0, n, step):
+            b = min(n, a + step)
+            rows = np.repeat(np.arange(a, b), T)
+            leaf = _walk(X, rows, np.tile(self.roots, b - a), self.feature,
+                         self.threshold, self.left, self.right)
+            out[a:b] = self.label[leaf].reshape(b - a, T)
+        return out
 
 
 def grow_trees(X, y, n_classes: int, bags, *, criterion: str = "gini",
                max_depth: int | None = None, max_features: float | None = None,
                min_samples_split: int = 2, min_impurity_decrease: float = 0.0,
                sample_weight=None, deadline=None) -> list[DecisionTreeClassifier]:
-    """Grow one tree per bag ``(rows, cols, rng)`` of ``X``, all in lockstep.
+    """Grow one tree per bag ``(rows, cols, rng)`` of ``X``, all together.
 
     Each tree equals ``DecisionTreeClassifier(...).fit(X[rows][:, cols],
     y[rows], n_classes, rng)`` with the same parameters, bit for bit: the same
@@ -198,22 +240,29 @@ def grow_trees(X, y, n_classes: int, bags, *, criterion: str = "gini",
     and ``value`` arrays. ``sample_weight`` is per row of ``X``; a weighted
     call takes exactly one bag.
 
-    Order: every step pops one node from each unfinished tree's own DFS stack
-    (left child first), so each tree keeps its node numbering and draws its
-    per-node candidate columns from its own Rng in the order a lone fit does.
-    The step counts the classes of all popped nodes with one ``bincount``,
-    then searches every splittable node's candidate columns in blocks of
-    whole (node, column) segments, each at most ``MAX_BLOCK_CELLS`` rows x
-    columns x classes unless one segment alone is larger. A block of one
-    node (always so for a node too wide to share a block and for every node
-    of a weighted fit) sorts that node's values per column; a block of
-    several nodes sorts (segment, rank) keys, from per-column dense ranks
-    computed once per call on first use. Per column a split falls between
-    distinct values and the first largest impurity decrease wins; per node
-    the first column whose best is strictly larger wins, across blocks too.
-    Unweighted class counts are integers, so their segmented prefix sums are
-    exact in any order; weighted sums run sequentially in the node's row
-    order (a stable sort keeps it among ties), as a lone fit sums them.
+    Order: the pending nodes of all trees sit in frontier arrays (tree,
+    depth, node id and a segment of one shared row buffer). A tree that
+    searches all of its columns at every node pops its whole frontier in
+    each step, so it grows a level per step. A tree that samples
+    ``max_features`` of its columns per node pops only the top of its own
+    depth-first stack (left child first), so it draws each node's candidate
+    columns from its own Rng in the order a lone fit does. The step counts
+    the classes of all popped nodes with one ``bincount``, then searches
+    every splittable node's candidate (node, column) segments in blocks of
+    consecutive segments, each at most ``MAX_BLOCK_CELLS`` rows x columns x
+    classes unless one segment alone is larger; a weighted fit's blocks
+    never mix nodes. A block of one node sorts that node's values per
+    column; a block of several nodes sorts (segment, rank) keys, from
+    per-column dense ranks computed once per call on first use. Per column a
+    split falls between distinct values and the first largest impurity
+    decrease wins; per node the first column whose best is strictly larger
+    wins, across blocks too. Unweighted class counts are integers, so their
+    segmented prefix sums are exact in any order, and a child takes the rows
+    on its side of the winning cut in any order. Weighted sums run
+    sequentially in the node's row order, as a lone fit sums them, so a
+    weighted child keeps its rows in the stable sorted order of the winning
+    column. After growth each tree's nodes are renumbered to the order a
+    depth-first fit creates them in (see ``DecisionTreeClassifier``).
 
     The deadline is checked once per step and before every block. From the
     end of a step's first block on, which carries one-off costs such as
@@ -231,143 +280,189 @@ def grow_trees(X, y, n_classes: int, bags, *, criterion: str = "gini",
         raise ValueError("a weighted fit grows exactly one tree")
     if y.size and (y.min() < 0 or y.max() >= n_classes):
         raise ValueError(f"class codes must lie in [0, {n_classes})")
-    C = n_classes
+    if not bags:
+        return []
+    C, T = n_classes, len(bags)
     ranks = _Ranks(X)
-    growths = []
-    for rows, cols, rng in bags:
-        rows = np.asarray(rows, dtype=np.int64)
-        root_w = np.float64(rows.size) if w is None else w[rows].sum()
-        growths.append(_Growth(rows, cols, rng, _n_candidates(max_features, len(cols)), root_w))
+    rngs = [rng for _, _, rng in bags]
+    bag_rows = [np.asarray(rows, dtype=np.int64) for rows, _, _ in bags]
+    bag_cols = [np.asarray(cols, dtype=np.int64) for _, cols, _ in bags]
+    n_cols = np.array([cols.size for cols in bag_cols], dtype=np.int64)
+    col_start = _starts(n_cols)
+    cols_cat = np.concatenate(bag_cols)
+    n_feat = np.array([_n_candidates(max_features, int(d)) for d in n_cols], dtype=np.int64)
+    draws = n_feat < n_cols          # trees that sample columns per node
+    root_w = np.array([rows.size if w is None else w[rows].sum() for rows in bag_rows],
+                      dtype=np.float64)
 
-    active = list(growths)
-    while active:
+    # the frontier: pending node i is row segment buf[start[i]:start[i] + size[i]]
+    buf = np.concatenate(bag_rows)
+    used = buf.size
+    p_id = np.arange(T, dtype=np.int64)
+    p_tree = np.arange(T, dtype=np.int64)
+    p_depth = np.zeros(T, dtype=np.int64)
+    p_size = np.array([rows.size for rows in bag_rows], dtype=np.int64)
+    p_start = _starts(p_size)
+    next_id = T
+    popped_log, split_log = [], []
+
+    while p_id.size:
         if deadline is not None:
             deadline.check()
-        popped = [(g, *g.stack.pop()) for g in active]
-        sizes = np.array([rows.size for _, rows, _, _ in popped], dtype=np.int64)
-        rows_cat = np.concatenate([rows for _, rows, _, _ in popped])
-        node_of = np.repeat(np.arange(len(popped)), sizes)
-        counts = np.bincount(node_of * C + y[rows_cat],
-                             weights=None if w is None else w[rows_cat],
-                             minlength=len(popped) * C).reshape(len(popped), C)
-        value = counts.astype(np.float64)
+        take = ~draws[p_tree]
+        dfs = np.flatnonzero(draws[p_tree])[::-1]
+        if dfs.size:  # the last pending node of each depth-first tree
+            take[dfs[np.unique(p_tree[dfs], return_index=True)[1]]] = True
+        ids, tree, depth = p_id[take], p_tree[take], p_depth[take]
+        size = p_size[take]
+        rows = buf[_segments(p_start[take], size)]
+        keep = ~take
+        p_id, p_tree, p_depth = p_id[keep], p_tree[keep], p_depth[keep]
+        p_start, p_size = p_start[keep], p_size[keep]
+
+        m = ids.size
+        at = _starts(size)                # node k's rows: rows[at[k]:at[k] + size[k]]
+        node_of = np.repeat(np.arange(m), size)
+        value = np.bincount(node_of * C + y[rows],
+                            weights=None if w is None else w[rows],
+                            minlength=m * C).reshape(m, C).astype(np.float64)
         node_w = value.sum(axis=1)
         imp = _impurity(value, criterion)
-        stop = (node_w <= 0.0) | (imp <= 0.0) | (sizes < min_samples_split)
+        stop = (node_w <= 0.0) | (imp <= 0.0) | (size < min_samples_split)
         if max_depth is not None:
-            stop |= np.array([depth for _, _, depth, _ in popped]) >= max_depth
-        tasks = []
-        for k, (g, rows, depth, slot) in enumerate(popped):
-            g.value[slot] = value[k]
-            if not stop[k]:
-                local = g.candidates()
-                if local.size:
-                    tasks.append((k, local, g.cols[local]))
-        if tasks:
-            node = _Nodes(sizes, np.concatenate([[0], np.cumsum(sizes)]), rows_cat,
-                          value, node_w, imp, np.array([g.root_w for g, _, _, _ in popped]))
-            best = {}
-            left = C * sum(int(sizes[k]) * cols.size for k, _, cols in tasks)
-            started, done = None, 0
-            for block in _blocks(tasks, sizes, C, single=w is not None):
+            stop |= depth >= max_depth
+        popped_log.append((ids, tree, depth, value))
+
+        go = np.flatnonzero(~stop)
+        n_cand = np.where(draws[tree[go]], n_feat[tree[go]], n_cols[tree[go]])
+        best = _Best(m)
+        node_root_w = root_w[tree]
+        left = int((size[go] * n_cand).sum()) * C
+        started, done = None, 0
+        # the (node, column) segments of about MAX_BLOCK_CELLS candidates at
+        # a time, so a step of many wide nodes holds few segments at once
+        parts = np.flatnonzero(np.diff(_starts(n_cand) // MAX_BLOCK_CELLS)) + 1
+        for nodes, n_seg in zip(np.split(go, parts), np.split(n_cand, parts)):
+            seg_node = np.repeat(nodes, n_seg)
+            seg_local = _segments(np.zeros_like(n_seg), n_seg)
+            drawn = draws[tree[nodes]]
+            if drawn.any():  # sorted per-node draws, one node per depth-first tree
+                seg_local[np.repeat(drawn, n_seg)] = np.concatenate([
+                    np.sort(rngs[t].np.choice(int(n_cols[t]), size=int(n_feat[t]), replace=False))
+                    for t in tree[nodes[drawn]].tolist()])
+            seg_col = cols_cat[col_start[tree[seg_node]] + seg_local]
+            seg_cells = size[seg_node] * C
+            for a, b in _blocks(seg_node, seg_cells, single=w is not None):
                 if deadline is not None:
                     deadline.check(started, done, left)
-                _search_block(block, node, X, y, w, C, ranks, criterion, best)
-                cells = C * sum(int(sizes[k]) * cols.size for k, _, cols in block)
+                _search_block(seg_node[a:b], seg_local[a:b], seg_col[a:b], rows, at, size,
+                              X, y, w, C, ranks, criterion, value, node_w, imp,
+                              node_root_w, best)
+                cells = int(seg_cells[a:b].sum())
                 left -= cells
                 if started is None:  # the first block carries one-off costs
                     started = time.monotonic()
                 else:
                     done += cells
-            for k, (dec, f, thr, lo, hi) in best.items():
-                if dec <= 0.0 or dec < min_impurity_decrease:
-                    continue
-                g, _, depth, slot = popped[k]
-                li, ri = g.new_node(), g.new_node()
-                g.feature[slot], g.threshold[slot] = f, thr
-                g.left[slot], g.right[slot] = li, ri
-                g.stack.append((hi, depth + 1, ri))
-                g.stack.append((lo, depth + 1, li))
-        active = [g for g in active if g.stack]
 
-    trees = []
-    for g in growths:
-        tree = DecisionTreeClassifier(criterion=criterion, max_depth=max_depth,
-                                      max_features=max_features,
-                                      min_samples_split=min_samples_split,
-                                      min_impurity_decrease=min_impurity_decrease, rng=g.rng)
-        tree.n_classes = n_classes
-        tree.feature = np.array(g.feature, dtype=np.int64)
-        tree.threshold = np.array(g.threshold)
-        tree.left = np.array(g.left, dtype=np.int64)
-        tree.right = np.array(g.right, dtype=np.int64)
-        tree.value = np.array(g.value)
-        trees.append(tree)
-    return trees
+        split = np.flatnonzero(~((best.dec <= 0.0) | (best.dec < min_impurity_decrease)))
+        if split.size:
+            s_size = size[split]
+            s_rows = rows[_segments(at[split], s_size)]
+            s_node = np.repeat(np.arange(split.size), s_size)
+            f = cols_cat[col_start[tree[split]] + best.local[split]]
+            n_left = best.n_left[split]
+            if w is None:
+                go_left = X[s_rows, f[s_node]] <= best.cut[split][s_node]
+            else:  # the winning column's stable order, then a cut by position
+                s_rows = s_rows[np.lexsort((X[s_rows, f[s_node]], s_node))]
+                go_left = (np.arange(s_rows.size) - np.repeat(_starts(s_size), s_size)
+                           < np.repeat(n_left, s_size))
+            children = np.concatenate([s_rows[go_left], s_rows[~go_left]])
+            if not p_id.size:
+                used = 0
+            if used + children.size > buf.size:  # compact the pending rows, then grow
+                live = buf[_segments(p_start, p_size)]
+                buf = np.empty(2 * (live.size + children.size), dtype=np.int64)
+                buf[:live.size] = live
+                p_start, used = _starts(p_size), live.size
+            buf[used:used + children.size] = children
+            n_right = s_size - n_left
+            l_start = used + _starts(n_left)
+            r_start = used + int(n_left.sum()) + _starts(n_right)
+            used += children.size
+            l_id = next_id + 2 * np.arange(split.size, dtype=np.int64)
+            next_id += 2 * split.size
+            split_log.append((ids[split], best.local[split], best.thr[split], l_id, l_id + 1))
+            # per node the right child, then the left on top of it
+            p_id = np.concatenate([p_id, _pairs(l_id + 1, l_id)])
+            p_tree = np.concatenate([p_tree, np.repeat(tree[split], 2)])
+            p_depth = np.concatenate([p_depth, np.repeat(depth[split] + 1, 2)])
+            p_start = np.concatenate([p_start, _pairs(r_start, l_start)])
+            p_size = np.concatenate([p_size, _pairs(n_right, n_left)])
 
-
-class _Nodes:
-    """The popped nodes of one step: their rows (concatenated, node k at
-    ``rows[starts[k]:starts[k + 1]]``), class weights, impurity and the root
-    weight of their trees."""
-
-    def __init__(self, sizes, starts, rows, value, node_w, imp, root_w):
-        self.sizes, self.starts, self.rows = sizes, starts, rows
-        self.value, self.node_w, self.imp, self.root_w = value, node_w, imp, root_w
-
-
-def _blocks(tasks, sizes, C, single):
-    """Group (node, local cols, global cols) tasks into blocks of whole
-    segments under MAX_BLOCK_CELLS; a node too wide for one block, or any
-    node when ``single``, gets blocks of its own."""
-    cur, cells = [], 0
-    for k, local, cols in tasks:
-        per_col = int(sizes[k]) * C
-        if single or per_col * cols.size > MAX_BLOCK_CELLS:
-            if cur:
-                yield cur
-                cur, cells = [], 0
-            step = max(1, MAX_BLOCK_CELLS // per_col)
-            for a in range(0, cols.size, step):
-                yield [(k, local[a:a + step], cols[a:a + step])]
-            continue
-        if cells + per_col * cols.size > MAX_BLOCK_CELLS:
-            yield cur
-            cur, cells = [], 0
-        cur.append((k, local, cols))
-        cells += per_col * cols.size
-    if cur:
-        yield cur
+    return _assemble(next_id, popped_log, split_log, C, T, dict(
+        criterion=criterion, max_depth=max_depth, max_features=max_features,
+        min_samples_split=min_samples_split, min_impurity_decrease=min_impurity_decrease),
+        rngs)
 
 
-def _search_block(block, node, X, y, w, C, ranks, criterion, best):
+class _Best:
+    """Best split found so far for each popped node of a step: its impurity
+    decrease (-inf before any), local column, threshold, the value just left
+    of the cut and the number of rows left of it."""
+
+    def __init__(self, m: int):
+        self.dec = np.full(m, -np.inf)
+        self.local = np.zeros(m, dtype=np.int64)
+        self.thr = np.zeros(m)
+        self.cut = np.zeros(m)
+        self.n_left = np.zeros(m, dtype=np.int64)
+
+
+def _blocks(seg_node: np.ndarray, seg_cells: np.ndarray, single: bool):
+    """``(a, b)`` ranges of consecutive segments, each of at most
+    MAX_BLOCK_CELLS cells unless one segment alone is larger; with
+    ``single``, no range holds segments of two nodes."""
+    ends = np.cumsum(seg_cells)
+    if single:
+        node_end = np.flatnonzero(np.r_[seg_node[1:] != seg_node[:-1], True]) + 1
+    a = 0
+    while a < seg_cells.size:
+        base = int(ends[a - 1]) if a else 0
+        b = max(a + 1, int(np.searchsorted(ends, base + MAX_BLOCK_CELLS, side="right")))
+        if single:
+            b = min(b, int(node_end[np.searchsorted(node_end, a, side="right")]))
+        yield a, b
+        a = b
+
+
+def _search_block(seg_node, seg_local, seg_col, rows, at, size, X, y, w, C, ranks,
+                  criterion, value, node_w, imp, root_w, best: _Best) -> None:
     """Best split per node over one block's (node, column) segments; updates
-    ``best[k] = (decrease, local col, threshold, left rows, right rows)`` when
-    strictly larger than what earlier blocks found."""
-    seg_node = np.repeat([k for k, _, _ in block], [local.size for _, local, _ in block])
-    seg_local = np.concatenate([local for _, local, _ in block])
-    seg_col = np.concatenate([cols for _, _, cols in block])
-    seg_len = node.sizes[seg_node]
+    ``best`` where it is strictly larger than what earlier blocks found."""
+    seg_len = size[seg_node]
     seg_end = np.cumsum(seg_len)
     seg_start = seg_end - seg_len
     E = int(seg_end[-1])
     entry_seg = np.repeat(np.arange(seg_node.size), seg_len)
     cut = np.zeros(E, dtype=bool)       # a split after entry i
-    if len(block) == 1:  # columns of one node: sort its values per column
-        k = block[0][0]
-        rows = node.rows[node.starts[k]:node.starts[k + 1]]
-        vals = X[rows[None, :], seg_col[:, None]]
+    single = seg_node[0] == seg_node[-1]
+    if single:  # columns of one node: sort its values per column
+        k = seg_node[0]
+        node_rows = rows[at[k]:at[k] + size[k]]
+        vals = X[node_rows[None, :], seg_col[:, None]]
         order = np.argsort(vals, axis=1, kind=None if w is None else "stable")
         vals = np.take_along_axis(vals, order, axis=1)
-        rows = rows[order].ravel()
+        srows = node_rows[order].ravel()
         cut.reshape(vals.shape)[:, :-1] = vals[:, 1:] > vals[:, :-1]
-    else:  # whole nodes, unweighted: one sort of (segment, rank) keys
+    else:  # whole segments of several nodes, unweighted: one sort of (segment, rank) keys
         n = ranks.nan_rank
-        rows = node.rows[np.arange(E) + np.repeat(node.starts[seg_node] - seg_start, seg_len)]
+        srows = rows[np.arange(E) + np.repeat(at[seg_node] - seg_start, seg_len)]
         ranks.need(seg_col)
-        rank = ranks.table[seg_col[entry_seg], rows]
+        rank = ranks.table[seg_col[entry_seg], srows]
         order = np.argsort(entry_seg * (n + 1) + rank)
-        rows = rows[order]
+        srows = srows[order]
         rank = rank[order]
         cut[:-1] = rank[1:] > rank[:-1]
         cut[seg_end - 1] = False        # not across segments
@@ -376,43 +471,94 @@ def _search_block(block, node, X, y, w, C, ranks, criterion, best):
     cut = np.flatnonzero(cut)
     if cut.size == 0:
         return
-    labels = y[rows]
+    labels = y[srows]
     if w is None:
         onehot = np.eye(C)[labels]
     else:
         onehot = np.zeros((E, C))
-        onehot[np.arange(E), labels] = w[rows]
+        onehot[np.arange(E), labels] = w[srows]
     k = seg_node[entry_seg[cut]]
-    if len(block) == 1:  # equal-length segments: one running sum per (segment, class)
+    if single:  # equal-length segments: one running sum per (segment, class)
         np.cumsum(onehot.reshape(seg_len.size, -1, C), axis=1,
                   out=onehot.reshape(seg_len.size, -1, C))
         left = onehot[cut]
-        right = node.value[k[0]] - left
+        right = value[k[0]] - left
     else:  # integer counts: differences of one running sum are exact
         cum = np.cumsum(onehot, axis=0, out=onehot)
         base = np.zeros((seg_len.size, C))
         base[1:] = cum[seg_start[1:] - 1]
         left = cum[cut] - base[entry_seg[cut]]
-        right = node.value[k] - left
+        right = value[k] - left
     if w is None:  # integer counts: a row sum is the number of entries
         wl = (cut - seg_start[entry_seg[cut]] + 1).astype(np.float64)
-        wr = node.node_w[k] - wl
+        wr = node_w[k] - wl
     else:
         wl = left.sum(axis=1)
         wr = right.sum(axis=1)
     child = (wl * _impurity(left, criterion, wl)
-             + wr * _impurity(right, criterion, wr)) / node.node_w[k]
-    dec = (node.node_w[k] / node.root_w[k]) * (node.imp[k] - child)
+             + wr * _impurity(right, criterion, wr)) / node_w[k]
+    dec = (node_w[k] / root_w[k]) * (imp[k] - child)
     # first largest decrease per node, in (column, position) order
     first = np.flatnonzero(np.r_[True, k[1:] != k[:-1]])
     top = np.maximum.reduceat(dec, first)
     hit = np.flatnonzero(dec == np.repeat(top, np.diff(np.r_[first, dec.size])))
     win = hit[np.r_[True, k[hit][1:] != k[hit][:-1]]]
-    at = cut[win]
-    seg = entry_seg[at]
-    thr = 0.5 * (X[rows[at], seg_col[seg]] + X[rows[at + 1], seg_col[seg]])
-    for kk, dv, s, i, t in zip(k[win].tolist(), dec[win].tolist(), seg.tolist(),
-                               at.tolist(), thr.tolist()):
-        if kk not in best or dv > best[kk][0]:
-            best[kk] = (dv, int(seg_local[s]), t, rows[seg_start[s]:i + 1].copy(),
-                        rows[i + 1:seg_end[s]].copy())
+    win = win[dec[win] > best.dec[k[win]]]
+    if win.size == 0:
+        return
+    i = cut[win]
+    s = entry_seg[i]
+    lo = X[srows[i], seg_col[s]]
+    kw = k[win]
+    best.dec[kw] = dec[win]
+    best.local[kw] = seg_local[s]
+    best.thr[kw] = 0.5 * (lo + X[srows[i + 1], seg_col[s]])
+    best.cut[kw] = lo
+    best.n_left[kw] = i - seg_start[s] + 1
+
+
+def _assemble(n_nodes, popped_log, split_log, C, T, params, rngs):
+    """Trees from the growth logs, each numbered as a depth-first fit
+    numbers it: the k-th node split in left-first preorder has children
+    2k+1 and 2k+2. Split counts per subtree go up level by level, preorder
+    positions come down level by level."""
+    ids, tree, depth, value = (np.concatenate(parts) for parts in zip(*popped_log))
+    node_tree = np.empty(n_nodes, dtype=np.int64)
+    node_depth = np.empty(n_nodes, dtype=np.int64)
+    node_value = np.empty((n_nodes, C))
+    node_tree[ids], node_depth[ids], node_value[ids] = tree, depth, value
+    feature = np.full(n_nodes, -1, dtype=np.int64)
+    threshold = np.zeros(n_nodes)
+    left = np.full(n_nodes, -1, dtype=np.int64)
+    right = np.full(n_nodes, -1, dtype=np.int64)
+    if split_log:
+        s_id, s_feat, s_thr, s_left, s_right = (np.concatenate(p) for p in zip(*split_log))
+        feature[s_id], threshold[s_id] = s_feat, s_thr
+        left[s_id], right[s_id] = s_left, s_right
+    split = np.flatnonzero(feature >= 0)
+    levels = [split[node_depth[split] == d] for d in range(int(node_depth.max()))]
+    inner = (feature >= 0).astype(np.int64)    # split nodes in each subtree
+    for v in reversed(levels):
+        inner[v] += inner[left[v]] + inner[right[v]]
+    before = np.zeros(n_nodes, dtype=np.int64)  # split nodes before each in preorder
+    local = np.zeros(n_nodes, dtype=np.int64)
+    for v in levels:
+        before[left[v]] = before[v] + 1
+        before[right[v]] = before[v] + 1 + inner[left[v]]
+        local[left[v]] = 2 * before[v] + 1
+        local[right[v]] = 2 * before[v] + 2
+    counts = np.bincount(node_tree, minlength=T)
+    roots = _starts(counts)
+    old = np.empty(n_nodes, dtype=np.int64)    # the node at each final position
+    old[roots[node_tree] + local] = np.arange(n_nodes)
+    feature, threshold, value = feature[old], threshold[old], node_value[old]
+    left = np.where(left >= 0, local[left], -1)[old]
+    right = np.where(right >= 0, local[right], -1)[old]
+    trees = []
+    for t, (a, b) in enumerate(zip(roots.tolist(), (roots + counts).tolist())):
+        one = DecisionTreeClassifier(rng=rngs[t], **params)
+        one.n_classes = C
+        one.feature, one.threshold = feature[a:b], threshold[a:b]
+        one.left, one.right, one.value = left[a:b], right[a:b], value[a:b]
+        trees.append(one)
+    return trees

@@ -8,8 +8,8 @@ from imbaml import DEFAULT_SPACE, Dataset, Rng, balanced_accuracy, confusion
 from imbaml.estimators import (BalancedBaggingClassifier,
                                BalancedRandomForestClassifier, EstimatorError,
                                GaussianNB, KNeighborsClassifier,
-                               LogisticRegression, RUSBoostClassifier,
-                               _balanced_bootstrap, fit)
+                               LogisticRegression, RandomForestClassifier,
+                               RUSBoostClassifier, _balanced_bootstrap, fit)
 from imbaml.preprocessing import (PCA, Binarizer, Normalizer, PolynomialFeatures,
                                   VarianceThreshold, fit_preprocessor)
 from imbaml.evaluate import PROJECTION_FACTOR, Deadline, EvalTimeout
@@ -62,7 +62,7 @@ def test_tree_checks_deadline_per_block(monkeypatch):
     # 60 rows x 2 classes = 120 cells per column: the root's 6 columns fill
     # one block at the default bound and three blocks at 240 cells
     one_block = checks(tree_mod.MAX_BLOCK_CELLS)
-    assert one_block >= 3 + 1  # root and two leaves, one block
+    assert one_block == 2 + 1  # a step per level (root, two leaves), one block
     assert checks(240) >= one_block + 2
 
 
@@ -103,6 +103,60 @@ def test_grow_trees_reports_the_cells_of_a_step(monkeypatch):
     assert root[0] == (None, 0, 720)
     assert root[1][1:] == (0, 480) and root[2][1:] == (240, 240)
     assert root[1][0] == root[2][0] is not None
+
+
+def steps_of(calls):
+    """``grow_trees`` steps among recorded checks: a step's check takes no
+    projection arguments, a block's always has cells left."""
+    return sum(call == (None, 0, 0) for call in calls)
+
+
+def max_depth_of(tree):
+    """Depth of the deepest node; children are numbered after their parent."""
+    depth = np.zeros(tree.node_count(), dtype=np.int64)
+    for v in np.flatnonzero(tree.feature >= 0):
+        depth[tree.left[v]] = depth[tree.right[v]] = depth[v] + 1
+    return int(depth.max())
+
+
+def test_level_wise_fit_takes_max_depth_plus_one_steps():
+    d = overlapping_binary(60, 30, seed=14, d=5)
+    weights = Rng(15).np.random(d.n)
+    fits = [
+        (BalancedBaggingClassifier(n_estimators=20, max_features=0.6),
+         dict(n_classes=2, rng=Rng(16))),
+        (RandomForestClassifier(n_estimators=20, max_features=1.0), dict(n_classes=2, rng=Rng(17))),
+        (DecisionTreeClassifier(), dict(n_classes=2)),
+        (DecisionTreeClassifier(max_depth=3), dict(n_classes=2, sample_weight=weights)),
+    ]
+    for model, kwargs in fits:
+        deadline = RecordingDeadline()
+        model.fit(d.features, d.labels, deadline=deadline, **kwargs)
+        trees = getattr(model, "trees", [model])
+        assert max(t.node_count() for t in trees) > 7
+        assert steps_of(deadline.calls) == max(max_depth_of(t) for t in trees) + 1
+
+
+def test_per_node_draw_fit_pops_one_node_per_tree_per_step():
+    d = overlapping_binary(60, 30, seed=18, d=6)
+    bags = [(Rng(t).np.integers(0, d.n, size=d.n), np.arange(6), Rng(t)) for t in range(15)]
+    deadline = RecordingDeadline()
+    trees = grow_trees(d.features, d.labels, 2, bags, max_features=0.5, deadline=deadline)
+    counts = [t.node_count() for t in trees]
+    assert len(set(counts)) > 1
+    assert steps_of(deadline.calls) == max(counts)
+    assert max(counts) > max(max_depth_of(t) for t in trees) + 1
+
+
+def test_deadline_mid_level_wise_forest_aborts_grow_trees():
+    d = overlapping_binary(60, 30, seed=4, d=4)
+    bags = [(Rng(t).np.integers(0, d.n, size=d.n), np.arange(4), Rng(t)) for t in range(20)]
+    counted = CountingDeadline()
+    grow_trees(d.features, d.labels, 2, bags, deadline=counted)
+    assert counted.calls > 4
+    with pytest.raises(EvalTimeout):
+        grow_trees(d.features, d.labels, 2, bags,
+                   deadline=CountingDeadline(fire_at=counted.calls // 2))
 
 
 def test_wide_node_is_ended_by_projection():
