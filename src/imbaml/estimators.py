@@ -3,9 +3,9 @@
 Every estimator exposes ``fit(X, y, n_classes, rng=None, deadline=None)``,
 ``predict(X, deadline=None)`` and ``predict_score`` over a shared global
 class-code space; codes absent from the training fold simply never win. The
-ensembles need the Rng; the others accept and ignore it (a tree uses it for
-feature sampling). kNN prediction checks the deadline; every other
-``predict`` accepts and ignores it.
+ensembles need the Rng; the others accept and ignore it (a tree that samples
+columns per node keys its draws by it). kNN and the tree ensembles check the
+deadline while predicting; every other ``predict`` accepts and ignores it.
 Fits are deterministic given the Rng passed in, which makes the replay
 oracles in the test suite possible.
 
@@ -260,12 +260,13 @@ class BaggedTrees:
     built once per fit), of which ``max_samples`` (a fraction clamped to
     [0, 1]) are kept without replacement when that is fewer. With
     ``bag_columns`` the bag then draws a sorted ``max_features`` fraction of
-    the columns and its tree searches all of them, so ``grow_trees`` grows it
-    a level per step; otherwise every column is in the bag and each node
-    samples ``max_features`` of them, so a tree with fewer candidates than
-    columns grows a node per step. Trees hold original column ids, so each
-    predicts on the full matrix; after the fit they are stacked into one
-    ``Forest``, which votes for every (row, tree) pair in one walk.
+    the columns and its tree searches all of them; otherwise every column is
+    in the bag and each node samples ``max_features`` of them, drawn by the
+    node's key (the rule in ``Rng``; the root's key is the seed of
+    ``rng.child(t)``). Either way ``grow_trees`` grows every tree a level per
+    step. Trees hold original column ids, so each predicts on the full
+    matrix; after the fit they are stacked into one ``Forest``, which votes
+    for every (row, tree) pair in one walk.
     """
 
     def __init__(self, n_estimators, criterion, max_features, min_impurity_decrease=0.0,
@@ -307,17 +308,19 @@ class BaggedTrees:
         self.forest = Forest(self.trees)
         return self
 
-    def predict_score(self, X):
-        return _vote_counts(self.forest.predict(X), self.n_classes) / len(self.trees)
+    def predict_score(self, X, deadline=None):
+        votes = self.forest.predict(X, deadline)
+        return _vote_counts(votes, self.n_classes) / len(self.trees)
 
     def predict(self, X, deadline=None):
         # vote shares keep the order of the counts, so ties still go to the
         # lowest class code
-        return self.predict_score(X).argmax(axis=1)
+        return self.predict_score(X, deadline).argmax(axis=1)
 
 
 class RandomForestClassifier(BaggedTrees):
-    """Trees on plain bootstraps, ``max_features`` sampled per node."""
+    """Trees on plain bootstraps, ``max_features`` sampled per node by the
+    node's key (see ``BaggedTrees``)."""
 
     def __init__(self, n_estimators=100, criterion="gini", max_features=0.5):
         super().__init__(n_estimators, criterion, max_features)
@@ -325,7 +328,8 @@ class RandomForestClassifier(BaggedTrees):
 
 class BalancedRandomForestClassifier(BaggedTrees):
     """Trees on per-class balanced bootstraps (random undersampling inside
-    every bootstrap), ``max_features`` sampled per node."""
+    every bootstrap), ``max_features`` sampled per node by the node's key
+    (see ``BaggedTrees``)."""
 
     def __init__(self, n_estimators=100, criterion="gini", max_features=1.0,
                  min_impurity_decrease=0.0):
@@ -397,20 +401,20 @@ class RUSBoostClassifier:
         self.forest = Forest(self.trees)
         return self
 
-    def staged_decision(self, X):
+    def staged_decision(self, X, deadline=None):
         """Cumulative weighted-vote matrices after each accepted round."""
         X = np.asarray(X, dtype=np.float64)
         acc = np.zeros((X.shape[0], self.n_classes))
-        votes = self.forest.predict(X)
+        votes = self.forest.predict(X, deadline)
         for t, alpha in enumerate(self.alphas):
             onehot = np.zeros_like(acc)
             onehot[np.arange(X.shape[0]), votes[:, t]] = 1.0
             acc = acc + alpha * onehot
             yield acc.copy()
 
-    def _decision(self, X):
+    def _decision(self, X, deadline=None):
         acc = np.zeros((np.asarray(X).shape[0], self.n_classes))
-        for acc in self.staged_decision(X):
+        for acc in self.staged_decision(X, deadline):
             pass
         return acc
 
@@ -419,7 +423,7 @@ class RUSBoostClassifier:
         return acc / np.maximum(acc.sum(axis=1, keepdims=True), 1e-300)
 
     def predict(self, X, deadline=None):
-        return self._decision(X).argmax(axis=1)
+        return self._decision(X, deadline).argmax(axis=1)
 
 
 class FittedModel:

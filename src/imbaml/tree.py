@@ -2,9 +2,9 @@
 and the one walk that predicts with them.
 
 ``grow_trees`` grows any number of trees, one per bag of rows and columns of
-one matrix, together: each step takes a set of pending nodes from every
-unfinished tree and does its counting, split search and row partitioning
-with NumPy calls over all of them at once. ``DecisionTreeClassifier.fit`` is
+one matrix, together, a level per step: each step takes every pending node
+of every unfinished tree and does its column draws, counting, split search
+and row partitioning with NumPy calls over all of them at once. ``DecisionTreeClassifier.fit`` is
 that kernel with one bag; ``estimators.BaggedTrees`` draws all of its bags
 and makes one call. ``Forest`` stacks fitted trees into one node array and
 finds the leaf of every (row, tree) pair in one level-by-level walk, the
@@ -18,7 +18,7 @@ import time
 
 import numpy as np
 
-from .rng import Rng
+from .rng import LEFT_KEY, RIGHT_KEY, Rng, splitmix64_array
 
 # Upper bound on the rows x candidate columns x classes of one split-search
 # block (and on the rows x columns ranked at once, and on the (row, tree)
@@ -64,11 +64,6 @@ def _starts(sizes: np.ndarray) -> np.ndarray:
 def _segments(starts: np.ndarray, sizes: np.ndarray) -> np.ndarray:
     """The indices ``starts[k] + arange(sizes[k])`` for every k, concatenated."""
     return np.arange(int(sizes.sum()), dtype=np.int64) + np.repeat(starts - _starts(sizes), sizes)
-
-
-def _pairs(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """``a[0], b[0], a[1], b[1], ...``"""
-    return np.stack([a, b], axis=1).ravel()
 
 
 def _walk(X: np.ndarray, rows: np.ndarray, node: np.ndarray, feature, threshold,
@@ -128,10 +123,14 @@ class DecisionTreeClassifier:
     """Binary-split classification tree.
 
     ``max_features`` is a fraction of columns sampled per node (values above
-    1.0 clamp to 1.0); a split is kept when its root-normalised impurity
-    decrease is positive and at least ``min_impurity_decrease``. Nodes are
-    numbered as a depth-first fit creates them: the root is 0, and the k-th
-    node split in left-first depth-first order has children 2k+1 and 2k+2.
+    1.0 clamp to 1.0). A tree that samples fewer columns than it has needs
+    an ``rng``: each node draws its candidates by its key, derived from
+    ``rng.seed`` and the node's path from the root (the rule in ``Rng``), so
+    the tree does not depend on the order its nodes grow in. A split is kept
+    when its root-normalised impurity decrease is positive and at least
+    ``min_impurity_decrease``. Nodes are numbered as a depth-first fit
+    creates them: the root is 0, and the k-th node split in left-first
+    depth-first order has children 2k+1 and 2k+2.
     """
 
     def __init__(self, criterion: str = "gini", max_depth: int | None = None,
@@ -153,8 +152,8 @@ class DecisionTreeClassifier:
     def fit(self, X, y, n_classes: int | None = None, rng: Rng | None = None,
             deadline=None, sample_weight=None):
         """Grow the tree (``grow_trees`` with one bag of every row and column);
-        ``rng``, when given, replaces the constructor's Rng for per-node
-        feature sampling."""
+        ``rng``, when given, replaces the constructor's Rng, whose seed keys
+        the per-node column draws."""
         if rng is not None:
             self.rng = rng
         X = np.asarray(X, dtype=np.float64)
@@ -212,14 +211,17 @@ class Forest:
         value = np.concatenate([t.value for t in trees])
         self.label = (value / np.maximum(value.sum(axis=1, keepdims=True), 1e-300)).argmax(axis=1)
 
-    def predict(self, X) -> np.ndarray:
+    def predict(self, X, deadline=None) -> np.ndarray:
         """Class of each (row, tree) pair, shape (rows, trees), walked in
-        chunks of at most ``MAX_BLOCK_CELLS`` pairs."""
+        chunks of at most ``MAX_BLOCK_CELLS`` pairs; the deadline is checked
+        before each chunk."""
         X = np.asarray(X, dtype=np.float64)
         n, T = len(X), self.roots.size
         out = np.empty((n, T), dtype=np.int64)
         step = max(1, MAX_BLOCK_CELLS // max(T, 1))
         for a in range(0, n, step):
+            if deadline is not None:
+                deadline.check()
             b = min(n, a + step)
             rows = np.repeat(np.arange(a, b), T)
             leaf = _walk(X, rows, np.tile(self.roots, b - a), self.feature,
@@ -238,17 +240,20 @@ def grow_trees(X, y, n_classes: int, bags, *, criterion: str = "gini",
     y[rows], n_classes, rng)`` with the same parameters, bit for bit: the same
     ``feature`` (an index into ``cols``), ``threshold``, ``left``, ``right``
     and ``value`` arrays. ``sample_weight`` is per row of ``X``; a weighted
-    call takes exactly one bag.
+    call takes exactly one bag. A tree that samples ``max_features`` of its
+    columns per node needs its bag's ``rng``.
 
-    Order: the pending nodes of all trees sit in frontier arrays (tree,
-    depth, node id and a segment of one shared row buffer). A tree that
-    searches all of its columns at every node pops its whole frontier in
-    each step, so it grows a level per step. A tree that samples
-    ``max_features`` of its columns per node pops only the top of its own
-    depth-first stack (left child first), so it draws each node's candidate
-    columns from its own Rng in the order a lone fit does. The step counts
-    the classes of all popped nodes with one ``bincount``, then searches
-    every splittable node's candidate (node, column) segments in blocks of
+    Order: the pending nodes of all trees sit in frontier arrays (node id,
+    tree, depth, row count and node key) beside one buffer of their rows,
+    and every step pops all of them, so every tree grows a level per step
+    and a fit takes its deepest tree's depth + 1 steps. A node that samples
+    ``max_features`` of its tree's columns draws them by its key (the rule
+    in ``Rng``: a root's key is its tree's seed, a child's key mixes its
+    parent's key with its side), so its draw does not depend on the order
+    in which nodes grow; the popped nodes draw together, scoring about
+    ``MAX_BLOCK_CELLS`` (node, column) pairs at a time. The step counts the
+    classes of all popped nodes with one ``bincount``, then searches every
+    splittable node's candidate (node, column) segments in blocks of
     consecutive segments, each at most ``MAX_BLOCK_CELLS`` rows x columns x
     classes unless one segment alone is larger; a weighted fit's blocks
     never mix nodes. A block of one node sorts that node's values per
@@ -292,36 +297,27 @@ def grow_trees(X, y, n_classes: int, bags, *, criterion: str = "gini",
     cols_cat = np.concatenate(bag_cols)
     n_feat = np.array([_n_candidates(max_features, int(d)) for d in n_cols], dtype=np.int64)
     draws = n_feat < n_cols          # trees that sample columns per node
+    if any(rngs[t] is None for t in np.flatnonzero(draws).tolist()):
+        raise ValueError(f"max_features={max_features} samples columns per node, "
+                         "which needs an rng; none was given")
     root_w = np.array([rows.size if w is None else w[rows].sum() for rows in bag_rows],
                       dtype=np.float64)
 
-    # the frontier: pending node i is row segment buf[start[i]:start[i] + size[i]]
-    buf = np.concatenate(bag_rows)
-    used = buf.size
-    p_id = np.arange(T, dtype=np.int64)
-    p_tree = np.arange(T, dtype=np.int64)
-    p_depth = np.zeros(T, dtype=np.int64)
-    p_size = np.array([rows.size for rows in bag_rows], dtype=np.int64)
-    p_start = _starts(p_size)
+    # the frontier; node k's rows are rows[at[k]:at[k] + size[k]]
+    rows = np.concatenate(bag_rows)
+    ids = np.arange(T, dtype=np.int64)
+    tree = np.arange(T, dtype=np.int64)
+    depth = np.zeros(T, dtype=np.int64)
+    size = np.array([r.size for r in bag_rows], dtype=np.int64)
+    key = np.array([0 if rng is None else rng.seed for rng in rngs], dtype=np.uint64)
     next_id = T
     popped_log, split_log = [], []
 
-    while p_id.size:
+    while ids.size:
         if deadline is not None:
             deadline.check()
-        take = ~draws[p_tree]
-        dfs = np.flatnonzero(draws[p_tree])[::-1]
-        if dfs.size:  # the last pending node of each depth-first tree
-            take[dfs[np.unique(p_tree[dfs], return_index=True)[1]]] = True
-        ids, tree, depth = p_id[take], p_tree[take], p_depth[take]
-        size = p_size[take]
-        rows = buf[_segments(p_start[take], size)]
-        keep = ~take
-        p_id, p_tree, p_depth = p_id[keep], p_tree[keep], p_depth[keep]
-        p_start, p_size = p_start[keep], p_size[keep]
-
         m = ids.size
-        at = _starts(size)                # node k's rows: rows[at[k]:at[k] + size[k]]
+        at = _starts(size)
         node_of = np.repeat(np.arange(m), size)
         value = np.bincount(node_of * C + y[rows],
                             weights=None if w is None else w[rows],
@@ -334,22 +330,23 @@ def grow_trees(X, y, n_classes: int, bags, *, criterion: str = "gini",
         popped_log.append((ids, tree, depth, value))
 
         go = np.flatnonzero(~stop)
-        n_cand = np.where(draws[tree[go]], n_feat[tree[go]], n_cols[tree[go]])
+        n_cand = n_feat[tree[go]]
         best = _Best(m)
         node_root_w = root_w[tree]
         left = int((size[go] * n_cand).sum()) * C
         started, done = None, 0
-        # the (node, column) segments of about MAX_BLOCK_CELLS candidates at
-        # a time, so a step of many wide nodes holds few segments at once
-        parts = np.flatnonzero(np.diff(_starts(n_cand) // MAX_BLOCK_CELLS)) + 1
+        # nodes with about MAX_BLOCK_CELLS columns in all at a time (their
+        # (node, column) draw scores, then their candidate segments), so a
+        # step of many wide nodes holds few of them at once
+        parts = np.flatnonzero(np.diff(_starts(n_cols[tree[go]]) // MAX_BLOCK_CELLS)) + 1
         for nodes, n_seg in zip(np.split(go, parts), np.split(n_cand, parts)):
             seg_node = np.repeat(nodes, n_seg)
             seg_local = _segments(np.zeros_like(n_seg), n_seg)
             drawn = draws[tree[nodes]]
-            if drawn.any():  # sorted per-node draws, one node per depth-first tree
-                seg_local[np.repeat(drawn, n_seg)] = np.concatenate([
-                    np.sort(rngs[t].np.choice(int(n_cols[t]), size=int(n_feat[t]), replace=False))
-                    for t in tree[nodes[drawn]].tolist()])
+            if drawn.any():
+                at_draw = nodes[drawn]
+                seg_local[np.repeat(drawn, n_seg)] = _draw_columns(
+                    key[at_draw], n_cols[tree[at_draw]], n_feat[tree[at_draw]])
             seg_col = cols_cat[col_start[tree[seg_node]] + seg_local]
             seg_cells = size[seg_node] * C
             for a, b in _blocks(seg_node, seg_cells, single=w is not None):
@@ -366,45 +363,51 @@ def grow_trees(X, y, n_classes: int, bags, *, criterion: str = "gini",
                     done += cells
 
         split = np.flatnonzero(~((best.dec <= 0.0) | (best.dec < min_impurity_decrease)))
-        if split.size:
-            s_size = size[split]
-            s_rows = rows[_segments(at[split], s_size)]
-            s_node = np.repeat(np.arange(split.size), s_size)
-            f = cols_cat[col_start[tree[split]] + best.local[split]]
-            n_left = best.n_left[split]
-            if w is None:
-                go_left = X[s_rows, f[s_node]] <= best.cut[split][s_node]
-            else:  # the winning column's stable order, then a cut by position
-                s_rows = s_rows[np.lexsort((X[s_rows, f[s_node]], s_node))]
-                go_left = (np.arange(s_rows.size) - np.repeat(_starts(s_size), s_size)
-                           < np.repeat(n_left, s_size))
-            children = np.concatenate([s_rows[go_left], s_rows[~go_left]])
-            if not p_id.size:
-                used = 0
-            if used + children.size > buf.size:  # compact the pending rows, then grow
-                live = buf[_segments(p_start, p_size)]
-                buf = np.empty(2 * (live.size + children.size), dtype=np.int64)
-                buf[:live.size] = live
-                p_start, used = _starts(p_size), live.size
-            buf[used:used + children.size] = children
-            n_right = s_size - n_left
-            l_start = used + _starts(n_left)
-            r_start = used + int(n_left.sum()) + _starts(n_right)
-            used += children.size
-            l_id = next_id + 2 * np.arange(split.size, dtype=np.int64)
-            next_id += 2 * split.size
-            split_log.append((ids[split], best.local[split], best.thr[split], l_id, l_id + 1))
-            # per node the right child, then the left on top of it
-            p_id = np.concatenate([p_id, _pairs(l_id + 1, l_id)])
-            p_tree = np.concatenate([p_tree, np.repeat(tree[split], 2)])
-            p_depth = np.concatenate([p_depth, np.repeat(depth[split] + 1, 2)])
-            p_start = np.concatenate([p_start, _pairs(r_start, l_start)])
-            p_size = np.concatenate([p_size, _pairs(n_right, n_left)])
+        s_size = size[split]
+        s_rows = rows[_segments(at[split], s_size)]
+        s_node = np.repeat(np.arange(split.size), s_size)
+        f = cols_cat[col_start[tree[split]] + best.local[split]]
+        n_left = best.n_left[split]
+        if w is None:
+            go_left = X[s_rows, f[s_node]] <= best.cut[split][s_node]
+        else:  # the winning column's stable order, then a cut by position
+            s_rows = s_rows[np.lexsort((X[s_rows, f[s_node]], s_node))]
+            go_left = (np.arange(s_rows.size) - np.repeat(_starts(s_size), s_size)
+                       < np.repeat(n_left, s_size))
+        l_id = next_id + 2 * np.arange(split.size, dtype=np.int64)
+        next_id += 2 * split.size
+        split_log.append((ids[split], best.local[split], best.thr[split], l_id, l_id + 1))
+        # the next frontier: every left child, then every right child
+        rows = np.concatenate([s_rows[go_left], s_rows[~go_left]])
+        ids = np.concatenate([l_id, l_id + 1])
+        tree = np.concatenate([tree[split], tree[split]])
+        depth = np.concatenate([depth[split], depth[split]]) + 1
+        size = np.concatenate([n_left, s_size - n_left])
+        key = splitmix64_array(np.concatenate([key[split] ^ np.uint64(LEFT_KEY),
+                                               key[split] ^ np.uint64(RIGHT_KEY)]))
 
     return _assemble(next_id, popped_log, split_log, C, T, dict(
         criterion=criterion, max_depth=max_depth, max_features=max_features,
         min_samples_split=min_samples_split, min_impurity_decrease=min_impurity_decrease),
         rngs)
+
+
+def _draw_columns(keys: np.ndarray, n_cols: np.ndarray, n_feat: np.ndarray) -> np.ndarray:
+    """The candidate columns of nodes with keys ``keys``, node i taking
+    ``n_feat[i]`` of ``n_cols[i]`` columns by the rule in ``Rng``: each
+    node's columns ascending, concatenated in node order."""
+    out = np.empty(int(n_feat.sum()), dtype=np.int64)
+    at = _starts(n_feat)
+    shapes, group = np.unique(np.stack([n_cols, n_feat]), axis=1, return_inverse=True)
+    for g, (d, k) in enumerate(shapes.T.tolist()):
+        i = np.flatnonzero(group.ravel() == g)
+        col_keys = splitmix64_array(np.arange(1, d + 1, dtype=np.uint64))
+        score = splitmix64_array(keys[i, None] ^ col_keys)
+        # one node's scores are distinct (xor with its key and splitmix64
+        # are bijections), so exactly k of them are at most the k-th smallest
+        kth = np.partition(score, k - 1, axis=1)[:, k - 1:k]
+        out[at[i, None] + np.arange(k)] = np.nonzero(score <= kth)[1].reshape(i.size, k)
+    return out
 
 
 class _Best:

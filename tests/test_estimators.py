@@ -126,6 +126,8 @@ def test_level_wise_fit_takes_max_depth_plus_one_steps():
         (BalancedBaggingClassifier(n_estimators=20, max_features=0.6),
          dict(n_classes=2, rng=Rng(16))),
         (RandomForestClassifier(n_estimators=20, max_features=1.0), dict(n_classes=2, rng=Rng(17))),
+        # per-node column draws (3 of 5 columns), keyed by node
+        (RandomForestClassifier(n_estimators=20, max_features=0.5), dict(n_classes=2, rng=Rng(18))),
         (DecisionTreeClassifier(), dict(n_classes=2)),
         (DecisionTreeClassifier(max_depth=3), dict(n_classes=2, sample_weight=weights)),
     ]
@@ -137,17 +139,6 @@ def test_level_wise_fit_takes_max_depth_plus_one_steps():
         assert steps_of(deadline.calls) == max(max_depth_of(t) for t in trees) + 1
 
 
-def test_per_node_draw_fit_pops_one_node_per_tree_per_step():
-    d = overlapping_binary(60, 30, seed=18, d=6)
-    bags = [(Rng(t).np.integers(0, d.n, size=d.n), np.arange(6), Rng(t)) for t in range(15)]
-    deadline = RecordingDeadline()
-    trees = grow_trees(d.features, d.labels, 2, bags, max_features=0.5, deadline=deadline)
-    counts = [t.node_count() for t in trees]
-    assert len(set(counts)) > 1
-    assert steps_of(deadline.calls) == max(counts)
-    assert max(counts) > max(max_depth_of(t) for t in trees) + 1
-
-
 def test_deadline_mid_level_wise_forest_aborts_grow_trees():
     d = overlapping_binary(60, 30, seed=4, d=4)
     bags = [(Rng(t).np.integers(0, d.n, size=d.n), np.arange(4), Rng(t)) for t in range(20)]
@@ -157,6 +148,57 @@ def test_deadline_mid_level_wise_forest_aborts_grow_trees():
     with pytest.raises(EvalTimeout):
         grow_trees(d.features, d.labels, 2, bags,
                    deadline=CountingDeadline(fire_at=counted.calls // 2))
+
+
+def test_deadline_mid_level_of_a_per_node_draw_forest_aborts_grow_trees(monkeypatch):
+    import imbaml.tree as tree_mod
+
+    # 200-cell blocks: a level of 20 trees searches in many blocks
+    monkeypatch.setattr(tree_mod, "MAX_BLOCK_CELLS", 200)
+    d = overlapping_binary(60, 30, seed=4, d=6)
+    bags = [(Rng(t).np.integers(0, d.n, size=d.n), np.arange(6), Rng(t)) for t in range(20)]
+    recorded = RecordingDeadline()
+    plain = grow_trees(d.features, d.labels, 2, bags, max_features=0.5, deadline=recorded)
+    steps = [i for i, call in enumerate(recorded.calls) if call == (None, 0, 0)]
+    assert len(steps) == max(max_depth_of(t) for t in plain) + 1
+    # the third block check of the middle level
+    mid = len(steps) // 2
+    assert steps[mid + 1] - steps[mid] > 4
+    fire = steps[mid] + 4
+    counted = CountingDeadline(fire_at=fire)
+    with pytest.raises(EvalTimeout):
+        grow_trees(d.features, d.labels, 2, bags, max_features=0.5, deadline=counted)
+    assert counted.calls == fire
+
+
+def test_per_node_draws_need_an_rng():
+    d = overlapping_binary(40, 20, seed=3, d=6)
+    with pytest.raises(ValueError, match="rng"):
+        DecisionTreeClassifier(max_features=0.5).fit(d.features, d.labels, 2)
+    # a tree that searches every column needs none
+    DecisionTreeClassifier(max_features=1.0).fit(d.features, d.labels, 2)
+
+
+@pytest.mark.parametrize("model", [
+    RandomForestClassifier(n_estimators=30, max_features=0.5),
+    BalancedBaggingClassifier(n_estimators=10, max_features=0.5),
+    RUSBoostClassifier(n_estimators=10, max_depth=2),
+], ids=lambda m: type(m).__name__)
+def test_tree_ensemble_predict_checks_the_deadline(model, monkeypatch):
+    import imbaml.tree as tree_mod
+
+    d = overlapping_binary(60, 30, seed=21, d=4)
+    model.fit(d.features, d.labels, 2, rng=Rng(22))
+    X = Rng(23).np.normal(size=(500, 4))
+    plain = model.predict(X)
+    assert model.predict(X, Deadline(3600.0)).tobytes() == plain.tobytes()
+    with pytest.raises(EvalTimeout):
+        model.predict(X, Deadline(-1.0))
+    # one check per walked chunk of at most MAX_BLOCK_CELLS (row, tree) pairs
+    monkeypatch.setattr(tree_mod, "MAX_BLOCK_CELLS", 100 * len(model.trees))
+    counted = CountingDeadline()
+    assert model.predict(X, counted).tobytes() == plain.tobytes()
+    assert counted.calls == 5
 
 
 def test_wide_node_is_ended_by_projection():

@@ -2,7 +2,9 @@
 
 Every tree must match the reference array for array, bit for bit, over a
 sweep of weights, criteria, class counts, value patterns (ties, constant
-columns, +-inf, NaN), stopping rules, bag counts and block sizes.
+columns, +-inf, NaN), stopping rules, bag counts and block sizes. Trees that
+sample columns per node are checked against the oracle's scalar form of the
+keyed draw rule, and the vectorised draw against that rule node by node.
 """
 
 from __future__ import annotations
@@ -13,7 +15,8 @@ import pytest
 from imbaml import Rng
 from imbaml import tree as tree_mod
 from imbaml.estimators import _balanced_bootstrap
-from imbaml.tree import grow_trees
+from imbaml.rng import splitmix64
+from imbaml.tree import DecisionTreeClassifier, _draw_columns, grow_trees
 
 from tree_oracle import fit_reference
 
@@ -133,3 +136,49 @@ def test_empty_and_pure_bags():
     pure = np.flatnonzero(y == 1)
     check(X, y, 3, [(pure, np.arange(3)), (np.arange(30), np.arange(3)),
                     (np.arange(0), np.arange(3))], seed=5)
+
+
+def scalar_draw(key, d, m):
+    """The keyed rule node by node: the m of d columns with the smallest
+    scores, ties to the lower column, ascending."""
+    score = [splitmix64(key ^ splitmix64(c + 1)) for c in range(d)]
+    return sorted(sorted(range(d), key=lambda c: (score[c], c))[:m])
+
+
+def test_keyed_draw_of_a_node_does_not_depend_on_its_batch():
+    keys = Rng(12).np.integers(0, 2**64 - 1, size=100, dtype=np.uint64, endpoint=True)
+    keys[:3] = [0, 1, 2**64 - 1]
+    n_cols = np.where(np.arange(100) % 3, 9, 40)    # two node shapes in one batch
+    n_feat = np.where(np.arange(100) % 3, 1, 17)
+    n_feat[5] = 9                                     # every column
+    batch = _draw_columns(keys, n_cols, n_feat)
+    at = np.r_[0, np.cumsum(n_feat)]
+    for i in range(100):
+        want = scalar_draw(int(keys[i]), int(n_cols[i]), int(n_feat[i]))
+        alone = _draw_columns(keys[i:i + 1], n_cols[i:i + 1], n_feat[i:i + 1])
+        assert batch[at[i]:at[i + 1]].tolist() == alone.tolist() == want
+
+
+def test_lone_fit_equals_its_tree_in_a_hundred_tree_step():
+    X, y = data(120, 8, 2, seed=13, special=("nan",))
+    rng = Rng(14)
+    rows = [rng.np.integers(0, 120, size=120) for _ in range(100)]
+    grown = grow_trees(X, y, 2, [(r, np.arange(8), Rng(15).child(t)) for t, r in enumerate(rows)],
+                       max_features=0.3)
+    assert len({t.node_count() for t in grown}) > 1
+    for t in (0, 1, 37, 99):
+        lone = DecisionTreeClassifier(max_features=0.3, rng=Rng(15).child(t))
+        lone.fit(X[rows[t]], y[rows[t]], 2)
+        assert_same(grown[t], [getattr(lone, name) for name in ARRAYS])
+
+
+@pytest.mark.parametrize("block_cells", [tree_mod.MAX_BLOCK_CELLS, 30000])
+def test_per_node_draw_at_14706_columns_matches_the_oracle(block_cells, monkeypatch):
+    # PolynomialFeatures twice on 17 columns makes 14,705; no fixed-size
+    # table of column keys may limit the column count. At 30,000 cells a
+    # step draws for at most three nodes at a time.
+    monkeypatch.setattr(tree_mod, "MAX_BLOCK_CELLS", block_cells)
+    X, y = data(40, 14706, 2, seed=16)
+    check(X, y, 2, [(np.arange(40), np.arange(14706)),
+                    (Rng(17).np.integers(0, 40, size=40), np.arange(14706))],
+          seed=7, max_features=0.01, max_depth=3)

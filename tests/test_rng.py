@@ -1,6 +1,7 @@
 import numpy as np
 
 from imbaml import Rng
+from imbaml.rng import LEFT_KEY, RIGHT_KEY, splitmix64, splitmix64_array
 
 
 def test_equal_seeds_give_equal_streams():
@@ -25,3 +26,17 @@ def test_sibling_streams_do_not_collide():
     parent = Rng(7)
     seeds = {parent.child(i).seed for i in range(1000)}
     assert len(seeds) == 1000
+
+
+def test_vectorised_splitmix64_equals_scalar():
+    edges = [0, 1, 2, 2**63, 2**64 - 1, 0x9E3779B97F4A7C15, 0x9E3779B97F4A7C15 - 1,
+             LEFT_KEY, RIGHT_KEY]
+    xs = edges + Rng(9).np.integers(0, 2**64 - 1, size=200, dtype=np.uint64,
+                                    endpoint=True).tolist()
+    got = splitmix64_array(np.array(xs, dtype=np.uint64))
+    assert got.dtype == np.uint64
+    assert got.tolist() == [splitmix64(x) for x in xs]
+    # a 2-d input maps element by element
+    grid = np.array(edges[:4], dtype=np.uint64).reshape(2, 2)
+    assert splitmix64_array(grid).tolist() == [[splitmix64(x) for x in row]
+                                               for row in grid.tolist()]

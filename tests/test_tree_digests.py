@@ -6,24 +6,31 @@ tied feature values, a constant column) and scored on its rows plus probes
 outside the training range. Any change in split choice, tie-breaking,
 threshold or rng consumption shows as a changed digest. The pinned values
 were recorded on the per-candidate-feature split search that
-``grow_trees`` replaced.
+``grow_trees`` replaced. The random forest and the balanced random forest
+sample columns per node, by the keyed draw rule of ``imbaml.rng.Rng``; their
+pins are recorded from a replay of their bags through ``tree_oracle``'s
+``fit_reference``, which ``test_sampling_forest_pins_come_from_the_oracle``
+recomputes.
 """
 
 from __future__ import annotations
 
 import hashlib
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from imbaml import DEFAULT_SPACE, Rng
-from imbaml.estimators import fit
+from imbaml.estimators import _balanced_bootstrap, fit
 
 from helpers import make_dataset
+from test_forest_walk import per_node_predict
+from tree_oracle import fit_reference
 
 PINNED = {
-    "RandomForestClassifier": "3dd82ab43e633fbafe4bd9b509ccf059ab2839bd968bf25dec74bb9a645698c9",
-    "BalancedRandomForestClassifier": "78b79ea513e0269640ebdc2a4139d745661281951876635643495f1b570afaeb",
+    "RandomForestClassifier": "c7016c9009eb06c1d27b6c39862e383844faa30f8cd304bebfb56fd21f114c6e",
+    "BalancedRandomForestClassifier": "43af126091ea0ee102d0e6d07c61ac8a1c86c48fa0ea06e3d8430356691867eb",
     "BalancedBaggingClassifier": "25e46a93141869b387dbdef63bb6d31a2dbc38dc1c1c4321aa7fbf79fa0d2b54",
     "RUSBoostClassifier": "92b8e670602de806d50da7c46d876e3f8d6759e48b6ad363569e0d2558865d09",
     "DecisionTreeClassifier": "2a346b23da640f398f6f6f1fab225f2babf92f0eede134702ec30e0a1eda89ff",
@@ -54,19 +61,54 @@ def fixture():
     return d.with_data(X, d.labels)
 
 
-def tree_digest(name: str) -> str:
-    d = fixture()
+def queries(d):
     probe = np.vstack([d.features.min(axis=0) - 1.0, d.features.max(axis=0) + 1.0,
                        np.full(d.n_features, np.inf), np.full(d.n_features, -np.inf)])
-    queries = np.vstack([d.features, d.features[::4] + 0.25, probe])
+    return np.vstack([d.features, d.features[::4] + 0.25, probe])
+
+
+def tree_digest(name: str) -> str:
+    d = fixture()
     h = hashlib.sha256()
     for i, params in enumerate(SWEEP[name]):
         model = fit(DEFAULT_SPACE.make_config(name, params), d, Rng(500 + i))
-        h.update(np.ascontiguousarray(model.predict_score(queries), dtype=np.float64).tobytes())
-        h.update(np.ascontiguousarray(model.predict(queries), dtype=np.int64).tobytes())
+        h.update(np.ascontiguousarray(model.predict_score(queries(d)), dtype=np.float64).tobytes())
+        h.update(np.ascontiguousarray(model.predict(queries(d)), dtype=np.int64).tobytes())
+    return h.hexdigest()
+
+
+def oracle_forest_digest(name: str) -> str:
+    """``tree_digest`` of a forest whose bags, drawn as ``BaggedTrees`` draws
+    them (a plain or balanced bootstrap from ``rng.child(t)``, every column),
+    are each grown by ``fit_reference``, walked by the per-node walk and
+    vote."""
+    d = fixture()
+    h = hashlib.sha256()
+    for i, params in enumerate(SWEEP[name]):
+        spec = DEFAULT_SPACE.make_config(name, params).instantiate()
+        C = len(d.label_names)
+        votes = []
+        for t in range(spec.n_estimators):
+            bag_rng = Rng(500 + i).child(t)
+            rows = (_balanced_bootstrap(d.labels, bag_rng) if spec.balanced
+                    else bag_rng.np.integers(0, d.n, size=d.n))
+            tree = fit_reference(d.features[rows], d.labels[rows], C, bag_rng,
+                                 criterion=spec.criterion, max_features=spec.max_features,
+                                 min_impurity_decrease=spec.min_impurity_decrease)
+            arrays = dict(zip(("feature", "threshold", "left", "right", "value"), tree))
+            votes.append(per_node_predict(SimpleNamespace(**arrays), queries(d)))
+        counts = np.stack([np.bincount(v, minlength=C) for v in np.array(votes).T])
+        score = counts / spec.n_estimators
+        h.update(np.ascontiguousarray(score, dtype=np.float64).tobytes())
+        h.update(np.ascontiguousarray(score.argmax(axis=1), dtype=np.int64).tobytes())
     return h.hexdigest()
 
 
 @pytest.mark.parametrize("name", sorted(SWEEP))
 def test_tree_estimator_scores_pinned(name):
     assert tree_digest(name) == PINNED[name]
+
+
+@pytest.mark.parametrize("name", ["BalancedRandomForestClassifier", "RandomForestClassifier"])
+def test_sampling_forest_pins_come_from_the_oracle(name):
+    assert oracle_forest_digest(name) == PINNED[name]

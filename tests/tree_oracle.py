@@ -1,10 +1,15 @@
 """Reference split search for the tree exactness tests.
 
 ``fit_reference`` is the per-node, per-candidate-feature CART loop that
-``imbaml.tree.grow_trees`` replaced, kept as it was: one stable argsort, one
-one-hot cumulative sum and two impurity evaluations per candidate feature.
+``imbaml.tree.grow_trees`` replaced: one stable argsort, one one-hot
+cumulative sum and two impurity evaluations per candidate feature.
 ``grow_trees`` must return the same ``feature``, ``threshold``, ``left``,
 ``right`` and ``value`` arrays, bit for bit.
+
+A node that samples ``max_features`` of the columns draws them by the keyed
+rule documented in ``imbaml.rng.Rng``, computed here node by node, depth
+first, with the scalar ``splitmix64`` (``grow_trees`` computes it with the
+vectorised ``splitmix64_array``, for a whole level of nodes at once).
 """
 
 from __future__ import annotations
@@ -13,6 +18,7 @@ import math
 
 import numpy as np
 
+from imbaml.rng import LEFT_KEY, RIGHT_KEY, splitmix64
 from imbaml.tree import _impurity
 
 
@@ -42,9 +48,10 @@ def fit_reference(X, y, n_classes, rng=None, sample_weight=None, *, criterion="g
         value.append(np.zeros(n_classes))
         return len(feature) - 1
 
-    stack = [(np.arange(n), 0, new_node())]
+    col_keys = [splitmix64(c + 1) for c in range(d)] if n_feat < d else []
+    stack = [(np.arange(n), 0, new_node(), rng.seed if rng is not None else 0)]
     while stack:
-        idx, depth, slot = stack.pop()
+        idx, depth, slot, key = stack.pop()
         counts = np.zeros(n_classes)
         np.add.at(counts, y[idx], w[idx])
         value[slot] = counts
@@ -54,7 +61,8 @@ def fit_reference(X, y, n_classes, rng=None, sample_weight=None, *, criterion="g
                 or (max_depth is not None and depth >= max_depth)):
             continue
         if n_feat < d:
-            cols = np.sort(rng.np.choice(d, size=n_feat, replace=False))
+            score = [splitmix64(key ^ ck) for ck in col_keys]
+            cols = sorted(sorted(range(d), key=lambda c: (score[c], c))[:n_feat])
         else:
             cols = np.arange(d)
         best = None  # (decrease, feature, threshold, sorted order, split pos)
@@ -89,8 +97,8 @@ def fit_reference(X, y, n_classes, rng=None, sample_weight=None, *, criterion="g
         li, ri = new_node(), new_node()
         feature[slot], threshold[slot] = f, thr
         left[slot], right[slot] = li, ri
-        stack.append((order[cut + 1:], depth + 1, ri))
-        stack.append((order[:cut + 1], depth + 1, li))
+        stack.append((order[cut + 1:], depth + 1, ri, splitmix64(key ^ RIGHT_KEY)))
+        stack.append((order[:cut + 1], depth + 1, li, splitmix64(key ^ LEFT_KEY)))
 
     return (np.array(feature, dtype=np.int64), np.array(threshold),
             np.array(left, dtype=np.int64), np.array(right, dtype=np.int64),
