@@ -379,9 +379,9 @@ class RUSBoostClassifier:
                     deadline.check()
                 boot = _balanced_bootstrap(by_class, round_rng)
                 tree = DecisionTreeClassifier(max_depth=self.max_depth, rng=round_rng)
+                w_boot = w[boot]
                 tree.fit(X[boot], y[boot], n_classes,
-                         sample_weight=w[boot] / max(w[boot].sum(), 1e-300),
-                         deadline=deadline)
+                         sample_weight=w_boot / max(w_boot.sum(), 1e-300), deadline=deadline)
                 pred = tree.predict(X)
                 miss = pred != y
                 eps = float(w[miss].sum())

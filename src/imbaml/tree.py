@@ -33,10 +33,9 @@ def _impurity(counts: np.ndarray, criterion: str, total: np.ndarray | None = Non
     if total is None:
         total = counts.sum(axis=-1)
     total = total[..., None]
-    with np.errstate(invalid="ignore", divide="ignore"):
-        p = counts / np.maximum(total, 1e-300)
-        if not (total > 0).all():
-            p = np.where(total > 0, p, 0.0)
+    p = counts / np.maximum(total, 1e-300)     # a positive divisor: no 0/0
+    if not (total > 0).all():
+        p = np.where(total > 0, p, 0.0)
     if criterion == "gini":
         return 1.0 - np.square(p, out=p).sum(axis=-1)
     if criterion == "entropy":
@@ -56,14 +55,20 @@ def _n_candidates(max_features: float | None, d: int) -> int:
 
 def _starts(sizes: np.ndarray) -> np.ndarray:
     """Exclusive prefix sums: where each of consecutive segments starts."""
-    out = np.zeros(sizes.size, dtype=np.int64)
-    np.cumsum(sizes[:-1], out=out[1:])
-    return out
+    return sizes.cumsum() - sizes
 
 
 def _segments(starts: np.ndarray, sizes: np.ndarray) -> np.ndarray:
     """The indices ``starts[k] + arange(sizes[k])`` for every k, concatenated."""
     return np.arange(int(sizes.sum()), dtype=np.int64) + np.repeat(starts - _starts(sizes), sizes)
+
+
+def _new_run(a: np.ndarray) -> np.ndarray:
+    """True where an entry of ``a`` differs from the one before it, and at 0."""
+    out = np.empty(a.size, dtype=bool)
+    out[:1] = True
+    np.not_equal(a[1:], a[:-1], out=out[1:])
+    return out
 
 
 def _walk(X: np.ndarray, rows: np.ndarray, node: np.ndarray, feature, threshold,
@@ -297,7 +302,8 @@ def grow_trees(X, y, n_classes: int, bags, *, criterion: str = "gini",
     cols_cat = np.concatenate(bag_cols)
     n_feat = np.array([_n_candidates(max_features, int(d)) for d in n_cols], dtype=np.int64)
     draws = n_feat < n_cols          # trees that sample columns per node
-    if any(rngs[t] is None for t in np.flatnonzero(draws).tolist()):
+    any_draws = bool(draws.any())
+    if any_draws and any(rngs[t] is None for t in np.flatnonzero(draws).tolist()):
         raise ValueError(f"max_features={max_features} samples columns per node, "
                          "which needs an rng; none was given")
     root_w = np.array([rows.size if w is None else w[rows].sum() for rows in bag_rows],
@@ -309,7 +315,9 @@ def grow_trees(X, y, n_classes: int, bags, *, criterion: str = "gini",
     tree = np.arange(T, dtype=np.int64)
     depth = np.zeros(T, dtype=np.int64)
     size = np.array([r.size for r in bag_rows], dtype=np.int64)
-    key = np.array([0 if rng is None else rng.seed for rng in rngs], dtype=np.uint64)
+    # node keys, kept only when some tree draws columns per node
+    key = (np.array([0 if rng is None else rng.seed for rng in rngs], dtype=np.uint64)
+           if any_draws else None)
     next_id = T
     popped_log, split_log = [], []
 
@@ -317,19 +325,21 @@ def grow_trees(X, y, n_classes: int, bags, *, criterion: str = "gini",
         if deadline is not None:
             deadline.check()
         m = ids.size
-        at = _starts(size)
         node_of = np.repeat(np.arange(m), size)
         value = np.bincount(node_of * C + y[rows],
                             weights=None if w is None else w[rows],
-                            minlength=m * C).reshape(m, C).astype(np.float64)
+                            minlength=m * C).reshape(m, C).astype(np.float64, copy=False)
         node_w = value.sum(axis=1)
-        imp = _impurity(value, criterion)
+        imp = _impurity(value, criterion, node_w)
         stop = (node_w <= 0.0) | (imp <= 0.0) | (size < min_samples_split)
         if max_depth is not None:
             stop |= depth >= max_depth
-        popped_log.append((ids, tree, depth, value))
+        popped_log.append((ids, tree, value))
 
         go = np.flatnonzero(~stop)
+        if go.size == 0:
+            break
+        at = _starts(size)
         n_cand = n_feat[tree[go]]
         best = _Best(m)
         node_root_w = root_w[tree]
@@ -338,12 +348,17 @@ def grow_trees(X, y, n_classes: int, bags, *, criterion: str = "gini",
         # nodes with about MAX_BLOCK_CELLS columns in all at a time (their
         # (node, column) draw scores, then their candidate segments), so a
         # step of many wide nodes holds few of them at once
-        parts = np.flatnonzero(np.diff(_starts(n_cols[tree[go]]) // MAX_BLOCK_CELLS)) + 1
-        for nodes, n_seg in zip(np.split(go, parts), np.split(n_cand, parts)):
+        width = n_cols[tree[go]]
+        if width.sum() <= MAX_BLOCK_CELLS:
+            chunks = [(go, n_cand)]
+        else:
+            parts = np.flatnonzero(np.diff(_starts(width) // MAX_BLOCK_CELLS)) + 1
+            chunks = zip(np.split(go, parts), np.split(n_cand, parts))
+        for nodes, n_seg in chunks:
             seg_node = np.repeat(nodes, n_seg)
-            seg_local = _segments(np.zeros_like(n_seg), n_seg)
-            drawn = draws[tree[nodes]]
-            if drawn.any():
+            seg_local = np.arange(seg_node.size) - np.repeat(_starts(n_seg), n_seg)
+            if any_draws and draws[tree[nodes]].any():
+                drawn = draws[tree[nodes]]
                 at_draw = nodes[drawn]
                 seg_local[np.repeat(drawn, n_seg)] = _draw_columns(
                     key[at_draw], n_cols[tree[at_draw]], n_feat[tree[at_draw]])
@@ -352,9 +367,13 @@ def grow_trees(X, y, n_classes: int, bags, *, criterion: str = "gini",
             for a, b in _blocks(seg_node, seg_cells, single=w is not None):
                 if deadline is not None:
                     deadline.check(started, done, left)
-                _search_block(seg_node[a:b], seg_local[a:b], seg_col[a:b], rows, at, size,
-                              X, y, w, C, ranks, criterion, value, node_w, imp,
-                              node_root_w, best)
+                if seg_node[a] == seg_node[b - 1]:
+                    _search_node(seg_node[a], seg_local[a:b], seg_col[a:b], rows, at, size,
+                                 X, y, w, C, criterion, value, node_w, imp, node_root_w, best)
+                else:
+                    _search_nodes(seg_node[a:b], seg_local[a:b], seg_col[a:b], rows, at, size,
+                                  X, y, C, ranks, criterion, value, node_w, imp,
+                                  node_root_w, best)
                 cells = int(seg_cells[a:b].sum())
                 left -= cells
                 if started is None:  # the first block carries one-off costs
@@ -363,8 +382,10 @@ def grow_trees(X, y, n_classes: int, bags, *, criterion: str = "gini",
                     done += cells
 
         split = np.flatnonzero(~((best.dec <= 0.0) | (best.dec < min_impurity_decrease)))
+        if split.size == 0:
+            break
         s_size = size[split]
-        s_rows = rows[_segments(at[split], s_size)]
+        s_rows = rows if split.size == m else rows[_segments(at[split], s_size)]
         s_node = np.repeat(np.arange(split.size), s_size)
         f = cols_cat[col_start[tree[split]] + best.local[split]]
         n_left = best.n_left[split]
@@ -378,13 +399,15 @@ def grow_trees(X, y, n_classes: int, bags, *, criterion: str = "gini",
         next_id += 2 * split.size
         split_log.append((ids[split], best.local[split], best.thr[split], l_id, l_id + 1))
         # the next frontier: every left child, then every right child
+        parent = np.concatenate([split, split])
         rows = np.concatenate([s_rows[go_left], s_rows[~go_left]])
         ids = np.concatenate([l_id, l_id + 1])
-        tree = np.concatenate([tree[split], tree[split]])
-        depth = np.concatenate([depth[split], depth[split]]) + 1
+        tree = tree[parent]
+        depth = depth[parent] + 1
         size = np.concatenate([n_left, s_size - n_left])
-        key = splitmix64_array(np.concatenate([key[split] ^ np.uint64(LEFT_KEY),
-                                               key[split] ^ np.uint64(RIGHT_KEY)]))
+        if any_draws:
+            side = np.repeat(np.array([LEFT_KEY, RIGHT_KEY], dtype=np.uint64), split.size)
+            key = splitmix64_array(key[parent] ^ side)
 
     return _assemble(next_id, popped_log, split_log, C, T, dict(
         criterion=criterion, max_depth=max_depth, max_features=max_features,
@@ -427,9 +450,14 @@ def _blocks(seg_node: np.ndarray, seg_cells: np.ndarray, single: bool):
     """``(a, b)`` ranges of consecutive segments, each of at most
     MAX_BLOCK_CELLS cells unless one segment alone is larger; with
     ``single``, no range holds segments of two nodes."""
+    if seg_cells.size == 0:
+        return
     ends = np.cumsum(seg_cells)
+    if ends[-1] <= MAX_BLOCK_CELLS and (not single or seg_node[0] == seg_node[-1]):
+        yield 0, seg_cells.size         # one block holds them all
+        return
     if single:
-        node_end = np.flatnonzero(np.r_[seg_node[1:] != seg_node[:-1], True]) + 1
+        node_end = np.append(np.flatnonzero(_new_run(seg_node))[1:], seg_node.size)
     a = 0
     while a < seg_cells.size:
         base = int(ends[a - 1]) if a else 0
@@ -440,60 +468,29 @@ def _blocks(seg_node: np.ndarray, seg_cells: np.ndarray, single: bool):
         a = b
 
 
-def _search_block(seg_node, seg_local, seg_col, rows, at, size, X, y, w, C, ranks,
-                  criterion, value, node_w, imp, root_w, best: _Best) -> None:
-    """Best split per node over one block's (node, column) segments; updates
-    ``best`` where it is strictly larger than what earlier blocks found."""
-    seg_len = size[seg_node]
-    seg_end = np.cumsum(seg_len)
-    seg_start = seg_end - seg_len
-    E = int(seg_end[-1])
-    entry_seg = np.repeat(np.arange(seg_node.size), seg_len)
-    cut = np.zeros(E, dtype=bool)       # a split after entry i
-    single = seg_node[0] == seg_node[-1]
-    if single:  # columns of one node: sort its values per column
-        k = seg_node[0]
-        node_rows = rows[at[k]:at[k] + size[k]]
-        vals = X[node_rows[None, :], seg_col[:, None]]
-        order = np.argsort(vals, axis=1, kind=None if w is None else "stable")
-        vals = np.take_along_axis(vals, order, axis=1)
-        srows = node_rows[order].ravel()
-        cut.reshape(vals.shape)[:, :-1] = vals[:, 1:] > vals[:, :-1]
-    else:  # whole segments of several nodes, unweighted: one sort of (segment, rank) keys
-        n = ranks.nan_rank
-        srows = rows[np.arange(E) + np.repeat(at[seg_node] - seg_start, seg_len)]
-        ranks.need(seg_col)
-        rank = ranks.table[seg_col[entry_seg], srows]
-        order = np.argsort(entry_seg * (n + 1) + rank)
-        srows = srows[order]
-        rank = rank[order]
-        cut[:-1] = rank[1:] > rank[:-1]
-        cut[seg_end - 1] = False        # not across segments
-        if ranks.any_nan:
-            cut[:-1] &= rank[1:] < n
-    cut = np.flatnonzero(cut)
-    if cut.size == 0:
+def _search_node(k, seg_local, seg_col, rows, at, size, X, y, w, C, criterion, value,
+                 node_w, imp, root_w, best: _Best) -> None:
+    """Best split of node ``k`` over one block of its candidate columns,
+    each sorted by value; updates ``best`` where it is strictly larger than
+    what earlier blocks found."""
+    node_rows = rows[at[k]:at[k] + size[k]]
+    order = np.argsort(X[node_rows[None, :], seg_col[:, None]], axis=1,
+                       kind=None if w is None else "stable")
+    srows = node_rows[order]                    # (column, position)
+    vals = X[srows, seg_col[:, None]]
+    col, pos = np.nonzero(vals[:, 1:] > vals[:, :-1])  # a split after (col, pos)
+    if col.size == 0:
         return
     labels = y[srows]
     if w is None:
         onehot = np.eye(C)[labels]
     else:
-        onehot = np.zeros((E, C))
-        onehot[np.arange(E), labels] = w[srows]
-    k = seg_node[entry_seg[cut]]
-    if single:  # equal-length segments: one running sum per (segment, class)
-        np.cumsum(onehot.reshape(seg_len.size, -1, C), axis=1,
-                  out=onehot.reshape(seg_len.size, -1, C))
-        left = onehot[cut]
-        right = value[k[0]] - left
-    else:  # integer counts: differences of one running sum are exact
-        cum = np.cumsum(onehot, axis=0, out=onehot)
-        base = np.zeros((seg_len.size, C))
-        base[1:] = cum[seg_start[1:] - 1]
-        left = cum[cut] - base[entry_seg[cut]]
-        right = value[k] - left
+        onehot = np.zeros(labels.shape + (C,))
+        onehot.reshape(-1, C)[np.arange(labels.size), labels.ravel()] = w[srows].ravel()
+    left = np.cumsum(onehot, axis=1, out=onehot)[col, pos]
+    right = value[k] - left
     if w is None:  # integer counts: a row sum is the number of entries
-        wl = (cut - seg_start[entry_seg[cut]] + 1).astype(np.float64)
+        wl = (pos + 1).astype(np.float64)
         wr = node_w[k] - wl
     else:
         wl = left.sum(axis=1)
@@ -501,11 +498,64 @@ def _search_block(seg_node, seg_local, seg_col, rows, at, size, X, y, w, C, rank
     child = (wl * _impurity(left, criterion, wl)
              + wr * _impurity(right, criterion, wr)) / node_w[k]
     dec = (node_w[k] / root_w[k]) * (imp[k] - child)
-    # first largest decrease per node, in (column, position) order
-    first = np.flatnonzero(np.r_[True, k[1:] != k[:-1]])
-    top = np.maximum.reduceat(dec, first)
-    hit = np.flatnonzero(dec == np.repeat(top, np.diff(np.r_[first, dec.size])))
-    win = hit[np.r_[True, k[hit][1:] != k[hit][:-1]]]
+    # the first largest decrease, in (column, position) order; a NaN
+    # decrease wins nothing (NaN is argmax's largest, and fails >)
+    j = np.argmax(dec)
+    if not dec[j] > best.dec[k]:
+        return
+    c, i = col[j], pos[j]
+    best.dec[k] = dec[j]
+    best.local[k] = seg_local[c]
+    best.thr[k] = 0.5 * (vals[c, i] + vals[c, i + 1])
+    best.cut[k] = vals[c, i]
+    best.n_left[k] = i + 1
+
+
+def _search_nodes(seg_node, seg_local, seg_col, rows, at, size, X, y, C, ranks,
+                  criterion, value, node_w, imp, root_w, best: _Best) -> None:
+    """Best split per node over one unweighted block of whole (node, column)
+    segments of several nodes, sorted together by (segment, rank) keys;
+    updates ``best`` where it is strictly larger than what earlier blocks
+    found."""
+    seg_len = size[seg_node]
+    seg_end = np.cumsum(seg_len)
+    seg_start = seg_end - seg_len
+    E = int(seg_end[-1])
+    entry_seg = np.repeat(np.arange(seg_node.size), seg_len)
+    n = ranks.nan_rank
+    srows = rows[np.arange(E) + np.repeat(at[seg_node] - seg_start, seg_len)]
+    ranks.need(seg_col)
+    rank = ranks.table[seg_col[entry_seg], srows]
+    order = np.argsort(entry_seg * (n + 1) + rank)
+    srows = srows[order]
+    rank = rank[order]
+    cut = np.zeros(E, dtype=bool)       # a split after entry i
+    cut[:-1] = rank[1:] > rank[:-1]
+    cut[seg_end - 1] = False            # not across segments
+    if ranks.any_nan:
+        cut[:-1] &= rank[1:] < n
+    cut = np.flatnonzero(cut)
+    if cut.size == 0:
+        return
+    k = seg_node[entry_seg[cut]]
+    # integer counts: differences of one running sum are exact
+    onehot = np.eye(C)[y[srows]]
+    cum = np.cumsum(onehot, axis=0, out=onehot)
+    base = np.zeros((seg_len.size, C))
+    base[1:] = cum[seg_start[1:] - 1]
+    left = cum[cut] - base[entry_seg[cut]]
+    right = value[k] - left
+    wl = (cut - seg_start[entry_seg[cut]] + 1).astype(np.float64)  # a row sum is a count
+    wr = node_w[k] - wl
+    child = (wl * _impurity(left, criterion, wl)
+             + wr * _impurity(right, criterion, wr)) / node_w[k]
+    dec = (node_w[k] / root_w[k]) * (imp[k] - child)
+    # first largest decrease per node, in (column, position) order; a node
+    # with a NaN decrease wins nothing
+    new = _new_run(k)
+    top = np.maximum.reduceat(dec, np.flatnonzero(new))
+    hit = np.flatnonzero(dec == top[np.cumsum(new) - 1])
+    win = hit[_new_run(k[hit])]
     win = win[dec[win] > best.dec[k[win]]]
     if win.size == 0:
         return
@@ -523,45 +573,43 @@ def _search_block(seg_node, seg_local, seg_col, rows, at, size, X, y, w, C, rank
 def _assemble(n_nodes, popped_log, split_log, C, T, params, rngs):
     """Trees from the growth logs, each numbered as a depth-first fit
     numbers it: the k-th node split in left-first preorder has children
-    2k+1 and 2k+2. Split counts per subtree go up level by level, preorder
-    positions come down level by level."""
-    ids, tree, depth, value = (np.concatenate(parts) for parts in zip(*popped_log))
+    2k+1 and 2k+2. Step d split exactly the split nodes at depth d, so
+    split counts per subtree go up the split log and preorder positions
+    come down it."""
+    ids, tree, value = (np.concatenate(parts) for parts in zip(*popped_log))
     node_tree = np.empty(n_nodes, dtype=np.int64)
-    node_depth = np.empty(n_nodes, dtype=np.int64)
-    node_value = np.empty((n_nodes, C))
-    node_tree[ids], node_depth[ids], node_value[ids] = tree, depth, value
+    node_tree[ids] = tree
+    inner = np.zeros(n_nodes, dtype=np.int64)   # split nodes in each subtree
+    before = np.zeros(n_nodes, dtype=np.int64)  # split nodes before each in preorder
+    local = np.zeros(n_nodes, dtype=np.int64)
+    if split_log:
+        s_id, s_feat, s_thr, s_left, s_right = (np.concatenate(p) for p in zip(*split_log))
+        inner[s_id] = 1
+    for v, _, _, lv, rv in reversed(split_log):
+        inner[v] += inner[lv] + inner[rv]
+    for v, _, _, lv, rv in split_log:
+        before[lv] = before[v] + 1
+        before[rv] = before[v] + 1 + inner[lv]
+        local[lv] = 2 * before[v] + 1
+        local[rv] = 2 * before[v] + 2
+    counts = np.bincount(node_tree, minlength=T)
+    roots = _starts(counts)
+    pos = roots[node_tree] + local              # each node's final position
     feature = np.full(n_nodes, -1, dtype=np.int64)
     threshold = np.zeros(n_nodes)
     left = np.full(n_nodes, -1, dtype=np.int64)
     right = np.full(n_nodes, -1, dtype=np.int64)
+    node_value = np.empty((n_nodes, C))
+    node_value[pos[ids]] = value
     if split_log:
-        s_id, s_feat, s_thr, s_left, s_right = (np.concatenate(p) for p in zip(*split_log))
-        feature[s_id], threshold[s_id] = s_feat, s_thr
-        left[s_id], right[s_id] = s_left, s_right
-    split = np.flatnonzero(feature >= 0)
-    levels = [split[node_depth[split] == d] for d in range(int(node_depth.max()))]
-    inner = (feature >= 0).astype(np.int64)    # split nodes in each subtree
-    for v in reversed(levels):
-        inner[v] += inner[left[v]] + inner[right[v]]
-    before = np.zeros(n_nodes, dtype=np.int64)  # split nodes before each in preorder
-    local = np.zeros(n_nodes, dtype=np.int64)
-    for v in levels:
-        before[left[v]] = before[v] + 1
-        before[right[v]] = before[v] + 1 + inner[left[v]]
-        local[left[v]] = 2 * before[v] + 1
-        local[right[v]] = 2 * before[v] + 2
-    counts = np.bincount(node_tree, minlength=T)
-    roots = _starts(counts)
-    old = np.empty(n_nodes, dtype=np.int64)    # the node at each final position
-    old[roots[node_tree] + local] = np.arange(n_nodes)
-    feature, threshold, value = feature[old], threshold[old], node_value[old]
-    left = np.where(left >= 0, local[left], -1)[old]
-    right = np.where(right >= 0, local[right], -1)[old]
+        at = pos[s_id]
+        feature[at], threshold[at] = s_feat, s_thr
+        left[at], right[at] = local[s_left], local[s_right]
     trees = []
     for t, (a, b) in enumerate(zip(roots.tolist(), (roots + counts).tolist())):
         one = DecisionTreeClassifier(rng=rngs[t], **params)
         one.n_classes = C
         one.feature, one.threshold = feature[a:b], threshold[a:b]
-        one.left, one.right, one.value = left[a:b], right[a:b], value[a:b]
+        one.left, one.right, one.value = left[a:b], right[a:b], node_value[a:b]
         trees.append(one)
     return trees
