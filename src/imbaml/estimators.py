@@ -25,7 +25,7 @@ from .dataset import Dataset
 from .neighbors import NeighborIndex, _vote_counts
 from .rng import Rng
 from .space import ComponentConfig, DomainError, ESTIMATOR
-from .tree import DecisionTreeClassifier, Forest, _n_candidates, grow_trees
+from .tree import Forest, _n_candidates, _Ranks, grow_trees
 
 
 class EstimatorError(ValueError):
@@ -47,6 +47,13 @@ def _balanced_bootstrap(by_class, rng: Rng) -> np.ndarray:
         by_class = _class_rows(by_class)
     low = min(idx.size for idx in by_class)
     return np.concatenate([idx[rng.np.integers(0, idx.size, size=low)] for idx in by_class])
+
+
+def _need_rng(model, rng) -> None:
+    """Raise before any work when an ensemble, which draws from ``rng``, has none."""
+    if rng is None:
+        raise ValueError(f"{type(model).__name__} draws its bags or rounds from an rng; "
+                         "none was given")
 
 
 class GaussianNB:
@@ -280,6 +287,7 @@ class BaggedTrees:
         self.bag_columns = bag_columns
 
     def fit(self, X, y, n_classes, rng: Rng | None = None, deadline=None):
+        _need_rng(self, rng)
         X = np.asarray(X, dtype=np.float64)
         y = np.asarray(y, dtype=np.int64)
         self.n_classes = n_classes
@@ -347,10 +355,19 @@ class BalancedBaggingClassifier(BaggedTrees):
 
 
 class RUSBoostClassifier:
-    """SAMME boosting where each round fits a shallow tree on a randomly
+    """SAMME boosting where each round fits a shallow gini tree on a randomly
     undersampled (class-balanced) draw of the current training set; the
     weighted error is measured on the full set. The accepted trees are
-    stacked into one ``Forest`` for prediction."""
+    stacked into one ``Forest`` for prediction.
+
+    A fit ranks the columns of its matrix once, in one ``tree._Ranks``
+    table. Each round grows its tree with ``grow_trees`` as one bag of the
+    drawn rows over that shared matrix, weighted per row by the round's
+    weights over their sum on the draw, instead of copying and sorting the
+    drawn rows: the tree is bit for bit that of
+    ``DecisionTreeClassifier(max_depth=max_depth).fit(X[boot], y[boot],
+    n_classes, sample_weight=w[boot] / w[boot].sum())``.
+    """
 
     MAX_RETRIES = 10
 
@@ -360,6 +377,7 @@ class RUSBoostClassifier:
         self.max_depth = max_depth
 
     def fit(self, X, y, n_classes, rng: Rng | None = None, deadline=None):
+        _need_rng(self, rng)
         X = np.asarray(X, dtype=np.float64)
         y = np.asarray(y, dtype=np.int64)
         self.n_classes = n_classes
@@ -369,6 +387,8 @@ class RUSBoostClassifier:
             raise EstimatorError("boosting needs at least 2 classes")
         w = np.full(n, 1.0 / n)
         by_class = _class_rows(y)
+        ranks = _Ranks(X)
+        cols = np.arange(X.shape[1])
         self.trees = []
         self.alphas = []
         for t in range(self.n_estimators):
@@ -378,10 +398,10 @@ class RUSBoostClassifier:
                 if deadline is not None:
                     deadline.check()
                 boot = _balanced_bootstrap(by_class, round_rng)
-                tree = DecisionTreeClassifier(max_depth=self.max_depth, rng=round_rng)
-                w_boot = w[boot]
-                tree.fit(X[boot], y[boot], n_classes,
-                         sample_weight=w_boot / max(w_boot.sum(), 1e-300), deadline=deadline)
+                tree, = grow_trees(X, y, n_classes, [(boot, cols, round_rng)],
+                                   max_depth=self.max_depth,
+                                   sample_weight=w / max(w[boot].sum(), 1e-300),
+                                   deadline=deadline, ranks=ranks)
                 pred = tree.predict(X)
                 miss = pred != y
                 eps = float(w[miss].sum())

@@ -25,6 +25,11 @@ from .rng import LEFT_KEY, RIGHT_KEY, Rng, splitmix64_array
 # pairs one prediction walk holds), unless one (node, column) segment alone
 # is larger: a block holds at least one whole segment.
 MAX_BLOCK_CELLS = 1 << 16
+# A weighted block of fewer cuts x classes than this scores every cut
+# exactly; a larger one screens its cuts first (``_screen``).
+SCREEN_MIN_CELLS = 1 << 13
+_U = np.finfo(np.float64).eps / 2
+_TINY = np.finfo(np.float64).smallest_subnormal
 
 
 def _impurity(counts: np.ndarray, criterion: str, total: np.ndarray | None = None) -> np.ndarray:
@@ -102,6 +107,8 @@ class _Ranks:
         self.any_nan = False
 
     def need(self, cols: np.ndarray) -> None:
+        if self.done.all():
+            return
         if self.table is None:
             self.table = np.empty((self.X.shape[1], self.X.shape[0]), dtype=np.int32)
         todo = np.unique(cols[~self.done[cols]])
@@ -238,7 +245,8 @@ class Forest:
 def grow_trees(X, y, n_classes: int, bags, *, criterion: str = "gini",
                max_depth: int | None = None, max_features: float | None = None,
                min_samples_split: int = 2, min_impurity_decrease: float = 0.0,
-               sample_weight=None, deadline=None) -> list[DecisionTreeClassifier]:
+               sample_weight=None, deadline=None,
+               ranks: _Ranks | None = None) -> list[DecisionTreeClassifier]:
     """Grow one tree per bag ``(rows, cols, rng)`` of ``X``, all together.
 
     Each tree equals ``DecisionTreeClassifier(...).fit(X[rows][:, cols],
@@ -246,7 +254,9 @@ def grow_trees(X, y, n_classes: int, bags, *, criterion: str = "gini",
     ``feature`` (an index into ``cols``), ``threshold``, ``left``, ``right``
     and ``value`` arrays. ``sample_weight`` is per row of ``X``; a weighted
     call takes exactly one bag. A tree that samples ``max_features`` of its
-    columns per node needs its bag's ``rng``.
+    columns per node needs its bag's ``rng``. ``ranks``, a ``_Ranks`` of this
+    very ``X``, lets calls on one matrix share its rank table (RUSBoost
+    builds one per fit); without it the call ranks the columns it needs.
 
     Order: the pending nodes of all trees sit in frontier arrays (node id,
     tree, depth, row count and node key) beside one buffer of their rows,
@@ -270,9 +280,18 @@ def grow_trees(X, y, n_classes: int, bags, *, criterion: str = "gini",
     segmented prefix sums are exact in any order, and a child takes the rows
     on its side of the winning cut in any order. Weighted sums run
     sequentially in the node's row order, as a lone fit sums them, so a
-    weighted child keeps its rows in the stable sorted order of the winning
-    column. After growth each tree's nodes are renumbered to the order a
-    depth-first fit creates them in (see ``DecisionTreeClassifier``).
+    weighted node sorts each column stably and a weighted child keeps its
+    rows in the sorted order of the winning column. A weighted block of at
+    least ``SCREEN_MIN_CELLS`` cuts x classes, when every weight is finite
+    and has no sign bit, orders its columns by unique (rank, position in
+    the node) keys instead, the same order at a fraction of the cost, and
+    screens its cuts: an O(rows x columns) surrogate of the decrease with a
+    bounded rounding error (``_screen``, ``_screen_slack``) drops the cuts
+    that cannot win, and only the survivors are scored exactly, from left
+    class sums added in the lone fit's order (``_search_node``), so the
+    winner is the one scoring every cut picks.
+    After growth each tree's nodes are renumbered to the order a depth-first
+    fit creates them in (see ``DecisionTreeClassifier``).
 
     The deadline is checked once per step and before every block. From the
     end of a step's first block on, which carries one-off costs such as
@@ -293,7 +312,12 @@ def grow_trees(X, y, n_classes: int, bags, *, criterion: str = "gini",
     if not bags:
         return []
     C, T = n_classes, len(bags)
-    ranks = _Ranks(X)
+    if ranks is None:
+        ranks = _Ranks(X)
+    elif ranks.X is not X:
+        raise ValueError("ranks must be a _Ranks of this X")
+    # the screen's error bound needs finite weights without a sign bit
+    screen = w is not None and bool(np.isfinite(w).all()) and not np.signbit(w).any()
     rngs = [rng for _, _, rng in bags]
     bag_rows = [np.asarray(rows, dtype=np.int64) for rows, _, _ in bags]
     bag_cols = [np.asarray(cols, dtype=np.int64) for _, cols, _ in bags]
@@ -369,7 +393,8 @@ def grow_trees(X, y, n_classes: int, bags, *, criterion: str = "gini",
                     deadline.check(started, done, left)
                 if seg_node[a] == seg_node[b - 1]:
                     _search_node(seg_node[a], seg_local[a:b], seg_col[a:b], rows, at, size,
-                                 X, y, w, C, criterion, value, node_w, imp, node_root_w, best)
+                                 X, y, w, C, ranks, screen, criterion, value, node_w, imp,
+                                 node_root_w, best)
                 else:
                     _search_nodes(seg_node[a:b], seg_local[a:b], seg_col[a:b], rows, at, size,
                                   X, y, C, ranks, criterion, value, node_w, imp,
@@ -392,7 +417,7 @@ def grow_trees(X, y, n_classes: int, bags, *, criterion: str = "gini",
         if w is None:
             go_left = X[s_rows, f[s_node]] <= best.cut[split][s_node]
         else:  # the winning column's stable order, then a cut by position
-            s_rows = s_rows[np.lexsort((X[s_rows, f[s_node]], s_node))]
+            s_rows = np.concatenate([best.order[k] for k in split.tolist()])
             go_left = (np.arange(s_rows.size) - np.repeat(_starts(s_size), s_size)
                        < np.repeat(n_left, s_size))
         l_id = next_id + 2 * np.arange(split.size, dtype=np.int64)
@@ -436,7 +461,8 @@ def _draw_columns(keys: np.ndarray, n_cols: np.ndarray, n_feat: np.ndarray) -> n
 class _Best:
     """Best split found so far for each popped node of a step: its impurity
     decrease (-inf before any), local column, threshold, the value just left
-    of the cut and the number of rows left of it."""
+    of the cut and the number of rows left of it; for a weighted node also
+    its rows in the stable sorted order of the winning column."""
 
     def __init__(self, m: int):
         self.dec = np.full(m, -np.inf)
@@ -444,6 +470,7 @@ class _Best:
         self.thr = np.zeros(m)
         self.cut = np.zeros(m)
         self.n_left = np.zeros(m, dtype=np.int64)
+        self.order = [None] * m
 
 
 def _blocks(seg_node: np.ndarray, seg_cells: np.ndarray, single: bool):
@@ -468,26 +495,47 @@ def _blocks(seg_node: np.ndarray, seg_cells: np.ndarray, single: bool):
         a = b
 
 
-def _search_node(k, seg_local, seg_col, rows, at, size, X, y, w, C, criterion, value,
-                 node_w, imp, root_w, best: _Best) -> None:
-    """Best split of node ``k`` over one block of its candidate columns,
-    each sorted by value; updates ``best`` where it is strictly larger than
-    what earlier blocks found."""
+def _search_node(k, seg_local, seg_col, rows, at, size, X, y, w, C, ranks, screen, criterion,
+                 value, node_w, imp, root_w, best: _Best) -> None:
+    """Best split of node ``k`` over one block of its candidate columns;
+    updates ``best`` where it is strictly larger than what earlier blocks
+    found.
+
+    A split falls between distinct values of a column sorted by value (a
+    stable sort when weighted, as a lone fit sorts), and every cut is scored
+    from the class sums of one cumulative sum of one-hot rows. A weighted
+    block of at least ``SCREEN_MIN_CELLS`` cuts x classes, with screenable
+    weights (``grow_trees``) and a finite node weight, does less: it orders
+    each column by unique (rank, position in the node) keys
+    (``_keyed_order``), the same order, and keeps only the cuts that
+    ``_screen`` cannot rule out. Each cut it drops has a smaller decrease,
+    as a lone fit computes it, than the winner, and it keeps every cut whose
+    decrease could be NaN. The survivors' left class sums are those of the
+    one-hot sum, bit for bit (``_survivor_sums``). Either way the first
+    largest decrease in (column, position) order wins; a NaN decrease wins
+    nothing (NaN is argmax's largest, and fails >).
+    """
     node_rows = rows[at[k]:at[k] + size[k]]
-    order = np.argsort(X[node_rows[None, :], seg_col[:, None]], axis=1,
-                       kind=None if w is None else "stable")
-    srows = node_rows[order]                    # (column, position)
-    vals = X[srows, seg_col[:, None]]
-    col, pos = np.nonzero(vals[:, 1:] > vals[:, :-1])  # a split after (col, pos)
-    if col.size == 0:
-        return
-    labels = y[srows]
-    if w is None:
-        onehot = np.eye(C)[labels]
+    if (screen and seg_col.size * (node_rows.size - 1) * C >= SCREEN_MIN_CELLS
+            and math.isfinite(node_w[k])):
+        srows, rank = _keyed_order(node_rows, seg_col, ranks)
+        cut = rank[:, 1:] > rank[:, :-1]
+        if ranks.any_nan:                           # NaN compares false
+            cut &= rank[:, 1:] < ranks.nan_rank
+        cut &= _screen(srows, cut, y, w, C, criterion, node_w[k])
+        col, pos = np.nonzero(cut)
+        if col.size == 0:
+            return
+        left = _survivor_sums(srows, col, pos, y, w, C)
     else:
-        onehot = np.zeros(labels.shape + (C,))
-        onehot.reshape(-1, C)[np.arange(labels.size), labels.ravel()] = w[srows].ravel()
-    left = np.cumsum(onehot, axis=1, out=onehot)[col, pos]
+        order = np.argsort(X[node_rows[None, :], seg_col[:, None]], axis=1,
+                           kind=None if w is None else "stable")
+        srows = node_rows[order]                    # (column, position)
+        vals = X[srows, seg_col[:, None]]
+        col, pos = np.nonzero(vals[:, 1:] > vals[:, :-1])  # a split after (col, pos)
+        if col.size == 0:
+            return
+        left = _onehot_sums(srows, y, w, C)[col, pos]
     right = value[k] - left
     if w is None:  # integer counts: a row sum is the number of entries
         wl = (pos + 1).astype(np.float64)
@@ -498,17 +546,194 @@ def _search_node(k, seg_local, seg_col, rows, at, size, X, y, w, C, criterion, v
     child = (wl * _impurity(left, criterion, wl)
              + wr * _impurity(right, criterion, wr)) / node_w[k]
     dec = (node_w[k] / root_w[k]) * (imp[k] - child)
-    # the first largest decrease, in (column, position) order; a NaN
-    # decrease wins nothing (NaN is argmax's largest, and fails >)
     j = np.argmax(dec)
     if not dec[j] > best.dec[k]:
         return
     c, i = col[j], pos[j]
+    lo, hi = X[srows[c, i], seg_col[c]], X[srows[c, i + 1], seg_col[c]]
     best.dec[k] = dec[j]
     best.local[k] = seg_local[c]
-    best.thr[k] = 0.5 * (vals[c, i] + vals[c, i + 1])
-    best.cut[k] = vals[c, i]
+    best.thr[k] = 0.5 * (lo + hi)
+    best.cut[k] = lo
     best.n_left[k] = i + 1
+    if w is not None:
+        best.order[k] = srows[c].copy()
+
+
+def _keyed_order(node_rows, seg_col, ranks: _Ranks):
+    """One node's rows sorted per candidate column, shape (column,
+    position), and their ranks. Each column sorts the unique int64 keys
+    ``rank << s | position``, so equal values keep their order in the node
+    and NaN (the top rank) goes last: the stable sort by value, from
+    NumPy's default sort."""
+    n = node_rows.size
+    ranks.need(seg_col)
+    shift = max(n - 1, 1).bit_length()
+    key = ranks.table.take(seg_col, axis=0).take(node_rows, axis=1).astype(np.int64)
+    key <<= shift
+    key |= np.arange(n)
+    key.sort(axis=1)
+    return node_rows.take(key & ((1 << shift) - 1)), key >> shift
+
+
+def _survivor_sums(srows, col, pos, y, w, C) -> np.ndarray:
+    """Class weights left of the cuts after ``(col, pos)`` of the sorted
+    rows ``srows``, shape (cuts, C), bit for bit those of a cumulative sum
+    of weighted one-hot rows: each class's weights added one at a time in
+    column order. Few cuts take one ``bincount`` over each one's prefix,
+    which adds in that order; many take the one-hot sum over their
+    columns, so this never costs more than that."""
+    new = _new_run(col)                          # col is ascending
+    cols, inv = col[new], np.cumsum(new) - 1
+    # in cells: a bincount reads its prefix and costs about 512 cells for
+    # the call; the one-hot sum fills and sums columns x rows x classes
+    if int(pos.sum()) + 512 * pos.size <= cols.size * srows.shape[1] * C:
+        prefixes = [srows[c, :p + 1] for c, p in zip(col.tolist(), pos.tolist())]
+        return np.array([np.bincount(y.take(r), weights=w.take(r), minlength=C)
+                         for r in prefixes])
+    return _onehot_sums(srows[cols], y, w, C)[inv, pos]
+
+
+def _onehot_sums(srows, y, w, C) -> np.ndarray:
+    """Class weights of each prefix of each row of ``srows``, shape
+    ``srows.shape + (C,)``: a cumulative sum of one-hot rows of the rows'
+    weights (unit weights when ``w`` is None)."""
+    labels = y[srows]
+    if w is None:
+        onehot = np.eye(C)[labels]
+    else:
+        onehot = np.zeros(labels.shape + (C,))
+        onehot.reshape(-1, C)[np.arange(labels.size), labels.ravel()] = w[srows].ravel()
+    return np.cumsum(onehot, axis=1, out=onehot)
+
+
+def _xlog2x(x: np.ndarray) -> np.ndarray:
+    """x log2 x of non-negative x, 0 at 0."""
+    return x * np.log2(np.maximum(x, _TINY))
+
+
+def _screen_slack(n: int, C: int, criterion: str, W: float) -> float:
+    """Bound on the rounding error of one ``_screen`` score plus that of a
+    lone fit's decrease, in units of the child impurity, for a node of n
+    rows, C classes and weight W.
+
+    Let u = eps / 2 and scale the weights by 1 / W, so they sum to about 1.
+    A cut is regular when both of its sides weigh more than ``_screen``'s
+    z >= 32 (n + C + 4) u; the bound covers regular cuts, and ``_screen``
+    keeps every other cut.
+      * A lone fit's left class sums are cumulative sums and its right ones
+        the node's class sums less the left ones, all of non-negative
+        terms, so a side's class sums are off by Delta <= (2n + 1) u in all
+        (Higham 2002, eq. 3.5), and Delta < w / 16 on a regular side of
+        weight w. Gini's side term w - sum_c X_c^2 / w then moves by at most
+        5.5 Delta, and the entropy's w H(X / w) by at most (2.7 Delta +
+        1.4 C u w)(log2 C + 52) (Fannes' inequality, |f(x) - f(y)| <=
+        f(|x - y|) for f(t) = -t log2 t and |x - y| <= 1/2). Evaluating the
+        impurities adds (C + 10)(log2 C + 1) u w, and two children at most
+        6 u max(1, log2 C) apart can round to one decrease.
+      * The screen's running class sums are differences of one prefix sum,
+        off by at most (2n + 1) u from the left and (4n + 3) u from the
+        right; its side weights are prefix and suffix sums, off by n u
+        relatively, and scaling by 1 / W moves each weight by u relatively.
+        Per class and per unit of a class sum's error, x^2 moves by at most
+        2 x and x log2 x by at most 52 (Fannes again); the increments
+        telescope per class, so their running sums add only n u times the
+        sum of their sizes (at most w^2 for x^2, 1.07 C for x log2 x).
+    Summed over both sides, that is at most (C + 40)(n + C + 4) u for gini
+    and 400 (C + 4)(n + C + 4) u for entropy. The returned 64 (C + 4)(n + C
+    + 4) u and 1024 (C + 4)(n + C + 4) u cover them; the tiny / W added to
+    u covers underflow, each operation of a lone fit on unscaled weights
+    being off by at most one smallest subnormal.
+    """
+    scale = 64 if criterion == "gini" else 1024
+    return scale * (C + 4) * (n + C + 4) * (_U + _TINY / W)
+
+
+def _screen(srows, cut, y, w, C, criterion, W) -> np.ndarray:
+    """The cuts of one weighted node that may win: a mask like ``cut``.
+
+    ``srows`` holds the node's rows per candidate column in column order;
+    weights are divided by the node's weight W. For the cut after position
+    p, let wl and wr be the weights left and right of it and L_c, R_c their
+    class-c parts. The lower the child impurity, the higher the score:
+    sum_c L_c^2 / wl + sum_c R_c^2 / wr for gini, and sum_c l(L_c) + sum_c
+    l(R_c) - l(wl) - l(wr) for entropy, l(x) = x log2 x. Every cut is
+    scored in O(rows) per column, with no pass as wide as the classes. Each
+    column's rows are grouped by class (a stable sort of the labels), and
+    one prefix sum of the grouped weights gives each row j its class's
+    running sum L(j), up to and with j, and R(j) = V_c - L(j), the class's
+    weight after j. Row j moves phi(L(j)) - phi(L(j-)) into sum_c phi(L_c)
+    and phi(R(j-)) - phi(R(j)) out of sum_c phi(R_c) (j- is the row before j
+    in its class; before the first one, L = 0 and R = V_c), phi being x^2
+    or l. Prefix sums of these increments in column order give sum_c
+    phi(L_c) at every cut and suffix sums give sum_c phi(R_c); wl and wr
+    are prefix and suffix sums too. No side's sum subtracts the other side
+    from the whole, which would cancel on a light side.
+
+    With e = ``_screen_slack`` bounding the error of a score and of a lone
+    fit's decrease, a regular cut (both sides heavier than z; see there)
+    whose score is below the best regular score less 2e has a smaller
+    decrease than the best regular cut, as a lone fit computes them, and is
+    dropped. Every other cut is kept: irregular ones, whose lone-fit
+    decrease may be anything (NaN included), and any whose score or bound
+    is not finite.
+    """
+    b, n = srows.shape
+    v = w.take(srows)                            # (column, position)
+    v /= W
+    ys = y.take(srows)
+    counts = np.bincount(ys[0], minlength=C)     # every column holds the node's rows
+    counts = counts[counts > 0]
+    ends = np.cumsum(counts)
+    starts = ends - counts
+    # each column's positions grouped by class, in column order within one,
+    # as flat indices into (column, position)
+    g = np.argsort(ys.astype(np.min_scalar_type(C - 1)), axis=1, kind="stable")
+    g += (np.arange(b) * n)[:, None]
+    F = np.cumsum(v.take(g), axis=1)
+    base = F[:, starts - 1]
+    base[:, 0] = 0.0
+    total = F[:, ends - 1] - base                # V_c
+    # phi(L(j)) and phi(R(j)), L(j) the class's running sum up to and with
+    # row j and R(j) = V_c - L(j) the one after it, grouped
+    phi = np.square if criterion == "gini" else _xlog2x
+    A = np.empty((2, b, n))
+    np.subtract(F, np.repeat(base, counts, axis=1), out=A[0])
+    np.subtract(np.repeat(total, counts, axis=1), A[0], out=A[1])
+    A = phi(A)
+    # d(j) = A(j) - A(j-), j- the row before j in its class; before the
+    # first, L = 0 and R = V_c. Row j adds d[0](j) to the sums from the
+    # left and -d[1](j) to those from the right.
+    d = np.empty_like(A)
+    np.subtract(A[:, :, 1:], A[:, :, :-1], out=d[:, :, 1:])
+    d[0][:, starts] = A[0][:, starts]
+    d[1][:, starts] = A[1][:, starts] - phi(total)
+    # scattered to column order beside the weights, the right ones to
+    # reversed column order, so that their suffix sums are prefix sums
+    pre = np.empty((2, b, n))
+    np.put(pre[1], g, d[0])
+    np.cumsum(v, axis=1, out=pre[0])
+    np.cumsum(pre[1], axis=1, out=pre[1])
+    suf = np.empty((2, b, n))
+    np.put(suf[1], ((2 * np.arange(b) + 1) * n - 1)[:, None] - g, d[1])
+    np.cumsum(v[:, ::-1], axis=1, out=suf[0])
+    np.cumsum(suf[1], axis=1, out=suf[1])
+    wl, sl = pre[0, :, :-1], pre[1, :, :-1]      # at the cut after each position
+    wr, sr = suf[0, :, n - 2::-1], suf[1, :, n - 2::-1]
+    z = max(32 * (n + C + 4) * _U, 4e-300 / W)   # see _screen_slack
+    if criterion == "gini":
+        score = sl / np.maximum(wl, z)
+        score -= sr / np.maximum(wr, z)
+    else:
+        score = sl - sr
+        score -= _xlog2x(wl)
+        score -= _xlog2x(wr)
+    near = (wl <= z) | (wr <= z)
+    np.copyto(score, -np.inf, where=near | ~cut)  # the best regular score is the max
+    top = score.max()
+    if top == -np.inf:                             # no regular cut
+        return cut
+    return cut & (near | ~(score < top - 2 * _screen_slack(n, C, criterion, W)))
 
 
 def _search_nodes(seg_node, seg_local, seg_col, rows, at, size, X, y, C, ranks,

@@ -1,3 +1,4 @@
+import math
 import time
 import tracemalloc
 
@@ -13,9 +14,11 @@ from imbaml.estimators import (BalancedBaggingClassifier,
 from imbaml.preprocessing import (PCA, Binarizer, Normalizer, PolynomialFeatures,
                                   VarianceThreshold, fit_preprocessor)
 from imbaml.evaluate import PROJECTION_FACTOR, Deadline, EvalTimeout
+from imbaml import estimators as estimators_mod
 from imbaml.tree import DecisionTreeClassifier, grow_trees
 
 from helpers import CountingDeadline, make_dataset, overlapping_binary
+from tree_oracle import fit_reference
 
 
 def separable():
@@ -177,6 +180,20 @@ def test_per_node_draws_need_an_rng():
         DecisionTreeClassifier(max_features=0.5).fit(d.features, d.labels, 2)
     # a tree that searches every column needs none
     DecisionTreeClassifier(max_features=1.0).fit(d.features, d.labels, 2)
+
+
+@pytest.mark.parametrize("model", [
+    RandomForestClassifier(n_estimators=3),
+    BalancedRandomForestClassifier(n_estimators=3),
+    BalancedBaggingClassifier(n_estimators=3),
+    RUSBoostClassifier(n_estimators=3),
+], ids=lambda m: type(m).__name__)
+def test_ensembles_need_an_rng(model, monkeypatch):
+    d = overlapping_binary(40, 20, seed=3, d=3)
+    # the error comes before any work: no tree is grown
+    monkeypatch.setattr(estimators_mod, "grow_trees", None)
+    with pytest.raises(ValueError, match=f"{type(model).__name__} .*rng; none was given"):
+        model.fit(d.features, d.labels, 2)
 
 
 @pytest.mark.parametrize("model", [
@@ -514,6 +531,59 @@ def test_rusboost_staged_replay_two_rounds():
         onehot[np.arange(n), tree.predict(d.features)] = 1.0
         acc += alpha * onehot
     assert np.allclose(staged[-1], acc)
+
+
+def rusboost_replay(X, y, n_classes, seed, n_estimators, max_depth, learning_rate):
+    """RUSBoost through the per-round route: each round's tree is fitted on a
+    copy of its draw, weighted by the round's weights over their sum on the
+    draw. Returns the accepted trees, their alphas and the retried draws."""
+    n = len(y)
+    C = len(set(y.tolist()))
+    w = np.full(n, 1.0 / n)
+    trees, alphas, retries = [], [], 0
+    for t in range(n_estimators):
+        round_rng = Rng(seed).child(t)
+        for _ in range(RUSBoostClassifier.MAX_RETRIES):
+            boot = _balanced_bootstrap(y, round_rng)
+            w_boot = w[boot]
+            tree = DecisionTreeClassifier(max_depth=max_depth, rng=round_rng).fit(
+                X[boot], y[boot], n_classes, sample_weight=w_boot / max(w_boot.sum(), 1e-300))
+            # the per-round fit is itself the reference loop's tree
+            want = fit_reference(X[boot], y[boot], n_classes, round_rng,
+                                 w_boot / max(w_boot.sum(), 1e-300), max_depth=max_depth)
+            for name, arr in zip(("feature", "threshold", "left", "right", "value"), want):
+                assert getattr(tree, name).tobytes() == arr.tobytes(), name
+            miss = tree.predict(X) != y
+            eps = float(w[miss].sum())
+            if eps < 1.0 - 1.0 / C:
+                break
+            retries += 1
+        else:
+            continue
+        eps = min(max(eps, 1e-10), 1 - 1e-10)
+        alpha = learning_rate * (math.log((1 - eps) / eps) + math.log(C - 1))
+        w = w * np.exp(alpha * miss)
+        w /= w.sum()
+        trees.append(tree)
+        alphas.append(alpha)
+    return trees, alphas, retries
+
+
+@pytest.mark.parametrize("max_depth", [1, 2, 3])
+def test_rusboost_replay_is_byte_exact(max_depth):
+    # 10 overlapping classes and a steep learning rate: some draws miss more
+    # than 1 - 1/C of the weight and are drawn again, at every depth. The
+    # draws of 300 rows x 4 columns x 10 classes are screened.
+    d = make_dataset({c: 30 + 7 * c for c in range(10)}, seed=3, d=4, spread=0.3)
+    model = RUSBoostClassifier(learning_rate=6.0, n_estimators=20, max_depth=max_depth)
+    model.fit(d.features, d.labels, 10, rng=Rng(43))
+    trees, alphas, retries = rusboost_replay(d.features, d.labels, 10, 43, 20, max_depth, 6.0)
+    assert retries > 0
+    assert len(model.trees) == len(trees) == 20
+    assert np.array(model.alphas).tobytes() == np.array(alphas).tobytes()
+    for got, want in zip(model.trees, trees):
+        for name in ("feature", "threshold", "left", "right", "value"):
+            assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
 
 
 def test_rusboost_weights_invariant():

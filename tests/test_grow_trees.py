@@ -5,6 +5,9 @@ sweep of weights, criteria, class counts, value patterns (ties, constant
 columns, +-inf, NaN), stopping rules, bag counts and block sizes. Trees that
 sample columns per node are checked against the oracle's scalar form of the
 keyed draw rule, and the vectorised draw against that rule node by node.
+Weighted blocks that screen their cuts are checked where the screen is
+tightest: equal decreases, weights over 24 decades, zero-weight sides, one
+dominant row, NaN and +-inf.
 """
 
 from __future__ import annotations
@@ -182,3 +185,91 @@ def test_per_node_draw_at_14706_columns_matches_the_oracle(block_cells, monkeypa
     check(X, y, 2, [(np.arange(40), np.arange(14706)),
                     (Rng(17).np.integers(0, 40, size=40), np.arange(14706))],
           seed=7, max_features=0.01, max_depth=3)
+
+
+def screen_data(case, n_classes, seed=21):
+    """(X, y, weights) built so that the weighted screen meets ``case``."""
+    rng = Rng(seed)
+    n = 240
+    y = np.arange(n) % n_classes
+    X = rng.np.normal(size=(n, 4)) + 0.4 * y[:, None]
+    w = rng.np.random(n) + 0.1
+    if case == "mirror":
+        # x and -x carry mirrored classes and equal weights, so mirrored
+        # cuts of column 0 have mathematically equal decreases
+        half = n // 2
+        X[half:] = -X[:half]
+        y[half:] = n_classes - 1 - y[:half]
+        w[half:] = w[:half]
+    elif case == "duplicate_columns":
+        X[:, 1] = X[:, 0]
+        X[:, 3] = 3.0 * X[:, 0] + 1.0       # the same order, the same cuts
+    elif case == "wide_weights":
+        w = 10.0 ** rng.np.uniform(-12, 12, size=n)
+    elif case == "zero_weights":
+        w[::5] = 0.0
+        w[np.argsort(X[:, 0])[:20]] = 0.0    # a zero-weight side below many cuts
+        w[np.argsort(X[:, 2])[-20:]] = 0.0   # and above many cuts
+    elif case == "dominant_row":
+        w[17] = 1e9
+    elif case == "nan_inf":
+        X[rng.np.random((n, 4)) < 0.08] = np.nan
+        X[rng.np.random((n, 4)) < 0.05] = np.inf
+        X[rng.np.random((n, 4)) < 0.05] = -np.inf
+    return X, y, w / w.sum()
+
+
+SCREEN_CASES = ["mirror", "duplicate_columns", "wide_weights", "zero_weights",
+                "dominant_row", "nan_inf"]
+
+
+@pytest.mark.parametrize("case", SCREEN_CASES)
+@pytest.mark.parametrize("criterion", ["gini", "entropy"])
+@pytest.mark.parametrize("n_classes", [3, 10])
+@pytest.mark.parametrize("block_cells", [tree_mod.MAX_BLOCK_CELLS, 60])
+@pytest.mark.parametrize("screen_min", [tree_mod.SCREEN_MIN_CELLS, 0])
+def test_weighted_screen_matches_the_oracle(case, criterion, n_classes, block_cells, screen_min,
+                                           monkeypatch):
+    # screen_min 0 screens every weighted block, however small
+    monkeypatch.setattr(tree_mod, "MAX_BLOCK_CELLS", block_cells)
+    monkeypatch.setattr(tree_mod, "SCREEN_MIN_CELLS", screen_min)
+    X, y, w = screen_data(case, n_classes)
+    check(X, y, n_classes, [(np.arange(len(y)), np.arange(4))], seed=8, weights=w,
+          criterion=criterion, max_depth=4)
+    # a bag with repeated rows, as RUSBoost's draws are
+    rows = _balanced_bootstrap(y, Rng(9))
+    check(X, y, n_classes, [(rows, np.arange(4))], seed=8, weights=w,
+          criterion=criterion, max_depth=4)
+
+
+def test_screen_drops_most_cuts(monkeypatch):
+    X, y = data(600, 6, 10, seed=22)
+    w = Rng(23).np.random(600)
+    seen = []
+    screen = tree_mod._screen
+
+    def counted(srows, cut, *args):
+        keep = screen(srows, cut, *args)
+        seen.append((int(cut.sum()), int(keep.sum())))
+        return keep
+
+    monkeypatch.setattr(tree_mod, "_screen", counted)
+    check(X, y, 10, [(np.arange(600), np.arange(6))], seed=10, weights=w, max_depth=3)
+    cuts, kept = np.array(seen).sum(axis=0)
+    assert len(seen) >= 3 and cuts > 2000
+    assert kept <= len(seen) * 3 and 50 * kept < cuts
+
+
+def test_shared_ranks_must_be_of_the_same_matrix(monkeypatch):
+    monkeypatch.setattr(tree_mod, "SCREEN_MIN_CELLS", 0)   # weighted nodes use the ranks
+    X, y = data(30, 3, 2, seed=24, special=("nan",))
+    w = Rng(25).np.random(30)
+    with pytest.raises(ValueError, match="ranks"):
+        grow_trees(X, y, 2, [(np.arange(30), np.arange(3), Rng(0))],
+                   ranks=tree_mod._Ranks(X.copy()))
+    shared = tree_mod._Ranks(X)
+    for seed in range(3):   # later calls find the table filled by earlier ones
+        rows = Rng(seed).np.integers(0, 30, size=30)
+        grown, = grow_trees(X, y, 2, [(rows, np.arange(3), Rng(0))], sample_weight=w,
+                            ranks=shared)
+        assert_same(grown, fit_reference(X[rows], y[rows], 2, Rng(0), w[rows]))
