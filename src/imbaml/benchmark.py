@@ -135,13 +135,13 @@ def verify_manifest(manifest: SuiteManifest) -> list[dict]:
     return flags
 
 
-def _resolve(entry: ManifestEntry, cache_dir) -> Dataset:
+def _resolve(entry: ManifestEntry) -> Dataset:
     src = entry.source
     if not src:
         raise BenchmarkError(f"{entry.name}: no resolvable source")
     if not src.startswith("openml:") and not Path(src).exists():
         raise BenchmarkError(f"{entry.name}: source {src} does not exist")
-    return load_source(src, cache_dir=cache_dir)
+    return load_source(src)
 
 
 def _entry_report_path(output_dir: Path, name: str) -> Path:
@@ -150,11 +150,11 @@ def _entry_report_path(output_dir: Path, name: str) -> Path:
 
 
 def run_suite(manifest: SuiteManifest, search_cfg: SearchConfig, output_dir,
-              space: SearchSpace | None = None, cache_dir=None) -> dict:
+              space: SearchSpace | None = None) -> dict:
     """Run the configured search over every manifest entry.
 
-    Per entry: load its source with ``io.load_source`` (OpenML ids cached in
-    ``cache_dir``, or its default), verify the expected regime (a mismatch
+    Per entry: load its source with ``io.load_source`` (OpenML ids cached
+    under ``$IMBAML_OPENML_CACHE`` or its default), verify the expected regime (a mismatch
     is recorded as a warning and the run proceeds), split off a stratified
     holdout of ``HOLDOUT_FRACTION`` of the rows, search on the training
     part, persist the report plus the final holdout score. Entries with an
@@ -179,7 +179,7 @@ def run_suite(manifest: SuiteManifest, search_cfg: SearchConfig, output_dir,
             except ValueError:
                 pass  # broken file: redo the entry
         try:
-            d = _resolve(entry, cache_dir)
+            d = _resolve(entry)
         except Exception as exc:
             row.update(status="skipped", reason=str(exc))
             summary["skipped"] += 1
@@ -192,7 +192,7 @@ def run_suite(manifest: SuiteManifest, search_cfg: SearchConfig, output_dir,
                                      "actual": actual,
                                      "ratio": dist.imbalance_ratio}
         entry_seed = Rng(search_cfg.seed).child(pos).seed
-        cfg = dataclasses.replace(search_cfg, seed=entry_seed, folds=None)
+        cfg = dataclasses.replace(search_cfg, seed=entry_seed)
         train, test = train_test_split(d, HOLDOUT_FRACTION, Rng(entry_seed).child(1))
         report = run_search(space, train, cfg)
         holdout = None

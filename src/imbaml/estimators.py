@@ -25,7 +25,7 @@ from .dataset import Dataset
 from .neighbors import NeighborIndex, _vote_counts
 from .rng import Rng
 from .space import ComponentConfig, DomainError, ESTIMATOR
-from .tree import Forest, _n_candidates, _Ranks, grow_trees
+from .tree import Forest, _n_candidates, _Ranks, grow_trees, node_labels
 
 
 class EstimatorError(ValueError):
@@ -38,13 +38,9 @@ def _class_rows(y: np.ndarray) -> list[np.ndarray]:
     return np.split(order, np.flatnonzero(np.diff(y[order])) + 1)
 
 
-def _balanced_bootstrap(by_class, rng: Rng) -> np.ndarray:
-    """Per-class bootstrap with equal counts = the minority count.
-
-    ``by_class`` is ``_class_rows(y)``, built once per fit, or the labels
-    ``y`` themselves; the draws are the same."""
-    if isinstance(by_class, np.ndarray):
-        by_class = _class_rows(by_class)
+def _balanced_bootstrap(by_class: list[np.ndarray], rng: Rng) -> np.ndarray:
+    """Per-class bootstrap with equal counts = the minority count, from
+    ``by_class = _class_rows(y)``, built once per fit."""
     low = min(idx.size for idx in by_class)
     return np.concatenate([idx[rng.np.integers(0, idx.size, size=low)] for idx in by_class])
 
@@ -366,7 +362,9 @@ class RUSBoostClassifier:
     weights over their sum on the draw, instead of copying and sorting the
     drawn rows: the tree is bit for bit that of
     ``DecisionTreeClassifier(max_depth=max_depth).fit(X[boot], y[boot],
-    n_classes, sample_weight=w[boot] / w[boot].sum())``.
+    n_classes, sample_weight=w[boot] / w[boot].sum())``. A round's
+    predictions on the full set are its leaves' ``tree.node_labels``, the
+    classes the tree's ``predict`` gives.
     """
 
     MAX_RETRIES = 10
@@ -402,8 +400,7 @@ class RUSBoostClassifier:
                                    max_depth=self.max_depth,
                                    sample_weight=w / max(w[boot].sum(), 1e-300),
                                    deadline=deadline, ranks=ranks)
-                pred = tree.predict(X)
-                miss = pred != y
+                miss = node_labels(tree.value)[tree._leaf_of(X)] != y
                 eps = float(w[miss].sum())
                 if eps < 1.0 - 1.0 / C:
                     accepted = True

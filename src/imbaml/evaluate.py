@@ -228,14 +228,16 @@ def _stratified_subsample(y: np.ndarray, indices: np.ndarray, fraction: float,
 
 
 def evaluate(p: Pipeline, d: Dataset, folds: FoldPlan, metric: str,
-             cap: float | None, rng: Rng, positive: int | None = None,
-             train_fraction: float = 1.0, probe=None) -> EvaluationResult:
+             cap: float | None, rng: Rng, train_fraction: float = 1.0,
+             probe=None) -> EvaluationResult:
     """Mean validation score of a pipeline over the fold plan.
 
     ``cap`` bounds the whole evaluation; expiry, or a projection that the
     running tree split search cannot finish in time, yields a ``timeout``
     result.
     Estimator failures yield ``error`` so the surrounding search continues.
+    ``sensitivity`` scores the class
+    ``class_distribution(d).minority_classes()[0]``.
     ``probe``, when given, receives (fold, X_val, y_val) before scoring —
     an audit hook for the leakage guard. It runs in the process that
     evaluates: in a search with several workers that is a forked child, so
@@ -243,9 +245,7 @@ def evaluate(p: Pipeline, d: Dataset, folds: FoldPlan, metric: str,
     """
     start = time.monotonic()
     deadline = Deadline(cap)
-    if positive is None:
-        dist = class_distribution(d)
-        positive = dist.minority_classes()[0]
+    positive = class_distribution(d).minority_classes()[0]
     fold_scores = []
     try:
         for i in range(folds.k):

@@ -103,8 +103,8 @@ def _encode_labels(cells) -> tuple[np.ndarray, tuple[str, ...]]:
     return y, tuple(codes)
 
 
-def load_csv(path, label_column=None, delimiter: str = ",", header: bool = True) -> Dataset:
-    """Load a CSV file into a Dataset.
+def load_csv(path, label_column=None) -> Dataset:
+    """Load a CSV file, comma-separated, with a header row, into a Dataset.
 
     ``label_column`` is a header name or 0-based index; by default the last
     column is the label. Columns where every present cell parses as a float
@@ -113,17 +113,14 @@ def load_csv(path, label_column=None, delimiter: str = ",", header: bool = True)
     path = Path(path)
     try:
         with open(path, newline="", encoding="utf-8") as fh:
-            reader = csv.reader(fh, delimiter=delimiter)
+            reader = csv.reader(fh)
             table = [row for row in reader if row]
     except csv.Error as exc:
         raise DataError(f"CSV parse failure in {path}: {exc}") from exc
     if not table:
         raise DataError("zero rows")
 
-    if header:
-        names, data = [c.strip() for c in table[0]], table[1:]
-    else:
-        names, data = [f"col_{j}" for j in range(len(table[0]))], table
+    names, data = [c.strip() for c in table[0]], table[1:]
     if not data:
         raise DataError("zero rows")
     width = len(names)
@@ -290,16 +287,15 @@ def fetch_openml(dataset_id: int, cache_dir, http_get=None) -> Dataset:
     return load_arff(arff_path, label_attribute=target)
 
 
-def load_source(source: str, label=None, cache_dir=None) -> Dataset:
+def load_source(source: str, label=None) -> Dataset:
     """The one path from a source string to a Dataset: ``openml:<id>`` via
-    :func:`fetch_openml` (``label`` unused; ``cache_dir`` defaults to
+    :func:`fetch_openml` (``label`` unused; cached under
     ``$IMBAML_OPENML_CACHE``, else ``~/.cache/imbaml/openml``), ``.arff`` via
     :func:`load_arff`, else :func:`load_csv`, where an all-digit ``label`` is
     a column index."""
     if source.startswith("openml:"):
-        cache_dir = cache_dir or os.environ.get(
-            OPENML_CACHE_ENV, str(Path.home() / ".cache" / "imbaml" / "openml"))
-        return fetch_openml(int(source.split(":", 1)[1]), cache_dir)
+        return fetch_openml(int(source.split(":", 1)[1]), os.environ.get(
+            OPENML_CACHE_ENV, str(Path.home() / ".cache" / "imbaml" / "openml")))
     path = Path(source)
     if path.suffix.lower() == ".arff":
         return load_arff(path, label_attribute=label)

@@ -1,11 +1,13 @@
 """Persisted metadata store and similarity-based warm-start retrieval.
 
-Meta-feature vectors are standardized by the store's per-feature statistics
-before the cosine is taken (raw magnitudes differ by orders of magnitude);
-``mode="raw"`` preserves plain cosine for comparison. Retrieval ranks
-records by similarity (ties by insertion order) and takes the best pipeline
-of each of the top-m records, falling back round-robin to next-best
-pipelines when the store holds fewer records than requested.
+Stored pipelines are texts over ``DEFAULT_SPACE``. Meta-feature vectors are
+standardized by the store's per-feature statistics (over the records that
+have the feature; NaN where none has it) before the cosine is taken (raw
+magnitudes differ by orders of magnitude); ``mode="raw"`` preserves plain
+cosine for comparison. Retrieval ranks records by similarity (ties by
+insertion order) and takes the best pipeline of each of the top-m records,
+falling back round-robin to next-best pipelines when the store holds fewer
+records than requested.
 """
 
 from __future__ import annotations
@@ -19,7 +21,6 @@ from .components import DEFAULT_SPACE
 from .io import atomic_write_bytes
 from .metafeatures import FEATURE_NAMES, SCHEMA_VERSION, MetaFeatureVector
 from .pipeline import Pipeline, parse
-from .space import SearchSpace
 
 STORE_FORMAT_VERSION = "1"
 
@@ -43,11 +44,9 @@ class MetaRecord:
 
 
 class MetadataStore:
-    def __init__(self, space: SearchSpace | None = None):
-        self.space = space or DEFAULT_SPACE
+    def __init__(self):
         self.records: list[MetaRecord] = []
-        self.mean = np.full(len(FEATURE_NAMES), np.nan)
-        self.std = np.full(len(FEATURE_NAMES), np.nan)
+        self._recompute()
 
     def __len__(self) -> int:
         return len(self.records)
@@ -58,7 +57,7 @@ class MetadataStore:
             if not 0.0 <= sp.score <= 1.0:
                 raise MetaStoreError(
                     f"score {sp.score} outside [0, 1] for {record.dataset_name}")
-            parse(sp.text, self.space)
+            parse(sp.text, DEFAULT_SPACE)
         ordered = tuple(sorted(record.pipelines, key=lambda sp: -sp.score))
         self.records.append(MetaRecord(record.dataset_name, record.features, ordered))
         self._recompute()
@@ -68,11 +67,13 @@ class MetadataStore:
         for i, rec in enumerate(self.records):
             vals, mask = rec.features.as_arrays()
             matrix[i, mask] = vals[mask]
-        with np.errstate(invalid="ignore"):
-            self.mean = np.nanmean(matrix, axis=0) if len(self.records) else \
-                np.full(len(FEATURE_NAMES), np.nan)
-            self.std = np.nanstd(matrix, axis=0) if len(self.records) else \
-                np.full(len(FEATURE_NAMES), np.nan)
+        # only columns some record has: an all-NaN column would make
+        # nanmean and nanstd warn
+        has = ~np.isnan(matrix).all(axis=0)
+        self.mean = np.full(len(FEATURE_NAMES), np.nan)
+        self.std = np.full(len(FEATURE_NAMES), np.nan)
+        self.mean[has] = np.nanmean(matrix[:, has], axis=0)
+        self.std[has] = np.nanstd(matrix[:, has], axis=0)
 
     def to_json(self) -> dict:
         return {
@@ -100,7 +101,7 @@ class MetadataStore:
         atomic_write_bytes(path, json.dumps(self.to_json(), indent=1).encode("utf-8"))
 
     @classmethod
-    def load(cls, path, space: SearchSpace | None = None) -> "MetadataStore":
+    def load(cls, path) -> "MetadataStore":
         with open(path, encoding="utf-8") as fh:
             doc = json.load(fh)
         if doc.get("format_version") != STORE_FORMAT_VERSION:
@@ -110,7 +111,7 @@ class MetadataStore:
             raise MetaStoreError(
                 f"meta-feature schema {doc.get('schema_version')!r} does not match "
                 f"{SCHEMA_VERSION}; rebuild or migrate the store")
-        store = cls(space)
+        store = cls()
         for rec in doc.get("records", []):
             store.insert(MetaRecord(
                 rec["dataset"],
@@ -171,9 +172,8 @@ def rank_records(store: MetadataStore, query: MetaFeatureVector,
 
 def warm_start_candidates(store: MetadataStore, query: MetaFeatureVector,
                           m: int = 10, per_dataset: bool = True,
-                          mode: str = "standardized",
-                          space: SearchSpace | None = None) -> list[Pipeline]:
-    """Up to m pipelines to seed a search with.
+                          mode: str = "standardized") -> list[Pipeline]:
+    """Up to m pipelines, parsed over ``DEFAULT_SPACE``, to seed a search with.
 
     ``per_dataset=True`` (default) takes the single best pipeline from each
     of the top-m most similar records, then next-best round-robin if the
@@ -184,7 +184,6 @@ def warm_start_candidates(store: MetadataStore, query: MetaFeatureVector,
         raise MetaStoreError("m must be >= 1")
     if not store.records:
         raise MetaStoreError("empty metadata store")
-    space = space or store.space
     ranked = rank_records(store, query, mode)
     picks: list[str] = []
     seen: set[str] = set()
@@ -217,4 +216,4 @@ def warm_start_candidates(store: MetadataStore, query: MetaFeatureVector,
                     break
             if len(picks) >= m:
                 break
-    return [parse(t, space) for t in picks]
+    return [parse(t, DEFAULT_SPACE) for t in picks]

@@ -168,7 +168,7 @@ def _perturb_targets(p: Pipeline):
     return [(i, pname) for i, s in enumerate(p.steps) for pname, _ in s.params]
 
 
-def _applicable_moves(p: Pipeline, space: SearchSpace):
+def _applicable_moves(p: Pipeline):
     moves = []
     if _perturb_targets(p):
         moves.append("perturb")
@@ -182,7 +182,7 @@ def _applicable_moves(p: Pipeline, space: SearchSpace):
 
 
 def _mutate_once(p: Pipeline, space: SearchSpace, rng: Rng) -> Pipeline:
-    moves = _applicable_moves(p, space)
+    moves = _applicable_moves(p)
     move = moves[int(rng.np.integers(len(moves)))]
     steps = list(p.steps)
     if move == "perturb":

@@ -7,6 +7,12 @@ evaluation itself and the whole trajectory is deterministic given the seed.
 With ``worker_count`` > 1 it forks one child process per evaluation, keeps up
 to ``worker_count`` of them running, and takes their results in completion
 order; a child still running ``KILL_GRACE_S`` after its cap is killed.
+
+The algorithm knobs are module constants: asynchronous evolution draws
+``TOURNAMENT_SIZE`` contenders per parent and crosses over with probability
+``CROSSOVER_RATE``; ASHA's rungs start at ``MIN_RESOURCE`` and grow by
+``REDUCTION_FACTOR``. The fold plan is ``SearchConfig.folds_k`` stratified
+folds drawn from the seed.
 """
 
 from __future__ import annotations
@@ -16,7 +22,7 @@ import time
 from dataclasses import dataclass, field, replace
 from multiprocessing.connection import Connection, wait
 
-from .dataset import Dataset, FoldPlan, stratified_folds
+from .dataset import Dataset, stratified_folds
 from .evaluate import (STATUS_ERROR, STATUS_TIMEOUT, BudgetClock, EvalLog,
                        EvaluationResult, WORST_SCORE, evaluate)
 from .metrics import BALANCED_ACCURACY_DEFINITION, METRIC_IDS
@@ -35,6 +41,11 @@ ASHA_RESOURCE_AXIS = ("training rows per fold: rung resource r keeps a "
 # killed; cooperative deadline checks normally end an evaluation well before.
 KILL_GRACE_S = 0.5
 
+TOURNAMENT_SIZE = 3
+CROSSOVER_RATE = 0.3
+REDUCTION_FACTOR = 3
+MIN_RESOURCE = 1.0 / 9.0
+
 
 class SearchError(ValueError):
     pass
@@ -49,12 +60,7 @@ class SearchConfig:
     seed: int = 0
     warm_start: tuple[Pipeline, ...] = ()
     folds_k: int = 5
-    folds: FoldPlan | None = None
     population_size: int = 50
-    tournament_size: int = 3
-    crossover_rate: float = 0.3
-    reduction_factor: int = 3
-    min_resource: float = 1.0 / 9.0
     max_evals: int | None = None
     log_path: str | None = None
 
@@ -67,7 +73,7 @@ class SearchConfig:
             raise SearchError("budget must be positive")
         if self.worker_count < 1:
             raise SearchError("worker_count must be >= 1")
-        if self.folds is None and self.folds_k < 2:
+        if self.folds_k < 2:
             raise SearchError("folds_k must be >= 2")
         if self.max_evals is not None and self.max_evals < 0:
             raise SearchError("max_evals must be >= 0")
@@ -76,9 +82,8 @@ class SearchConfig:
                 "worker_count > 1 needs the 'fork' start method, which this platform "
                 "lacks: each evaluation runs in a forked child that inherits the "
                 "dataset and the search space, whose builders cannot be pickled")
-        if (self.population_size < 1 or self.tournament_size < 1
-                or self.reduction_factor < 2 or not 0 < self.min_resource <= 1):
-            raise SearchError("invalid algorithm knob")
+        if self.population_size < 1:
+            raise SearchError("population_size must be >= 1")
 
 
 @dataclass
@@ -181,16 +186,14 @@ class _Child:
 class _Driver:
     """Owns the clock, worker processes, history and incumbent for one search run."""
 
-    def __init__(self, space: SearchSpace, d: Dataset, cfg: SearchConfig, probe=None):
-        self.space = space
+    def __init__(self, d: Dataset, cfg: SearchConfig):
         self.d = d
         self.cfg = cfg
-        self.probe = probe
         self.clock = BudgetClock.start(cfg.budget)
         root = Rng(cfg.seed)
         self.coord = root.child(_COORD_CHILD)
         self._root = root
-        self.folds = cfg.folds or stratified_folds(d, cfg.folds_k, root.child(_FOLDS_CHILD))
+        self.folds = stratified_folds(d, cfg.folds_k, root.child(_FOLDS_CHILD))
         self.history: list[EvaluationResult] = []
         self.best: EvaluationResult | None = None
         self.submitted = 0
@@ -213,7 +216,7 @@ class _Driver:
     def execute(self, job: _Job, cap: float) -> EvaluationResult:
         return evaluate(job.pipeline, self.d, self.folds, self.cfg.metric, cap,
                         self._root.child(_EVAL_CHILD_BASE + job.index),
-                        train_fraction=job.train_fraction, probe=self.probe)
+                        train_fraction=job.train_fraction)
 
     def fork(self, job: _Job) -> _Child:
         """Start ``job`` in a forked child, which inherits the dataset, folds
@@ -325,11 +328,11 @@ class _Driver:
             events=events or [], header=header)
 
 
-def run_random(space: SearchSpace, d: Dataset, cfg: SearchConfig, probe=None) -> SearchReport:
+def run_random(space: SearchSpace, d: Dataset, cfg: SearchConfig) -> SearchReport:
     """Fresh random pipelines until the budget runs out; warm-start pipelines,
     if any, are dispatched first."""
     cfg = replace(cfg, algorithm="random")
-    driver = _Driver(space, d, cfg, probe)
+    driver = _Driver(d, cfg)
     pending = list(cfg.warm_start)
 
     def propose():
@@ -343,18 +346,19 @@ def run_random(space: SearchSpace, d: Dataset, cfg: SearchConfig, probe=None) ->
         driver.close()
 
 
-def run_asyncea(space: SearchSpace, d: Dataset, cfg: SearchConfig, probe=None) -> SearchReport:
+def run_asyncea(space: SearchSpace, d: Dataset, cfg: SearchConfig) -> SearchReport:
     """Steady-state asynchronous evolution.
 
     The initial population is the warm-start list padded with random
     pipelines up to ``population_size`` and evaluated first. After that each
-    free worker receives a child bred by tournament selection plus crossover
-    (with probability ``crossover_rate``) or mutation; a completed child
+    free worker receives a child bred by tournament selection (of
+    ``TOURNAMENT_SIZE``) plus crossover (with probability ``CROSSOVER_RATE``)
+    or mutation; a completed child
     replaces the current worst member when strictly better. Failed
     evaluations stay in the history but never enter the population.
     """
     cfg = replace(cfg, algorithm="asyncea")
-    driver = _Driver(space, d, cfg, probe)
+    driver = _Driver(d, cfg)
     coord = driver.coord
     warm = list(cfg.warm_start)
     init_target = max(cfg.population_size, len(warm))
@@ -362,7 +366,7 @@ def run_asyncea(space: SearchSpace, d: Dataset, cfg: SearchConfig, probe=None) -
     population: list[tuple[Pipeline, EvaluationResult]] = []
 
     def tournament() -> Pipeline:
-        k = min(cfg.tournament_size, len(population))
+        k = min(TOURNAMENT_SIZE, len(population))
         contenders = coord.np.choice(len(population), size=k, replace=False)
         winner = min(contenders, key=lambda i: (-population[i][1].mean_score, i))
         return population[winner][0]
@@ -375,7 +379,7 @@ def run_asyncea(space: SearchSpace, d: Dataset, cfg: SearchConfig, probe=None) -
             return driver.make_job(p, tag="init")
         if not population:
             return driver.make_job(random_pipeline(space, coord), tag="reseed")
-        if len(population) >= 2 and coord.np.random() < cfg.crossover_rate:
+        if len(population) >= 2 and coord.np.random() < CROSSOVER_RATE:
             child = crossover(tournament(), tournament(), coord)
         else:
             child = mutate(tournament(), space, coord).pipeline
@@ -505,16 +509,17 @@ def audit_asha_events(events: list[dict], eta: int) -> None:
                     f"outside the top 1/{eta}")
 
 
-def run_asha(space: SearchSpace, d: Dataset, cfg: SearchConfig, probe=None) -> SearchReport:
-    """Asynchronous successive halving over training-subsample fractions.
+def run_asha(space: SearchSpace, d: Dataset, cfg: SearchConfig) -> SearchReport:
+    """Asynchronous successive halving over training-subsample fractions,
+    on the rungs ``asha_rungs(REDUCTION_FACTOR, MIN_RESOURCE)``.
 
     The returned report's ``selected`` entry is the best full-resource result
     (falling back to the best of any rung); ``best`` is the best result over
     the whole history regardless of rung.
     """
     cfg = replace(cfg, algorithm="asha")
-    driver = _Driver(space, d, cfg, probe)
-    state = AshaState(cfg.reduction_factor, cfg.min_resource)
+    driver = _Driver(d, cfg)
+    state = AshaState(REDUCTION_FACTOR, MIN_RESOURCE)
     pipelines: dict[str, Pipeline] = {}
     warm = list(cfg.warm_start)
     best_full: EvaluationResult | None = None
@@ -553,5 +558,5 @@ def run_asha(space: SearchSpace, d: Dataset, cfg: SearchConfig, probe=None) -> S
 _RUNNERS = {"random": run_random, "asyncea": run_asyncea, "asha": run_asha}
 
 
-def run_search(space: SearchSpace, d: Dataset, cfg: SearchConfig, probe=None) -> SearchReport:
-    return _RUNNERS[cfg.algorithm](space, d, cfg, probe=probe)
+def run_search(space: SearchSpace, d: Dataset, cfg: SearchConfig) -> SearchReport:
+    return _RUNNERS[cfg.algorithm](space, d, cfg)

@@ -136,24 +136,22 @@ class DecisionTreeClassifier:
 
     ``max_features`` is a fraction of columns sampled per node (values above
     1.0 clamp to 1.0). A tree that samples fewer columns than it has needs
-    an ``rng``: each node draws its candidates by its key, derived from
-    ``rng.seed`` and the node's path from the root (the rule in ``Rng``), so
-    the tree does not depend on the order its nodes grow in. A split is kept
-    when its root-normalised impurity decrease is positive and at least
+    the ``rng`` of ``fit``: each node draws its candidates by its key,
+    derived from ``rng.seed`` and the node's path from the root (the rule in
+    ``Rng``), so the tree does not depend on the order its nodes grow in. A
+    node of fewer than two rows is a leaf. A split is kept when its
+    root-normalised impurity decrease is positive and at least
     ``min_impurity_decrease``. Nodes are numbered as a depth-first fit
     creates them: the root is 0, and the k-th node split in left-first
     depth-first order has children 2k+1 and 2k+2.
     """
 
     def __init__(self, criterion: str = "gini", max_depth: int | None = None,
-                 max_features: float | None = None, min_samples_split: int = 2,
-                 min_impurity_decrease: float = 0.0, rng: Rng | None = None):
+                 max_features: float | None = None, min_impurity_decrease: float = 0.0):
         self.criterion = criterion
         self.max_depth = max_depth
         self.max_features = max_features
-        self.min_samples_split = min_samples_split
         self.min_impurity_decrease = min_impurity_decrease
-        self.rng = rng
         self.n_classes = None
         self.feature = None     # per node; -1 marks a leaf
         self.threshold = None
@@ -164,19 +162,15 @@ class DecisionTreeClassifier:
     def fit(self, X, y, n_classes: int | None = None, rng: Rng | None = None,
             deadline=None, sample_weight=None):
         """Grow the tree (``grow_trees`` with one bag of every row and column);
-        ``rng``, when given, replaces the constructor's Rng, whose seed keys
-        the per-node column draws."""
-        if rng is not None:
-            self.rng = rng
+        ``rng``'s seed keys the per-node column draws."""
         X = np.asarray(X, dtype=np.float64)
         y = np.asarray(y, dtype=np.int64)
         if n_classes is None:
             n_classes = int(y.max()) + 1
         n, d = X.shape
-        grown, = grow_trees(X, y, n_classes, [(np.arange(n), np.arange(d), self.rng)],
+        grown, = grow_trees(X, y, n_classes, [(np.arange(n), np.arange(d), rng)],
                             criterion=self.criterion, max_depth=self.max_depth,
                             max_features=self.max_features,
-                            min_samples_split=self.min_samples_split,
                             min_impurity_decrease=self.min_impurity_decrease,
                             sample_weight=sample_weight, deadline=deadline)
         self.n_classes = n_classes
@@ -202,12 +196,17 @@ class DecisionTreeClassifier:
         return len(self.feature)
 
 
+def node_labels(value: np.ndarray) -> np.ndarray:
+    """Each node's class: ``predict_score``'s argmax of ``value /
+    max(total, 1e-300)`` for a row that ends there."""
+    return (value / np.maximum(value.sum(axis=1, keepdims=True), 1e-300)).argmax(axis=1)
+
+
 class Forest:
     """Fitted trees stacked into one node array, for predicting with all of
     them at once.
 
-    ``label`` is each node's class, ``predict_score``'s argmax of ``value /
-    max(total, 1e-300)`` for a row that ends there; child links point into
+    ``label`` is each node's class (``node_labels``); child links point into
     the stacked arrays and tree t's root is ``roots[t]``.
     """
 
@@ -220,8 +219,7 @@ class Forest:
                                     for t, root in zip(trees, self.roots)])
         self.right = np.concatenate([np.where(t.right >= 0, t.right + root, -1)
                                      for t, root in zip(trees, self.roots)])
-        value = np.concatenate([t.value for t in trees])
-        self.label = (value / np.maximum(value.sum(axis=1, keepdims=True), 1e-300)).argmax(axis=1)
+        self.label = node_labels(np.concatenate([t.value for t in trees]))
 
     def predict(self, X, deadline=None) -> np.ndarray:
         """Class of each (row, tree) pair, shape (rows, trees), walked in
@@ -244,13 +242,12 @@ class Forest:
 
 def grow_trees(X, y, n_classes: int, bags, *, criterion: str = "gini",
                max_depth: int | None = None, max_features: float | None = None,
-               min_samples_split: int = 2, min_impurity_decrease: float = 0.0,
-               sample_weight=None, deadline=None,
+               min_impurity_decrease: float = 0.0, sample_weight=None, deadline=None,
                ranks: _Ranks | None = None) -> list[DecisionTreeClassifier]:
     """Grow one tree per bag ``(rows, cols, rng)`` of ``X``, all together.
 
     Each tree equals ``DecisionTreeClassifier(...).fit(X[rows][:, cols],
-    y[rows], n_classes, rng)`` with the same parameters, bit for bit: the same
+    y[rows], n_classes, rng=rng)`` with the same parameters, bit for bit: the same
     ``feature`` (an index into ``cols``), ``threshold``, ``left``, ``right``
     and ``value`` arrays. ``sample_weight`` is per row of ``X``; a weighted
     call takes exactly one bag. A tree that samples ``max_features`` of its
@@ -355,7 +352,7 @@ def grow_trees(X, y, n_classes: int, bags, *, criterion: str = "gini",
                             minlength=m * C).reshape(m, C).astype(np.float64, copy=False)
         node_w = value.sum(axis=1)
         imp = _impurity(value, criterion, node_w)
-        stop = (node_w <= 0.0) | (imp <= 0.0) | (size < min_samples_split)
+        stop = (node_w <= 0.0) | (imp <= 0.0) | (size < 2)
         if max_depth is not None:
             stop |= depth >= max_depth
         popped_log.append((ids, tree, value))
@@ -436,8 +433,7 @@ def grow_trees(X, y, n_classes: int, bags, *, criterion: str = "gini",
 
     return _assemble(next_id, popped_log, split_log, C, T, dict(
         criterion=criterion, max_depth=max_depth, max_features=max_features,
-        min_samples_split=min_samples_split, min_impurity_decrease=min_impurity_decrease),
-        rngs)
+        min_impurity_decrease=min_impurity_decrease))
 
 
 def _draw_columns(keys: np.ndarray, n_cols: np.ndarray, n_feat: np.ndarray) -> np.ndarray:
@@ -795,7 +791,7 @@ def _search_nodes(seg_node, seg_local, seg_col, rows, at, size, X, y, C, ranks,
     best.n_left[kw] = i - seg_start[s] + 1
 
 
-def _assemble(n_nodes, popped_log, split_log, C, T, params, rngs):
+def _assemble(n_nodes, popped_log, split_log, C, T, params):
     """Trees from the growth logs, each numbered as a depth-first fit
     numbers it: the k-th node split in left-first preorder has children
     2k+1 and 2k+2. Step d split exactly the split nodes at depth d, so
@@ -831,8 +827,8 @@ def _assemble(n_nodes, popped_log, split_log, C, T, params, rngs):
         feature[at], threshold[at] = s_feat, s_thr
         left[at], right[at] = local[s_left], local[s_right]
     trees = []
-    for t, (a, b) in enumerate(zip(roots.tolist(), (roots + counts).tolist())):
-        one = DecisionTreeClassifier(rng=rngs[t], **params)
+    for a, b in zip(roots.tolist(), (roots + counts).tolist()):
+        one = DecisionTreeClassifier(**params)
         one.n_classes = C
         one.feature, one.threshold = feature[a:b], threshold[a:b]
         one.left, one.right, one.value = left[a:b], right[a:b], node_value[a:b]

@@ -1,12 +1,19 @@
-"""Every function and method defined in ``src/imbaml`` is named somewhere else.
+"""Every function and method defined in ``src/imbaml`` is named somewhere
+else, and reads every parameter it takes.
 
-A stdlib-only stand-in for a linter's dead-code rule: the name of each
-function or method defined in the package, dunders aside, must appear in
-``src/``, ``tests/`` or ``perfbench/`` outside its own definition. A name
+A stdlib-only stand-in for a linter's dead-code rules. First, the name of
+each function or method defined in the package, dunders aside, must appear
+in ``src/``, ``tests/`` or ``perfbench/`` outside its own definition. A name
 counts when it is written as a name, as an attribute (``obj.name``), in an
 import, or as a whole string constant, since perfbench wraps methods by
 name. Names are matched by spelling alone, so one use covers every
 definition of that name.
+
+Second, the body of each such function must read each of its parameters,
+nested functions included. The shared interfaces are exempt: a method's
+receiver (``self``, ``cls``), parameters named ``rng`` or ``deadline``
+(every estimator and sampler takes them, and some ignore them), the ``X``
+of a preprocessor's ``fit(self, X)``, and dunder methods.
 """
 
 from __future__ import annotations
@@ -62,12 +69,58 @@ def unnamed_functions(package: dict[str, str], others: list[str]) -> list[str]:
                   for name, line in defined_functions(source) if name not in used)
 
 
-def test_every_package_function_is_named():
+_SHARED_PARAMETERS = {"rng", "deadline"}
+
+
+def unread_parameters(source: str) -> list[tuple[str, str, int]]:
+    """``(function, parameter, line)`` for each parameter that its function's
+    body never reads, the shared interfaces aside (see the module docstring)."""
+    found = []
+
+    def check(fn, in_class: bool):
+        if fn.name.startswith("__") and fn.name.endswith("__"):
+            return
+        args = fn.args
+        names = [a.arg for a in (*args.posonlyargs, *args.args, *args.kwonlyargs,
+                                 args.vararg, args.kwarg) if a is not None]
+        read = {node.id for stmt in fn.body for node in ast.walk(stmt)
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+        exempt = set(_SHARED_PARAMETERS)
+        if in_class and names:
+            exempt.add(names[0])
+            if fn.name == "fit" and names[1:] == ["X"]:
+                exempt.add("X")
+        found.extend((fn.name, name, fn.lineno) for name in names
+                     if name not in read and name not in exempt)
+
+    def visit(node):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, _DEFS):
+                check(child, isinstance(node, ast.ClassDef))
+            visit(child)
+
+    visit(ast.parse(source))
+    return found
+
+
+def package_sources() -> tuple[dict[str, str], list[str]]:
+    """(path -> source of each package module, sources of the other scanned files)."""
     files = sorted({p for root in SCANNED for p in root.rglob("*.py")})
     package = {str(p.relative_to(ROOT)): p.read_text(encoding="utf-8")
                for p in files if PACKAGE in p.parents}
     others = [p.read_text(encoding="utf-8") for p in files if PACKAGE not in p.parents]
+    return package, others
+
+
+def test_every_package_function_is_named():
+    package, others = package_sources()
     assert unnamed_functions(package, others) == []
+
+
+def test_every_package_parameter_is_read():
+    package, _ = package_sources()
+    assert [f"{path}:{line} {fn}({name})" for path, source in package.items()
+            for fn, name, line in unread_parameters(source)] == []
 
 
 def test_scan_flags_an_unnamed_function():
@@ -82,3 +135,16 @@ def test_scan_flags_an_unnamed_function():
     # a docstring that mentions a name does not name it
     assert unnamed_functions({"lib.py": lib}, ['"""Calls dead()."""\n' + user]) \
         == ["lib.py:5 dead"]
+
+
+def test_scan_flags_an_unread_parameter():
+    lib = ("def f(a, b, *rest, c=1, **kw):\n    return a + c\n\n\n"
+           "def outer(x, y):\n    def inner():\n        return y\n    return inner\n\n\n"
+           "def shared(X, rng=None, deadline=None):\n    return X\n\n\n"
+           "class P:\n    def fit(self, X):\n        return 1\n\n"
+           "    def transform(self, X, scale):\n        return X\n\n"
+           "    def __eq__(self, other):\n        return True\n")
+    # a nested function's read counts for the enclosing one; a method's
+    # receiver, rng, deadline, a preprocessor fit's X and dunders are exempt
+    assert unread_parameters(lib) == [("f", "b", 1), ("f", "rest", 1), ("f", "kw", 1),
+                                      ("outer", "x", 5), ("transform", "scale", 19)]

@@ -10,7 +10,7 @@ from imbaml.estimators import (BalancedBaggingClassifier,
                                BalancedRandomForestClassifier, EstimatorError,
                                GaussianNB, KNeighborsClassifier,
                                LogisticRegression, RandomForestClassifier,
-                               RUSBoostClassifier, _balanced_bootstrap, fit)
+                               RUSBoostClassifier, _balanced_bootstrap, _class_rows, fit)
 from imbaml.preprocessing import (PCA, Binarizer, Normalizer, PolynomialFeatures,
                                   VarianceThreshold, fit_preprocessor)
 from imbaml.evaluate import PROJECTION_FACTOR, Deadline, EvalTimeout
@@ -44,8 +44,8 @@ def test_tree_min_impurity_decrease_blocks_splits():
 
 def test_tree_deterministic_with_feature_sampling():
     d = overlapping_binary(60, 30, seed=2, d=6)
-    a = DecisionTreeClassifier(max_features=0.5, rng=Rng(5)).fit(d.features, d.labels, 2)
-    b = DecisionTreeClassifier(max_features=0.5, rng=Rng(5)).fit(d.features, d.labels, 2)
+    a = DecisionTreeClassifier(max_features=0.5).fit(d.features, d.labels, 2, rng=Rng(5))
+    b = DecisionTreeClassifier(max_features=0.5).fit(d.features, d.labels, 2, rng=Rng(5))
     assert np.array_equal(a.predict(d.features), b.predict(d.features))
 
 
@@ -408,7 +408,7 @@ def test_logreg_checks_deadline_per_hessian_product_and_trial(monkeypatch):
 def test_balanced_bootstrap_equal_class_counts():
     d = make_dataset({0: 50, 1: 7}, seed=8)
     for t in range(5):
-        boot = _balanced_bootstrap(d.labels, Rng(3).child(t))
+        boot = _balanced_bootstrap(_class_rows(d.labels), Rng(3).child(t))
         counts = np.bincount(d.labels[boot])
         assert counts[0] == counts[1] == 7
 
@@ -421,9 +421,9 @@ def test_brf_single_tree_equals_replay():
 
     # replay oracle: same child derivation, one balanced bootstrap, one tree
     tree_rng = Rng(rng_seed).child(0)
-    boot = _balanced_bootstrap(d.labels, tree_rng)
-    lone = DecisionTreeClassifier(max_features=1.0, rng=tree_rng)
-    lone.fit(d.features[boot], d.labels[boot], 2)
+    boot = _balanced_bootstrap(_class_rows(d.labels), tree_rng)
+    lone = DecisionTreeClassifier(max_features=1.0)
+    lone.fit(d.features[boot], d.labels[boot], 2, rng=tree_rng)
     probe = Rng(100).np.normal(size=(50, 2)) * 3
     assert np.array_equal(forest.predict(probe), lone.predict(probe))
 
@@ -440,10 +440,10 @@ def test_bagging_single_bag_equals_replay():
     bag = BalancedBaggingClassifier(n_estimators=1, max_features=1.0, max_samples=1.0)
     bag.fit(d.features, d.labels, 2, rng=Rng(23))
     bag_rng = Rng(23).child(0)
-    boot = _balanced_bootstrap(d.labels, bag_rng)
+    boot = _balanced_bootstrap(_class_rows(d.labels), bag_rng)
     cols = np.sort(bag_rng.np.choice(2, size=2, replace=False))
-    lone = DecisionTreeClassifier(rng=bag_rng)
-    lone.fit(d.features[boot][:, cols], d.labels[boot], 2)
+    lone = DecisionTreeClassifier()
+    lone.fit(d.features[boot][:, cols], d.labels[boot], 2, rng=bag_rng)
     probe = Rng(101).np.normal(size=(40, 2)) * 3
     assert np.array_equal(bag.predict(probe), lone.predict(probe[:, cols]))
 
@@ -453,10 +453,10 @@ def test_bagging_column_subset_replay_maps_original_ids():
     bag = BalancedBaggingClassifier(n_estimators=1, max_features=0.5, max_samples=1.0)
     bag.fit(d.features, d.labels, 2, rng=Rng(29))
     bag_rng = Rng(29).child(0)
-    boot = _balanced_bootstrap(d.labels, bag_rng)
+    boot = _balanced_bootstrap(_class_rows(d.labels), bag_rng)
     cols = np.sort(bag_rng.np.choice(6, size=3, replace=False))
-    lone = DecisionTreeClassifier(rng=bag_rng)
-    lone.fit(d.features[boot][:, cols], d.labels[boot], 2)
+    lone = DecisionTreeClassifier()
+    lone.fit(d.features[boot][:, cols], d.labels[boot], 2, rng=bag_rng)
     split = lone.feature >= 0
     # the bag's columns are not 0..2, so only a correct map passes
     assert split.sum() > 1 and not np.array_equal(cols, np.arange(3))
@@ -509,9 +509,9 @@ def test_rusboost_staged_replay_two_rounds():
     alphas, trees = [], []
     for t in range(2):
         round_rng = Rng(seed).child(t)
-        boot = _balanced_bootstrap(d.labels, round_rng)
-        tree = DecisionTreeClassifier(max_depth=1, rng=round_rng)
-        tree.fit(d.features[boot], d.labels[boot], 2,
+        boot = _balanced_bootstrap(_class_rows(d.labels), round_rng)
+        tree = DecisionTreeClassifier(max_depth=1)
+        tree.fit(d.features[boot], d.labels[boot], 2, rng=round_rng,
                  sample_weight=w[boot] / w[boot].sum())
         pred = tree.predict(d.features)
         miss = pred != d.labels
@@ -544,10 +544,11 @@ def rusboost_replay(X, y, n_classes, seed, n_estimators, max_depth, learning_rat
     for t in range(n_estimators):
         round_rng = Rng(seed).child(t)
         for _ in range(RUSBoostClassifier.MAX_RETRIES):
-            boot = _balanced_bootstrap(y, round_rng)
+            boot = _balanced_bootstrap(_class_rows(y), round_rng)
             w_boot = w[boot]
-            tree = DecisionTreeClassifier(max_depth=max_depth, rng=round_rng).fit(
-                X[boot], y[boot], n_classes, sample_weight=w_boot / max(w_boot.sum(), 1e-300))
+            tree = DecisionTreeClassifier(max_depth=max_depth).fit(
+                X[boot], y[boot], n_classes, rng=round_rng,
+                sample_weight=w_boot / max(w_boot.sum(), 1e-300))
             # the per-round fit is itself the reference loop's tree
             want = fit_reference(X[boot], y[boot], n_classes, round_rng,
                                  w_boot / max(w_boot.sum(), 1e-300), max_depth=max_depth)

@@ -17,7 +17,7 @@ import pytest
 
 from imbaml import Rng
 from imbaml import tree as tree_mod
-from imbaml.estimators import _balanced_bootstrap
+from imbaml.estimators import _balanced_bootstrap, _class_rows
 from imbaml.rng import splitmix64
 from imbaml.tree import DecisionTreeClassifier, _draw_columns, grow_trees
 
@@ -69,7 +69,7 @@ CASES = [
     (150, 7, 3, ("inf",), {"criterion": "entropy"}),
     (200, 9, 10, (), {"max_features": 0.3}),
     (90, 5, 3, ("nan",), {"max_features": 0.6, "criterion": "entropy"}),
-    (160, 8, 2, ("inf", "nan"), {"max_depth": 3, "min_samples_split": 7}),
+    (160, 8, 2, ("inf", "nan"), {"max_depth": 3}),
     (140, 6, 10, ("inf",), {"min_impurity_decrease": 0.01, "criterion": "entropy"}),
     (110, 1, 2, (), {}),
 ]
@@ -105,7 +105,7 @@ def test_many_bags(n, d, n_classes, special, params, block_cells, monkeypatch):
         if t % 3 == 0:
             rows = rng.np.integers(0, n, size=n)
         else:
-            rows = _balanced_bootstrap(y, rng)
+            rows = _balanced_bootstrap(_class_rows(y), rng)
         cols = (np.arange(d) if t % 2 else
                 np.sort(rng.np.choice(d, size=max(1, d // 2), replace=False)))
         bags.append((rows, cols))
@@ -170,8 +170,8 @@ def test_lone_fit_equals_its_tree_in_a_hundred_tree_step():
                        max_features=0.3)
     assert len({t.node_count() for t in grown}) > 1
     for t in (0, 1, 37, 99):
-        lone = DecisionTreeClassifier(max_features=0.3, rng=Rng(15).child(t))
-        lone.fit(X[rows[t]], y[rows[t]], 2)
+        lone = DecisionTreeClassifier(max_features=0.3)
+        lone.fit(X[rows[t]], y[rows[t]], 2, rng=Rng(15).child(t))
         assert_same(grown[t], [getattr(lone, name) for name in ARRAYS])
 
 
@@ -237,7 +237,7 @@ def test_weighted_screen_matches_the_oracle(case, criterion, n_classes, block_ce
     check(X, y, n_classes, [(np.arange(len(y)), np.arange(4))], seed=8, weights=w,
           criterion=criterion, max_depth=4)
     # a bag with repeated rows, as RUSBoost's draws are
-    rows = _balanced_bootstrap(y, Rng(9))
+    rows = _balanced_bootstrap(_class_rows(y), Rng(9))
     check(X, y, n_classes, [(rows, np.arange(4))], seed=8, weights=w,
           criterion=criterion, max_depth=4)
 

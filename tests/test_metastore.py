@@ -52,6 +52,25 @@ def test_store_round_trips(tmp_path, store):
     assert [r.pipelines[0].text for r in loaded.records] == [NB, NB, TOMEK_NB]
 
 
+def test_feature_missing_from_every_record_stays_nan(tmp_path):
+    a, b, _, _ = _vectors()
+    absent = FEATURE_NAMES.index("EquivalentNumberOfAtts")
+    s = MetadataStore()
+    for name, vec in (("a", a), ("b", b)):
+        values = list(vec.values)
+        values[absent] = None
+        # under the suite's error::RuntimeWarning filter a warning would raise
+        s.insert(MetaRecord(name, MetaFeatureVector(tuple(values)),
+                            (StoredPipeline(NB, "balanced_accuracy", 0.8),)))
+    assert np.isnan(s.mean[absent]) and np.isnan(s.std[absent])
+    assert not np.isnan(np.delete(s.mean, absent)).any()
+    path = tmp_path / "store.json"
+    s.save(path)
+    loaded = MetadataStore.load(path)
+    assert loaded.to_json() == s.to_json()
+    assert loaded.to_json()["normalization"]["mean"][absent] is None
+
+
 @pytest.mark.parametrize("field", ["normalization_mean", "format_version"])
 def test_tampered_store_is_rejected(tmp_path, store, field):
     doc = store.to_json()

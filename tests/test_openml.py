@@ -56,9 +56,9 @@ def test_fetch_warm_cache_is_idempotent_and_offline(tmp_path):
 def test_load_source_reads_the_openml_cache(tmp_path, monkeypatch):
     expected = fetch_openml(77, tmp_path, http_get=fake_http())
     monkeypatch.setenv(OPENML_CACHE_ENV, str(tmp_path))
-    for d in (load_source("openml:77"), load_source("openml:77", cache_dir=tmp_path)):
-        assert d.features.tobytes() == expected.features.tobytes()
-        assert d.labels.tolist() == expected.labels.tolist()
+    d = load_source("openml:77")
+    assert d.features.tobytes() == expected.features.tobytes()
+    assert d.labels.tolist() == expected.labels.tolist()
 
 
 def test_fetch_unknown_id_carries_status(tmp_path):

@@ -78,7 +78,7 @@ def test_mutate_children_valid_sweep():
 def test_mutate_estimator_only_pipeline_moves():
     from imbaml.pipeline import _applicable_moves
     p = Pipeline((DEFAULT_SPACE.default_config("KNeighborsClassifier"),))
-    moves = _applicable_moves(p, DEFAULT_SPACE)
+    moves = _applicable_moves(p)
     assert "delete" not in moves
     assert set(moves) == {"perturb", "swap", "insert"}
 

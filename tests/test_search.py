@@ -9,7 +9,8 @@ from imbaml import (DEFAULT_SPACE, ComponentSpec, Pipeline, Rng, SearchConfig,
                     SearchSpace, parse, random_pipeline, serialize)
 from imbaml.dataset import stratified_folds
 from imbaml.evaluate import STATUS_ERROR, STATUS_OK, STATUS_TIMEOUT, evaluate
-from imbaml.search import (KILL_GRACE_S, AshaState, SearchError, asha_rungs,
+from imbaml.search import (_FOLDS_CHILD, CROSSOVER_RATE, KILL_GRACE_S,
+                           TOURNAMENT_SIZE, AshaState, SearchError, asha_rungs,
                            audit_asha_events, run_asha, run_asyncea, run_random,
                            run_search)
 from imbaml.space import ESTIMATOR
@@ -76,11 +77,11 @@ def test_incumbent_nondecreasing_all_algorithms():
 
 def test_asyncea_warm_start_dominance():
     d = quick_dataset()
-    folds = stratified_folds(d, 3, Rng(11))
+    folds = stratified_folds(d, 3, Rng(5).child(_FOLDS_CHILD))  # the search's plan
     p = tree_pipeline()
     direct = evaluate(p, d, folds, "balanced_accuracy", 1.0, Rng(0))
     # budget only admits roughly one evaluation
-    cfg = SearchConfig(budget=0.5, seed=5, folds=folds, warm_start=(p,),
+    cfg = SearchConfig(budget=0.5, seed=5, folds_k=3, warm_start=(p,),
                        max_evals=1)
     rep = run_asyncea(DEFAULT_SPACE, d, cfg)
     assert rep.best is not None
@@ -101,9 +102,9 @@ def test_asyncea_single_worker_trace_matches_replay_oracle():
     from imbaml.search import _COORD_CHILD, _EVAL_CHILD_BASE
 
     d = quick_dataset()
-    folds = stratified_folds(d, 3, Rng(7))
     seed, pop_size, n_evals = 9, 3, 10
-    cfg = SearchConfig(budget=60.0, seed=seed, folds=folds,
+    folds = stratified_folds(d, 3, Rng(seed).child(_FOLDS_CHILD))
+    cfg = SearchConfig(budget=60.0, seed=seed, folds_k=3,
                        population_size=pop_size, max_evals=n_evals)
     rep = run_asyncea(DEFAULT_SPACE, d, cfg)
 
@@ -118,11 +119,11 @@ def test_asyncea_single_worker_trace_matches_replay_oracle():
             pipeline = random_pipeline(DEFAULT_SPACE, coord)
         else:
             def tournament():
-                k = min(cfg.tournament_size, len(population))
+                k = min(TOURNAMENT_SIZE, len(population))
                 contenders = coord.np.choice(len(population), size=k, replace=False)
                 win = min(contenders, key=lambda i: (-population[i][1], i))
                 return population[win][0]
-            if len(population) >= 2 and coord.np.random() < cfg.crossover_rate:
+            if len(population) >= 2 and coord.np.random() < CROSSOVER_RATE:
                 pipeline = crossover(tournament(), tournament(), coord)
             else:
                 pipeline = mutate(tournament(), DEFAULT_SPACE, coord).pipeline
@@ -227,6 +228,34 @@ def test_asha_selected_prefers_full_resource():
     if full:
         assert rep.selected.mean_score == max(ev["score"] for ev in full)
     audit_asha_events(rep.events, 3)
+
+
+# ------------------------------------------------------------- default pins
+
+# sha256 of each algorithm's ``to_json(include_timings=False)`` report for the
+# run in ``test_default_trajectories_are_pinned``: a change that moves any
+# search default (fold plan, tournament, crossover rate, ASHA rungs, an
+# estimator or tree default) changes the hash
+DEFAULT_TRAJECTORY_SHA256 = {
+    "random": "c80cba284aea2bcdbc9a0ad78f7173ec4e4575322f64d1fb0385d27e835912f2",
+    "asyncea": "a0f0975bc2fcf0a3601d58defce96adf4988052f5b78bc262f956c32456fa99f",
+    "asha": "e161b61acba41437aee54e779061a2fa0c9e53b19544451391cbae1c1c6213b1",
+}
+
+
+@pytest.mark.parametrize("algorithm", sorted(DEFAULT_TRAJECTORY_SHA256))
+def test_default_trajectories_are_pinned(algorithm):
+    import hashlib
+    import json
+
+    d = overlapping_binary(60, 20, seed=4, d=3)
+    # a 60 s per-evaluation cap: no evaluation comes near it or its projection
+    cfg = SearchConfig(algorithm=algorithm, budget=600.0, seed=7,
+                       population_size=3, max_evals=8)
+    doc = run_search(DEFAULT_SPACE, d, cfg).to_json(include_timings=False)
+    assert [r["status"] for r in doc["history"]] == [STATUS_OK] * 8
+    digest = hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest()
+    assert digest == DEFAULT_TRAJECTORY_SHA256[algorithm]
 
 
 # ---------------------------------------------------------- budget compliance

@@ -22,7 +22,7 @@ import numpy as np
 import pytest
 
 from imbaml import DEFAULT_SPACE, Rng
-from imbaml.estimators import _balanced_bootstrap, fit
+from imbaml.estimators import _balanced_bootstrap, _class_rows, fit
 
 from helpers import make_dataset
 from test_forest_walk import per_node_predict
@@ -90,7 +90,7 @@ def oracle_forest_digest(name: str) -> str:
         votes = []
         for t in range(spec.n_estimators):
             bag_rng = Rng(500 + i).child(t)
-            rows = (_balanced_bootstrap(d.labels, bag_rng) if spec.balanced
+            rows = (_balanced_bootstrap(_class_rows(d.labels), bag_rng) if spec.balanced
                     else bag_rng.np.integers(0, d.n, size=d.n))
             tree = fit_reference(d.features[rows], d.labels[rows], C, bag_rng,
                                  criterion=spec.criterion, max_features=spec.max_features,

@@ -23,8 +23,7 @@ from imbaml.tree import _impurity
 
 
 def fit_reference(X, y, n_classes, rng=None, sample_weight=None, *, criterion="gini",
-                  max_depth=None, max_features=None, min_samples_split=2,
-                  min_impurity_decrease=0.0):
+                  max_depth=None, max_features=None, min_impurity_decrease=0.0):
     """Grow one tree; returns (feature, threshold, left, right, value)."""
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.int64)
@@ -57,7 +56,7 @@ def fit_reference(X, y, n_classes, rng=None, sample_weight=None, *, criterion="g
         value[slot] = counts
         node_w = counts.sum()
         imp = float(_impurity(counts, criterion))
-        if (node_w <= 0.0 or imp <= 0.0 or idx.size < min_samples_split
+        if (node_w <= 0.0 or imp <= 0.0 or idx.size < 2
                 or (max_depth is not None and depth >= max_depth)):
             continue
         if n_feat < d:
