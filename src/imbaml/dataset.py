@@ -124,6 +124,14 @@ class ClassDistribution:
         return ClassDistribution(dict(counts), majority, minority, majority / minority)
 
 
+def _class_rows(labels: np.ndarray) -> dict[int, np.ndarray]:
+    """The rows of each class present in ``labels``, ascending, keyed by
+    class code in ascending order."""
+    order = np.argsort(labels, kind="stable")
+    parts = np.split(order, np.flatnonzero(np.diff(labels[order])) + 1)
+    return {int(labels[part[0]]): part for part in parts if part.size}
+
+
 def class_distribution(d: Dataset) -> ClassDistribution:
     present = np.bincount(d.labels, minlength=len(d.label_names))
     counts = {int(c): int(k) for c, k in enumerate(present) if k > 0}

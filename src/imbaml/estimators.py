@@ -21,7 +21,7 @@ import math
 
 import numpy as np
 
-from .dataset import Dataset
+from .dataset import Dataset, _class_rows
 from .neighbors import NeighborIndex, _vote_counts
 from .rng import Rng
 from .space import ComponentConfig, DomainError, ESTIMATOR
@@ -32,17 +32,12 @@ class EstimatorError(ValueError):
     pass
 
 
-def _class_rows(y: np.ndarray) -> list[np.ndarray]:
-    """The rows of each class present in ``y``, ascending, in class order."""
-    order = np.argsort(y, kind="stable")
-    return np.split(order, np.flatnonzero(np.diff(y[order])) + 1)
-
-
-def _balanced_bootstrap(by_class: list[np.ndarray], rng: Rng) -> np.ndarray:
-    """Per-class bootstrap with equal counts = the minority count, from
-    ``by_class = _class_rows(y)``, built once per fit."""
-    low = min(idx.size for idx in by_class)
-    return np.concatenate([idx[rng.np.integers(0, idx.size, size=low)] for idx in by_class])
+def _balanced_bootstrap(by_class: dict[int, np.ndarray], rng: Rng) -> np.ndarray:
+    """Per-class bootstrap with equal counts = the minority count, in class
+    order, from ``by_class = _class_rows(y)``, built once per fit."""
+    low = min(idx.size for idx in by_class.values())
+    return np.concatenate([idx[rng.np.integers(0, idx.size, size=low)]
+                           for idx in by_class.values()])
 
 
 def _need_rng(model, rng) -> None:

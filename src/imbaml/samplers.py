@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .dataset import Dataset, class_distribution
+from .dataset import Dataset, _class_rows, class_distribution
 from .neighbors import NeighborIndex, SumOfSquaresIndex, _vote_counts
 from .rng import Rng
 from .space import ComponentConfig, SAMPLER, DomainError
@@ -24,10 +24,6 @@ from .space import ComponentConfig, SAMPLER, DomainError
 
 class SamplerError(ValueError):
     pass
-
-
-def _class_rows(labels: np.ndarray) -> dict[int, np.ndarray]:
-    return {int(c): np.flatnonzero(labels == c) for c in sorted(set(labels.tolist()))}
 
 
 def _require_resampleable(d: Dataset, need_pairs: bool) -> dict[int, np.ndarray]:

@@ -404,13 +404,14 @@ def run_asyncea(space: SearchSpace, d: Dataset, cfg: SearchConfig) -> SearchRepo
         driver.close()
 
 
-def asha_rungs(reduction_factor: int, min_resource: float) -> tuple[float, ...]:
-    """Geometric resource schedule min_resource * eta^i, capped at 1.0."""
+def asha_rungs() -> tuple[float, ...]:
+    """Geometric resource schedule ``MIN_RESOURCE * REDUCTION_FACTOR^i``,
+    capped at 1.0."""
     rungs = []
-    r = float(min_resource)
+    r = float(MIN_RESOURCE)
     while r < 1.0 - 1e-12:
         rungs.append(r)
-        r *= reduction_factor
+        r *= REDUCTION_FACTOR
     rungs.append(1.0)
     return tuple(rungs)
 
@@ -422,19 +423,17 @@ def _score_key(ok: bool, mean):
 class AshaState:
     """Bookkeeping for asynchronous successive halving.
 
-    A configuration is promoted from rung i when its completed rung-i score
+    The rungs are ``asha_rungs()``, and eta is ``REDUCTION_FACTOR``. A
+    configuration is promoted from rung i when its completed rung-i score
     ranks in the top 1/eta of all completed rung-i entries at decision time;
     each (config, rung) promotes at most once. ``events`` is the audit trail.
     """
 
-    def __init__(self, reduction_factor: int, min_resource: float,
-                 max_configs: int | None = None):
-        self.eta = int(reduction_factor)
-        self.resources = asha_rungs(reduction_factor, min_resource)
+    def __init__(self):
+        self.resources = asha_rungs()
         self.completed: list[list[tuple]] = [[] for _ in self.resources]
         self.promoted: set[tuple] = set()
         self.n_configs = 0
-        self.max_configs = max_configs
         self.events: list[dict] = []
         self._order = 0
 
@@ -451,7 +450,7 @@ class AshaState:
 
     def _promotable(self, rung: int):
         entries = self.completed[rung]
-        cutoff = len(entries) // self.eta
+        cutoff = len(entries) // REDUCTION_FACTOR
         if cutoff == 0:
             return None
         ranked = sorted(entries, key=lambda e: (-e[1][0], -e[1][1], e[2]))
@@ -462,7 +461,7 @@ class AshaState:
 
     def next_job(self):
         """(key, rung) to run next: highest promotable rung wins, else a new
-        rung-0 configuration, else None."""
+        rung-0 configuration."""
         for rung in range(self.top_rung - 1, -1, -1):
             key = self._promotable(rung)
             if key is not None:
@@ -472,12 +471,10 @@ class AshaState:
                     "event": "promotion", "config": key, "from_rung": rung,
                     "to_rung": rung + 1, "order": self._order,
                     "n_completed": len(self.completed[rung]),
-                    "cutoff": len(self.completed[rung]) // self.eta})
+                    "cutoff": len(self.completed[rung]) // REDUCTION_FACTOR})
                 return key, rung + 1
-        if self.max_configs is None or self.n_configs < self.max_configs:
-            self.n_configs += 1
-            return f"cfg{self.n_configs}", 0
-        return None
+        self.n_configs += 1
+        return f"cfg{self.n_configs}", 0
 
     def promotions_to(self, rung: int) -> int:
         return sum(1 for ev in self.events
@@ -511,7 +508,7 @@ def audit_asha_events(events: list[dict], eta: int) -> None:
 
 def run_asha(space: SearchSpace, d: Dataset, cfg: SearchConfig) -> SearchReport:
     """Asynchronous successive halving over training-subsample fractions,
-    on the rungs ``asha_rungs(REDUCTION_FACTOR, MIN_RESOURCE)``.
+    on the rungs ``asha_rungs()``.
 
     The returned report's ``selected`` entry is the best full-resource result
     (falling back to the best of any rung); ``best`` is the best result over
@@ -519,17 +516,14 @@ def run_asha(space: SearchSpace, d: Dataset, cfg: SearchConfig) -> SearchReport:
     """
     cfg = replace(cfg, algorithm="asha")
     driver = _Driver(d, cfg)
-    state = AshaState(REDUCTION_FACTOR, MIN_RESOURCE)
+    state = AshaState()
     pipelines: dict[str, Pipeline] = {}
     warm = list(cfg.warm_start)
     best_full: EvaluationResult | None = None
     logged_events = 0
 
     def propose():
-        job = state.next_job()
-        if job is None:
-            return None
-        key, rung = job
+        key, rung = state.next_job()
         if key not in pipelines:
             pipelines[key] = (warm.pop(0) if warm
                               else random_pipeline(space, driver.coord))

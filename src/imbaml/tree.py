@@ -4,7 +4,10 @@ and the one walk that predicts with them.
 ``grow_trees`` grows any number of trees, one per bag of rows and columns of
 one matrix, together, a level per step: each step takes every pending node
 of every unfinished tree and does its column draws, counting, split search
-and row partitioning with NumPy calls over all of them at once. ``DecisionTreeClassifier.fit`` is
+and row partitioning with NumPy calls over all of them at once. The split
+search screens every cut with a cheap score of bounded rounding error and
+scores only the cuts that may win with the reference formula, so every
+tree is the one scoring every cut gives. ``DecisionTreeClassifier.fit`` is
 that kernel with one bag; ``estimators.BaggedTrees`` draws all of its bags
 and makes one call. ``Forest`` stacks fitted trees into one node array and
 finds the leaf of every (row, tree) pair in one level-by-level walk, the
@@ -20,7 +23,7 @@ import numpy as np
 
 from .rng import LEFT_KEY, RIGHT_KEY, Rng, splitmix64_array
 
-# Upper bound on the rows x candidate columns x classes of one split-search
+# Upper bound on the entries (rows x candidate columns) of one split-search
 # block (and on the rows x columns ranked at once, and on the (row, tree)
 # pairs one prediction walk holds), unless one (node, column) segment alone
 # is larger: a block holds at least one whole segment.
@@ -266,35 +269,40 @@ def grow_trees(X, y, n_classes: int, bags, *, criterion: str = "gini",
     ``MAX_BLOCK_CELLS`` (node, column) pairs at a time. The step counts the
     classes of all popped nodes with one ``bincount``, then searches every
     splittable node's candidate (node, column) segments in blocks of
-    consecutive segments, each at most ``MAX_BLOCK_CELLS`` rows x columns x
-    classes unless one segment alone is larger; a weighted fit's blocks
-    never mix nodes. A block of one node sorts that node's values per
+    consecutive segments, each at most ``MAX_BLOCK_CELLS`` entries (rows x
+    columns) unless one segment alone is larger; a weighted fit's blocks
+    never mix nodes. Per column a split falls between distinct values and
+    the first largest impurity decrease wins; per node the first column
+    whose best is strictly larger wins, across blocks too.
+
+    An unweighted block, of one node or several, goes through one kernel
+    (``_search_nodes``). A block of one node sorts that node's values per
     column; a block of several nodes sorts (segment, rank) keys, from
-    per-column dense ranks computed once per call on first use. Per column a
-    split falls between distinct values and the first largest impurity
-    decrease wins; per node the first column whose best is strictly larger
-    wins, across blocks too. Unweighted class counts are integers, so their
-    segmented prefix sums are exact in any order, and a child takes the rows
-    on its side of the winning cut in any order. Weighted sums run
-    sequentially in the node's row order, as a lone fit sums them, so a
-    weighted node sorts each column stably and a weighted child keeps its
-    rows in the sorted order of the winning column. A weighted block of at
-    least ``SCREEN_MIN_CELLS`` cuts x classes, when every weight is finite
-    and has no sign bit, orders its columns by unique (rank, position in
-    the node) keys instead, the same order at a fraction of the cost, and
-    screens its cuts: an O(rows x columns) surrogate of the decrease with a
-    bounded rounding error (``_screen``, ``_screen_slack``) drops the cuts
-    that cannot win, and only the survivors are scored exactly, from left
-    class sums added in the lone fit's order (``_search_node``), so the
-    winner is the one scoring every cut picks.
-    After growth each tree's nodes are renumbered to the order a depth-first
-    fit creates them in (see ``DecisionTreeClassifier``).
+    per-column dense ranks computed once per call on first use. Class
+    counts are integers, so the block screens every cut in O(entries) from
+    exact integer prefix sums (``_count_screen``, ``_count_slack``) and
+    scores the survivors exactly from their exact left counts; a child
+    takes the rows on its side of the winning cut in any order.
+
+    Weighted sums run sequentially in the node's row order, as a lone fit
+    sums them, so a weighted node sorts each column stably and a weighted
+    child keeps its rows in the sorted order of the winning column
+    (``_search_node``). A weighted block of at least ``SCREEN_MIN_CELLS``
+    cuts x classes, when every weight is finite and has no sign bit, orders
+    its columns by unique (rank, position in the node) keys instead, the
+    same order at a fraction of the cost, and screens its cuts: an O(rows x
+    columns) surrogate of the decrease with a bounded rounding error
+    (``_screen``, ``_screen_slack``) drops the cuts that cannot win, and
+    only the survivors are scored exactly, from left class sums added in
+    the lone fit's order. Either way the winner is the one scoring every
+    cut picks. After growth each tree's nodes are renumbered to the order a
+    depth-first fit creates them in (see ``DecisionTreeClassifier``).
 
     The deadline is checked once per step and before every block. From the
     end of a step's first block on, which carries one-off costs such as
     ranking columns, each check also projects the rest of the step: its
-    seconds per cell so far times the cells (rows x candidate columns x
-    classes) it has left. That is a lower bound on the rest of the fit, and
+    seconds per entry so far times the entries (rows x candidate columns)
+    it has left. That is a lower bound on the rest of the fit, and
     ``Deadline.check`` raises ``EvalTimeout`` once it exceeds the deadline's
     projection factor times the time left. A fit that completes is the same
     with or without a deadline.
@@ -364,7 +372,7 @@ def grow_trees(X, y, n_classes: int, bags, *, criterion: str = "gini",
         n_cand = n_feat[tree[go]]
         best = _Best(m)
         node_root_w = root_w[tree]
-        left = int((size[go] * n_cand).sum()) * C
+        left = int((size[go] * n_cand).sum())
         started, done = None, 0
         # nodes with about MAX_BLOCK_CELLS columns in all at a time (their
         # (node, column) draw scores, then their candidate segments), so a
@@ -384,24 +392,24 @@ def grow_trees(X, y, n_classes: int, bags, *, criterion: str = "gini",
                 seg_local[np.repeat(drawn, n_seg)] = _draw_columns(
                     key[at_draw], n_cols[tree[at_draw]], n_feat[tree[at_draw]])
             seg_col = cols_cat[col_start[tree[seg_node]] + seg_local]
-            seg_cells = size[seg_node] * C
-            for a, b in _blocks(seg_node, seg_cells, single=w is not None):
+            seg_len = size[seg_node]
+            for a, b in _blocks(seg_node, seg_len, single=w is not None):
                 if deadline is not None:
                     deadline.check(started, done, left)
-                if seg_node[a] == seg_node[b - 1]:
-                    _search_node(seg_node[a], seg_local[a:b], seg_col[a:b], rows, at, size,
-                                 X, y, w, C, ranks, screen, criterion, value, node_w, imp,
-                                 node_root_w, best)
-                else:
+                if w is None:
                     _search_nodes(seg_node[a:b], seg_local[a:b], seg_col[a:b], rows, at, size,
                                   X, y, C, ranks, criterion, value, node_w, imp,
                                   node_root_w, best)
-                cells = int(seg_cells[a:b].sum())
-                left -= cells
+                else:
+                    _search_node(seg_node[a], seg_local[a:b], seg_col[a:b], rows, at, size,
+                                 X, y, w, C, ranks, screen, criterion, value, node_w, imp,
+                                 node_root_w, best)
+                entries = int(seg_len[a:b].sum())
+                left -= entries
                 if started is None:  # the first block carries one-off costs
                     started = time.monotonic()
                 else:
-                    done += cells
+                    done += entries
 
         split = np.flatnonzero(~((best.dec <= 0.0) | (best.dec < min_impurity_decrease)))
         if split.size == 0:
@@ -469,20 +477,20 @@ class _Best:
         self.order = [None] * m
 
 
-def _blocks(seg_node: np.ndarray, seg_cells: np.ndarray, single: bool):
+def _blocks(seg_node: np.ndarray, seg_len: np.ndarray, single: bool):
     """``(a, b)`` ranges of consecutive segments, each of at most
-    MAX_BLOCK_CELLS cells unless one segment alone is larger; with
-    ``single``, no range holds segments of two nodes."""
-    if seg_cells.size == 0:
+    MAX_BLOCK_CELLS entries (``seg_len``) unless one segment alone is
+    larger; with ``single``, no range holds segments of two nodes."""
+    if seg_len.size == 0:
         return
-    ends = np.cumsum(seg_cells)
+    ends = np.cumsum(seg_len)
     if ends[-1] <= MAX_BLOCK_CELLS and (not single or seg_node[0] == seg_node[-1]):
-        yield 0, seg_cells.size         # one block holds them all
+        yield 0, seg_len.size         # one block holds them all
         return
     if single:
         node_end = np.append(np.flatnonzero(_new_run(seg_node))[1:], seg_node.size)
     a = 0
-    while a < seg_cells.size:
+    while a < seg_len.size:
         base = int(ends[a - 1]) if a else 0
         b = max(a + 1, int(np.searchsorted(ends, base + MAX_BLOCK_CELLS, side="right")))
         if single:
@@ -493,23 +501,23 @@ def _blocks(seg_node: np.ndarray, seg_cells: np.ndarray, single: bool):
 
 def _search_node(k, seg_local, seg_col, rows, at, size, X, y, w, C, ranks, screen, criterion,
                  value, node_w, imp, root_w, best: _Best) -> None:
-    """Best split of node ``k`` over one block of its candidate columns;
-    updates ``best`` where it is strictly larger than what earlier blocks
-    found.
+    """Best split of weighted node ``k`` over one block of its candidate
+    columns; updates ``best`` where it is strictly larger than what earlier
+    blocks found.
 
-    A split falls between distinct values of a column sorted by value (a
-    stable sort when weighted, as a lone fit sorts), and every cut is scored
-    from the class sums of one cumulative sum of one-hot rows. A weighted
-    block of at least ``SCREEN_MIN_CELLS`` cuts x classes, with screenable
-    weights (``grow_trees``) and a finite node weight, does less: it orders
-    each column by unique (rank, position in the node) keys
-    (``_keyed_order``), the same order, and keeps only the cuts that
-    ``_screen`` cannot rule out. Each cut it drops has a smaller decrease,
-    as a lone fit computes it, than the winner, and it keeps every cut whose
-    decrease could be NaN. The survivors' left class sums are those of the
-    one-hot sum, bit for bit (``_survivor_sums``). Either way the first
-    largest decrease in (column, position) order wins; a NaN decrease wins
-    nothing (NaN is argmax's largest, and fails >).
+    A split falls between distinct values of a column sorted stably by
+    value, as a lone fit sorts, and every cut is scored from the class sums
+    of one cumulative sum of weighted one-hot rows. A block of at least
+    ``SCREEN_MIN_CELLS`` cuts x classes, with screenable weights
+    (``grow_trees``) and a finite node weight, does less: it orders each
+    column by unique (rank, position in the node) keys (``_keyed_order``),
+    the same order, and keeps only the cuts that ``_screen`` cannot rule
+    out. Each cut it drops has a smaller decrease, as a lone fit computes
+    it, than the winner, and it keeps every cut whose decrease could be
+    NaN. The survivors' left class sums are those of the one-hot sum, bit
+    for bit (``_survivor_sums``). Either way the first largest decrease in
+    (column, position) order wins; a NaN decrease wins nothing (NaN is
+    argmax's largest, and fails >).
     """
     node_rows = rows[at[k]:at[k] + size[k]]
     if (screen and seg_col.size * (node_rows.size - 1) * C >= SCREEN_MIN_CELLS
@@ -524,8 +532,7 @@ def _search_node(k, seg_local, seg_col, rows, at, size, X, y, w, C, ranks, scree
             return
         left = _survivor_sums(srows, col, pos, y, w, C)
     else:
-        order = np.argsort(X[node_rows[None, :], seg_col[:, None]], axis=1,
-                           kind=None if w is None else "stable")
+        order = np.argsort(X[node_rows[None, :], seg_col[:, None]], axis=1, kind="stable")
         srows = node_rows[order]                    # (column, position)
         vals = X[srows, seg_col[:, None]]
         col, pos = np.nonzero(vals[:, 1:] > vals[:, :-1])  # a split after (col, pos)
@@ -533,12 +540,8 @@ def _search_node(k, seg_local, seg_col, rows, at, size, X, y, w, C, ranks, scree
             return
         left = _onehot_sums(srows, y, w, C)[col, pos]
     right = value[k] - left
-    if w is None:  # integer counts: a row sum is the number of entries
-        wl = (pos + 1).astype(np.float64)
-        wr = node_w[k] - wl
-    else:
-        wl = left.sum(axis=1)
-        wr = right.sum(axis=1)
+    wl = left.sum(axis=1)
+    wr = right.sum(axis=1)
     child = (wl * _impurity(left, criterion, wl)
              + wr * _impurity(right, criterion, wr)) / node_w[k]
     dec = (node_w[k] / root_w[k]) * (imp[k] - child)
@@ -552,8 +555,7 @@ def _search_node(k, seg_local, seg_col, rows, at, size, X, y, w, C, ranks, scree
     best.thr[k] = 0.5 * (lo + hi)
     best.cut[k] = lo
     best.n_left[k] = i + 1
-    if w is not None:
-        best.order[k] = srows[c].copy()
+    best.order[k] = srows[c].copy()
 
 
 def _keyed_order(node_rows, seg_col, ranks: _Ranks):
@@ -593,13 +595,10 @@ def _survivor_sums(srows, col, pos, y, w, C) -> np.ndarray:
 def _onehot_sums(srows, y, w, C) -> np.ndarray:
     """Class weights of each prefix of each row of ``srows``, shape
     ``srows.shape + (C,)``: a cumulative sum of one-hot rows of the rows'
-    weights (unit weights when ``w`` is None)."""
+    weights."""
     labels = y[srows]
-    if w is None:
-        onehot = np.eye(C)[labels]
-    else:
-        onehot = np.zeros(labels.shape + (C,))
-        onehot.reshape(-1, C)[np.arange(labels.size), labels.ravel()] = w[srows].ravel()
+    onehot = np.zeros(labels.shape + (C,))
+    onehot.reshape(-1, C)[np.arange(labels.size), labels.ravel()] = w[srows].ravel()
     return np.cumsum(onehot, axis=1, out=onehot)
 
 
@@ -735,44 +734,50 @@ def _screen(srows, cut, y, w, C, criterion, W) -> np.ndarray:
 def _search_nodes(seg_node, seg_local, seg_col, rows, at, size, X, y, C, ranks,
                   criterion, value, node_w, imp, root_w, best: _Best) -> None:
     """Best split per node over one unweighted block of whole (node, column)
-    segments of several nodes, sorted together by (segment, rank) keys;
-    updates ``best`` where it is strictly larger than what earlier blocks
-    found."""
+    segments, of one node or several; updates ``best`` where it is strictly
+    larger than what earlier blocks found.
+
+    A one-node block sorts each column's values; a block of several nodes
+    sorts (segment, rank) keys. A split falls between distinct values (NaN
+    compares false). Every cut is screened in O(entries) from integer class
+    counts (``_count_screen``): per node, a cut whose score is more than
+    twice ``_count_slack`` below the node's best has a smaller decrease, as
+    the reference formula computes it, than the best-scoring cut, and is
+    dropped. The survivors are scored exactly, from their exact left class
+    counts, and the first largest decrease per node in (column, position)
+    order wins.
+    """
     seg_len = size[seg_node]
     seg_end = np.cumsum(seg_len)
-    seg_start = seg_end - seg_len
-    E = int(seg_end[-1])
-    entry_seg = np.repeat(np.arange(seg_node.size), seg_len)
-    n = ranks.nan_rank
-    srows = rows[np.arange(E) + np.repeat(at[seg_node] - seg_start, seg_len)]
-    ranks.need(seg_col)
-    rank = ranks.table[seg_col[entry_seg], srows]
-    order = np.argsort(entry_seg * (n + 1) + rank)
-    srows = srows[order]
-    rank = rank[order]
-    cut = np.zeros(E, dtype=bool)       # a split after entry i
-    cut[:-1] = rank[1:] > rank[:-1]
-    cut[seg_end - 1] = False            # not across segments
-    if ranks.any_nan:
-        cut[:-1] &= rank[1:] < n
+    S, E = seg_len.size, int(seg_end[-1])
+    srows, cut = _sorted_entries(seg_node, seg_col, seg_len, seg_end, rows, at, X, ranks)
     cut = np.flatnonzero(cut)
     if cut.size == 0:
         return
-    k = seg_node[entry_seg[cut]]
-    # integer counts: differences of one running sum are exact
-    onehot = np.eye(C)[y[srows]]
-    cum = np.cumsum(onehot, axis=0, out=onehot)
-    base = np.zeros((seg_len.size, C))
-    base[1:] = cum[seg_start[1:] - 1]
-    left = cum[cut] - base[entry_seg[cut]]
+    # the entries grouped by (class, segment), in block order within a group
+    # (a stable sort of small labels is a radix sort)
+    lab = y[srows].astype(np.min_scalar_type(C - 1))
+    g = np.argsort(lab, kind="stable")
+    first = np.flatnonzero(_new_run(_group_of(g, lab, seg_end)))
+    cut = cut[_count_screen(g, first, cut, seg_len, seg_end, seg_node, C, criterion)]
+    s = np.searchsorted(seg_end, cut, side="right")
+    k = seg_node[s]
+    n_left = cut + 1 - (seg_end[s] - seg_len[s])
+    # exact left counts: the entries of each (class, segment) group at or
+    # before the cut, in the ascending keys (class, segment, entry)
+    key = _group_of(g, lab, seg_end)
+    key *= E
+    key += g
+    q = (np.arange(C) * S + s[:, None]) * E
+    left = (np.searchsorted(key, q + cut[:, None], side="right")
+            - np.searchsorted(key, q)).astype(np.float64)
     right = value[k] - left
-    wl = (cut - seg_start[entry_seg[cut]] + 1).astype(np.float64)  # a row sum is a count
+    wl = n_left.astype(np.float64)
     wr = node_w[k] - wl
     child = (wl * _impurity(left, criterion, wl)
              + wr * _impurity(right, criterion, wr)) / node_w[k]
     dec = (node_w[k] / root_w[k]) * (imp[k] - child)
-    # first largest decrease per node, in (column, position) order; a node
-    # with a NaN decrease wins nothing
+    # first largest decrease per node, in (column, position) order
     new = _new_run(k)
     top = np.maximum.reduceat(dec, np.flatnonzero(new))
     hit = np.flatnonzero(dec == top[np.cumsum(new) - 1])
@@ -781,14 +786,191 @@ def _search_nodes(seg_node, seg_local, seg_col, rows, at, size, X, y, C, ranks,
     if win.size == 0:
         return
     i = cut[win]
-    s = entry_seg[i]
-    lo = X[srows[i], seg_col[s]]
+    sw = s[win]
+    lo = X[srows[i], seg_col[sw]]
     kw = k[win]
     best.dec[kw] = dec[win]
-    best.local[kw] = seg_local[s]
-    best.thr[kw] = 0.5 * (lo + X[srows[i + 1], seg_col[s]])
+    best.local[kw] = seg_local[sw]
+    best.thr[kw] = 0.5 * (lo + X[srows[i + 1], seg_col[sw]])
     best.cut[kw] = lo
-    best.n_left[kw] = i - seg_start[s] + 1
+    best.n_left[kw] = n_left[win]
+
+
+def _sorted_entries(seg_node, seg_col, seg_len, seg_end, rows, at, X, ranks: _Ranks):
+    """The rows of a block's (node, column) segments, each segment sorted
+    by value, concatenated, and a mask of the entries after which a split
+    may fall: before a larger value, other than NaN, in the same segment.
+    One node's segments sort its values per column; several nodes' sort
+    (segment, rank) keys."""
+    E = int(seg_end[-1])
+    cut = np.zeros(E, dtype=bool)
+    if seg_node[0] == seg_node[-1]:
+        node_rows = rows[at[seg_node[0]]:][:seg_len[0]]
+        vals = X[node_rows[None, :], seg_col[:, None]]
+        order = np.argsort(vals, axis=1)
+        srows = node_rows[order].ravel()
+        vals = np.take_along_axis(vals, order, axis=1).ravel()
+        np.greater(vals[1:], vals[:-1], out=cut[:-1])
+    else:
+        n = ranks.nan_rank
+        entry_seg = np.repeat(np.arange(seg_len.size), seg_len)
+        srows = rows[np.arange(E) + np.repeat(at[seg_node] - (seg_end - seg_len), seg_len)]
+        ranks.need(seg_col)
+        rank = ranks.table[seg_col[entry_seg], srows]
+        order = np.argsort(entry_seg * (n + 1) + rank)
+        srows = srows[order]
+        rank = rank[order]
+        np.greater(rank[1:], rank[:-1], out=cut[:-1])
+        if ranks.any_nan:
+            cut[:-1] &= rank[1:] < n
+    cut[seg_end - 1] = False
+    return srows, cut
+
+
+def _group_of(g, lab, seg_end) -> np.ndarray:
+    """The (class, segment) group, class * segments + segment, of each
+    entry of ``g``: ascending when ``g`` lists a block's entries sorted
+    stably by their class ``lab``."""
+    group = lab[g] * np.int64(seg_end.size)
+    group += np.searchsorted(seg_end, g, side="right")
+    return group
+
+
+def _count_screen(g, first, cut, seg_len, seg_end, seg_node, C: int,
+                  criterion: str) -> np.ndarray:
+    """The cuts of one unweighted block that may win, as indices into
+    ``cut``: per node, every cut whose score is at least the node's best
+    less twice its ``_count_slack``. Any other cut has a smaller decrease,
+    as the reference formula computes it, than the node's best-scoring cut.
+
+    The block's entries are in (segment, sorted) order; ``g`` lists them
+    grouped by (class, segment), in block order within a group, and
+    ``first`` holds where each group starts in ``g``. A cut after entry i
+    (``cut``) of a segment of n entries leaves wl entries on the left,
+    with class counts L_c, and wr = n - wl on the right, with R_c. Entry j
+    of class c moves one count from R_c to L_c, so with phi(x) = x^2 (gini)
+    or a fixed-point x log2 x (entropy), it adds phi(L_c + 1) - phi(L_c) to
+    sum_c phi(L_c) and takes phi(R_c) - phi(R_c - 1) from sum_c phi(R_c).
+    Integer prefix sums of these increments, in block order, are exact and
+    give both sums at every cut, in O(entries) with no pass as wide as the
+    classes. The higher the score, the lower the child impurity:
+      * gini scores sum_c L_c^2 / wl + sum_c R_c^2 / wr, which is n less n
+        times the child impurity;
+      * entropy scores sum_c l(L_c) + sum_c l(R_c) - l(wl) - l(wr), l(x) =
+        x log2 x, which is minus n times the child impurity, less the
+        node's sum_c l(V_c): a constant per node, as every column holds the
+        node's rows. l is tabulated at the integers up to the longest
+        segment, in units of 2^-p (``_xlog2x_table``), and one segment's
+        increments of both sums add to zero, so a single running sum over
+        the block needs no base.
+    """
+    E = g.size
+    run = np.diff(np.append(first, E))
+    before = np.arange(E)                   # L_c before the move
+    before -= np.repeat(first, run)
+    after = np.repeat(run, run)             # V_c, then R_c after the move
+    after -= before
+    after -= 1
+    s = np.searchsorted(seg_end, cut, side="right")   # each cut's segment
+    if criterion == "gini":
+        # L_c^2 goes up by 2 L_c + 1 (L_c before the move) and R_c^2 down
+        # by 2 R_c + 1 (R_c after it); the running sum of up less down
+        # restarts at each segment, that of up needs the segment's start
+        both = np.empty(E, dtype=np.int64)
+        after -= before
+        both[g] = -2 * after
+        del after
+        up = np.zeros(E + 1, dtype=np.int64)
+        before *= 2
+        before += 1
+        up[1:][g] = before
+        del before
+        up = np.cumsum(up, out=up)
+        both = np.cumsum(both, out=both)
+        n = seg_len[s]
+        start = seg_end[s] - n
+        # sum_c L_c^2, and sum_c R_c^2 = sum_c V_c^2 - sum_c L_c^2 plus the
+        # running sum of up less down
+        sl = up[cut + 1]
+        sr = up[start + n]
+        base = up[start]
+        sl -= base
+        sr -= base
+        sr -= sl
+        sr += both[cut]
+        del up, both, base
+        n_left = cut + 1 - start
+        score = sl / n_left
+        score += sr / (n - n_left)
+        p = None
+    else:
+        table, p = _xlog2x_table(int(seg_len.max()))
+        step = np.diff(table)                   # step[x - 1] = l(x) - l(x - 1)
+        inc = np.empty(E, dtype=np.int64)
+        inc[g] = step[before] - step[after]
+        del before, after
+        score = np.cumsum(inc, out=inc)[cut]
+        n = seg_len[s]
+        n_left = cut + 1 - (seg_end[s] - n)
+        score -= table[n_left]
+        score -= table[n - n_left]
+    k = seg_node[s]
+    new = _new_run(k)
+    at = np.flatnonzero(new)
+    top = np.maximum.reduceat(score, at)
+    slack = _count_slack(n[at], C, criterion, p)
+    return np.flatnonzero(score >= (top - 2 * slack)[np.cumsum(new) - 1])
+
+
+def _xlog2x_table(n: int):
+    """x log2 x at x = 0..n, rounded to integers in units of 2^-p, and p:
+    the largest p that keeps every entry below 2^59 (x log2 x < n times
+    n's bit length), so that no sum in ``_count_screen`` overflows."""
+    p = 59 - (n * n.bit_length()).bit_length()
+    x = np.arange(1, n + 1, dtype=np.float64)
+    table = np.zeros(n + 1, dtype=np.int64)
+    table[1:] = np.rint(np.ldexp(x * np.log2(x), p))
+    return table, p
+
+
+def _count_slack(n, C: int, criterion: str, p: int | None):
+    """Bound on the rounding error of one ``_count_screen`` score plus that
+    of the reference decrease, for nodes of n rows (an array) and C
+    classes, in the scores' units: a node's rows times its child impurity,
+    and for entropy whole units of 2^-p of that, rounded up.
+
+    Let u = eps / 2, I the exact child impurity of a cut, T = n I, and I_max
+    the largest impurity (1 for gini, log2 C for entropy). Every count is an
+    integer, exact in float64, and the bound needs n < 2^31, as the int32
+    rank table does.
+      * The reference divides the class counts by a side's size, squares
+        the proportions or takes x log2 x of them, sums over C classes and
+        weighs the sides. For gini that is off by at most (C + 6) u n in
+        units of T; for entropy, with NumPy's log2 within q <= 4 ulp, by
+        ((2q + C + 4) log2 C + 1.5) u n. Two decreases can round to the
+        same value only when their children are within 4 u I_max of each
+        other, 4 u I_max n in units of T.
+      * Gini's integer sums are exact (below n^2 < 2^62); converting them
+        (exact below 2^53), the two divisions and the addition are off by
+        at most 4 u n, and comparing with the node's best less the slack
+        rounds once more, by u n.
+      * Entropy's sums are exact integers, and so is its comparison. Each
+        of the 2C + 2 table entries of a score is off by at most 2^-p-1
+        from rounding and (2q + 1) u x log2 x from evaluating x log2 x, at
+        most (C + 1) 2^-p + (4q + 2) u n log2 n in all; the node's
+        constant cancels exactly.
+    A cut whose score is below the node's best less twice the sum of both
+    errors and half that gap therefore has a smaller reference decrease
+    than the best-scoring cut. Up to second-order terms (a factor 1.01),
+    that sum is (C + 13) u n for gini and (C + 1) 2^-p + ((C + 14) log2 C
+    + 18 log2 n + 2) u n for entropy; the returned bounds are twice that.
+    """
+    n = np.asarray(n, dtype=np.float64)
+    if criterion == "gini":
+        return 2 * (C + 13) * _U * n
+    bits = 2 * ((C + 1) * 2.0 ** -p
+                + ((C + 14) * math.log2(max(C, 2)) + 18 * np.log2(n) + 2) * _U * n)
+    return np.ceil(np.ldexp(bits, p)).astype(np.int64)
 
 
 def _assemble(n_nodes, popped_log, split_log, C, T, params):

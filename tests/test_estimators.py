@@ -62,11 +62,11 @@ def test_tree_checks_deadline_per_block(monkeypatch):
         assert stump.node_count() == 3
         return deadline.calls
 
-    # 60 rows x 2 classes = 120 cells per column: the root's 6 columns fill
-    # one block at the default bound and three blocks at 240 cells
+    # 60 rows = 60 entries per column: the root's 6 columns fill one block
+    # at the default bound and three blocks at 120 entries
     one_block = checks(tree_mod.MAX_BLOCK_CELLS)
     assert one_block == 2 + 1  # a step per level (root, two leaves), one block
-    assert checks(240) >= one_block + 2
+    assert checks(120) >= one_block + 2
 
 
 def test_deadline_mid_forest_aborts_grow_trees():
@@ -94,17 +94,17 @@ class RecordingDeadline(Deadline):
 def test_grow_trees_reports_the_cells_of_a_step(monkeypatch):
     import imbaml.tree as tree_mod
 
-    # 60 rows x 2 classes = 120 cells per column; 240-cell blocks hold two
-    # of the root's 6 columns, so its search runs in three blocks
-    monkeypatch.setattr(tree_mod, "MAX_BLOCK_CELLS", 240)
+    # 60 rows = 60 entries per column; 120-entry blocks hold two of the
+    # root's 6 columns, so its search runs in three blocks
+    monkeypatch.setattr(tree_mod, "MAX_BLOCK_CELLS", 120)
     d = overlapping_binary(40, 20, seed=3, d=6)
     deadline = RecordingDeadline()
     DecisionTreeClassifier(max_depth=1).fit(d.features, d.labels, 2, deadline=deadline)
     step, *root = deadline.calls[:4]
     assert step == (None, 0, 0)
-    # no rate before the first block ends; then the cells since it, and left
-    assert root[0] == (None, 0, 720)
-    assert root[1][1:] == (0, 480) and root[2][1:] == (240, 240)
+    # no rate before the first block ends; then the entries since it, and left
+    assert root[0] == (None, 0, 360)
+    assert root[1][1:] == (0, 240) and root[2][1:] == (120, 120)
     assert root[1][0] == root[2][0] is not None
 
 
@@ -156,8 +156,8 @@ def test_deadline_mid_level_wise_forest_aborts_grow_trees():
 def test_deadline_mid_level_of_a_per_node_draw_forest_aborts_grow_trees(monkeypatch):
     import imbaml.tree as tree_mod
 
-    # 200-cell blocks: a level of 20 trees searches in many blocks
-    monkeypatch.setattr(tree_mod, "MAX_BLOCK_CELLS", 200)
+    # 100-entry blocks: a level of 20 trees searches in many blocks
+    monkeypatch.setattr(tree_mod, "MAX_BLOCK_CELLS", 100)
     d = overlapping_binary(60, 30, seed=4, d=6)
     bags = [(Rng(t).np.integers(0, d.n, size=d.n), np.arange(6), Rng(t)) for t in range(20)]
     recorded = RecordingDeadline()

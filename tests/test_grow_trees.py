@@ -7,7 +7,11 @@ sample columns per node are checked against the oracle's scalar form of the
 keyed draw rule, and the vectorised draw against that rule node by node.
 Weighted blocks that screen their cuts are checked where the screen is
 tightest: equal decreases, weights over 24 decades, zero-weight sides, one
-dominant row, NaN and +-inf.
+dominant row, NaN and +-inf. So are unweighted blocks, which all screen
+their cuts from integer class counts: equal decreases within a node and
+across the nodes of a block, duplicate columns, long single-class runs,
+near-equal decreases, columns without a cut, NaN and +-inf, from 2 to 30
+classes.
 """
 
 from __future__ import annotations
@@ -216,6 +220,20 @@ def screen_data(case, n_classes, seed=21):
         X[rng.np.random((n, 4)) < 0.08] = np.nan
         X[rng.np.random((n, 4)) < 0.05] = np.inf
         X[rng.np.random((n, 4)) < 0.05] = -np.inf
+    elif case == "long_runs":
+        # along column 0 each class is one run of rows, but for a few flips
+        y[np.argsort(X[:, 0])] = np.arange(n) * n_classes // n
+        flip = rng.np.random(n) < 0.05
+        y[flip] = rng.np.integers(0, n_classes, size=int(flip.sum()))
+    elif case == "near_ties":
+        # small integers: many cuts of a node have near-equal decreases
+        X = np.round(X)
+    elif case == "few_values":
+        # many ties, a two-valued column and a constant one: some nodes of
+        # a block have no cut in some columns
+        X[:, :2] = np.round(X[:, :2])
+        X[:, 2] = X[:, 2] > 0.5
+        X[:, 3] = 1.0
     return X, y, w / w.sum()
 
 
@@ -258,6 +276,51 @@ def test_screen_drops_most_cuts(monkeypatch):
     cuts, kept = np.array(seen).sum(axis=0)
     assert len(seen) >= 3 and cuts > 2000
     assert kept <= len(seen) * 3 and 50 * kept < cuts
+
+
+COUNT_CASES = ["mirror", "duplicate_columns", "long_runs", "near_ties", "few_values",
+               "nan_inf"]
+
+
+@pytest.mark.parametrize("case", COUNT_CASES)
+@pytest.mark.parametrize("criterion", ["gini", "entropy"])
+@pytest.mark.parametrize("n_classes", [2, 3, 10, 30])
+@pytest.mark.parametrize("block_cells", [tree_mod.MAX_BLOCK_CELLS, 60, 1])
+def test_count_screen_matches_the_oracle(case, criterion, n_classes, block_cells, monkeypatch):
+    # unit weights; 1 entry per block puts every (node, column) segment in
+    # a block of its own
+    monkeypatch.setattr(tree_mod, "MAX_BLOCK_CELLS", block_cells)
+    X, y, _ = screen_data(case, n_classes)
+    n = len(y)
+    every = (np.arange(n), np.arange(4))
+    check(X, y, n_classes, [every], seed=11, criterion=criterion, max_depth=5)
+    # the roots of one call share a block: two equal bags have equal
+    # decreases across nodes, and bootstrap bags repeat rows
+    bags = [every, every,
+            (Rng(12).np.integers(0, n, size=n), np.arange(4)),
+            (_balanced_bootstrap(_class_rows(y), Rng(13)), np.arange(4)),
+            (Rng(14).np.integers(0, n, size=n), np.array([0, 2, 3]))]
+    check(X, y, n_classes, bags, seed=11, criterion=criterion, max_depth=5)
+
+
+@pytest.mark.parametrize("criterion", ["gini", "entropy"])
+def test_count_screen_drops_most_cuts(criterion, monkeypatch):
+    X, y = data(600, 6, 10, seed=26)
+    seen = []
+    screen = tree_mod._count_screen
+
+    def counted(g, first, cut, seg_len, seg_end, seg_node, *args):
+        keep = screen(g, first, cut, seg_len, seg_end, seg_node, *args)
+        nodes = np.unique(seg_node[np.searchsorted(seg_end, cut, side="right")])
+        seen.append((nodes.size, cut.size, keep.size))
+        return keep
+
+    monkeypatch.setattr(tree_mod, "_count_screen", counted)
+    check(X, y, 10, [(np.arange(600), np.arange(6))], seed=10, criterion=criterion,
+          max_depth=4)
+    nodes, cuts, kept = np.array(seen).sum(axis=0)
+    assert nodes >= 7 and cuts > 5000
+    assert kept <= 3 * nodes and 50 * kept < cuts
 
 
 def test_shared_ranks_must_be_of_the_same_matrix(monkeypatch):

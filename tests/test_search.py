@@ -145,19 +145,26 @@ def test_asyncea_single_worker_trace_matches_replay_oracle():
 # ---------------------------------------------------------------------- ASHA
 
 def test_asha_rung_schedule():
-    rungs = asha_rungs(3, 1 / 9)
+    rungs = asha_rungs()
     assert len(rungs) == 3
     assert rungs[0] == pytest.approx(1 / 9)
     assert rungs[1] == pytest.approx(1 / 3)
     assert rungs[2] == 1.0
 
 
+def first_configs_job(state, n_configs):
+    """``state.next_job()``, or None where it would start a configuration
+    after the first ``n_configs``."""
+    job = state.next_job()
+    return None if job[1] == 0 and state.n_configs > n_configs else job
+
+
 def test_asha_sequential_promotions_exact_counts():
     # 9 configs with strictly decreasing rung-0 quality, executed sequentially
-    state = AshaState(3, 1 / 9, max_configs=9)
+    state = AshaState()
     quality = {}
     while True:
-        job = state.next_job()
+        job = first_configs_job(state, 9)
         if job is None:
             break
         key, rung = job
@@ -174,7 +181,7 @@ def test_asha_sequential_promotions_exact_counts():
 
 
 def test_asha_audit_rejects_bogus_promotion():
-    state = AshaState(3, 1 / 9, max_configs=9)
+    state = AshaState()
     for i in range(3):
         key, rung = state.next_job()
         state.record(key, rung, True, 0.5 + 0.1 * i)
@@ -188,7 +195,7 @@ def test_asha_audit_rejects_bogus_promotion():
 def test_asha_audit_on_random_async_schedules():
     rng = Rng(31)
     for trial in range(100):
-        state = AshaState(3, 1 / 9, max_configs=12)
+        state = AshaState()
         pending = []
         for _ in range(60):
             if pending and (rng.np.random() < 0.5 or len(pending) >= 4):
@@ -197,7 +204,7 @@ def test_asha_audit_on_random_async_schedules():
                 ok = rng.np.random() > 0.1
                 state.record(key, rung, ok, float(rng.np.random()) if ok else None)
             else:
-                job = state.next_job()
+                job = first_configs_job(state, 12)
                 if job is None:
                     continue
                 pending.append(job)
