@@ -3,10 +3,14 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .rng import Rng
+
+if TYPE_CHECKING:
+    from .neighbors import GraphRows
 
 NUMERIC = "numeric"
 CATEGORICAL = "categorical"
@@ -31,8 +35,13 @@ class Dataset:
 
     ``features`` is a dense float64 matrix with no NaN (imputation happens at
     ingestion), ``labels`` holds small integer codes indexing ``label_names``.
-    Instances are immutable after construction and safe to share across
-    concurrent evaluators.
+    Features, labels and metadata are immutable after construction.
+
+    ``neighbours``, when set, says which rows of a search dataset these rows
+    are, and holds that dataset's neighbour graphs (``neighbors.GraphRows``),
+    whose lists fill in as samplers query them. A search sets it on its own
+    copy of the dataset; ``subset`` passes it on when the indices ascend, and
+    ``with_data`` and a subset in any other order drop it.
     """
 
     name: str
@@ -42,6 +51,7 @@ class Dataset:
     columns: tuple[ColumnMeta, ...]
     n_missing_cells: int = 0
     provenance: tuple[str, ...] = field(default=())
+    neighbours: GraphRows | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         X = np.ascontiguousarray(self.features, dtype=np.float64)
@@ -83,7 +93,8 @@ class Dataset:
         return Dataset(name, X, y, tuple(label_names), tuple(columns))
 
     def with_data(self, features, labels, note: str | None = None) -> "Dataset":
-        """A copy holding new rows; column metadata survives only if the width matches."""
+        """A copy holding new rows and no ``neighbours``; column metadata
+        survives only if the width matches."""
         features = np.asarray(features, dtype=np.float64)
         cols = self.columns
         if features.shape[1] != len(cols):
@@ -94,7 +105,10 @@ class Dataset:
 
     def subset(self, indices, note: str | None = None) -> "Dataset":
         indices = np.asarray(indices, dtype=np.int64)
-        return self.with_data(self.features[indices], self.labels[indices], note)
+        graph = self.neighbours and self.neighbours.subset(indices)
+        return Dataset(self.name, self.features[indices], self.labels[indices],
+                       self.label_names, self.columns, self.n_missing_cells,
+                       self.provenance + ((note,) if note else ()), graph)
 
 
 @dataclass(frozen=True)

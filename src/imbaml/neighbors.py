@@ -34,9 +34,32 @@ block of points. ``within`` screens every point against one query, each
 point with its own radius, by the same key and bound.
 ``_vote_counts`` tallies the class codes of each row's neighbours (or of a
 forest's trees); its ``argmax`` gives ties to the lowest code.
+
+``NeighborGraph`` keeps, per row of one point set, the row's nearest other
+rows in (distance, index) order, as an int32 list computed by ``query_batch``
+the first time a query asks for that row, and answers exact k-NN queries
+inside any ascending subset of its rows. A subset's rows keep their order, so
+its (distance, index) order is the graph's, and a row's top k in the subset
+are the first k entries of its list that lie in the subset. A new list gets
+about (k + 2 sqrt(k) + 2) / share entries, share being the subset's share of
+the rows; a list that holds fewer than k subset rows is widened to that once,
+and when it already has that width the row takes the fallback: a screened
+``query_batch`` of the subset's own points, for k + 1 neighbours less the row
+itself. A subset of less than ``_MIN_SHARE`` of the rows is queried that way
+whole, and a query over every row takes exactly k entries and no filter. The
+lists take 4 bytes per row and entry, the widest list setting the width of
+all; the graph's ``NeighborIndex`` and point copy are those of a direct
+query. A list is stored once its query has finished, so a deadline that ends
+the query leaves the graph as it was. ``NeighborGraphs`` holds the graph of
+one dataset and one per class; ``GraphRows`` names the rows of that dataset
+which another dataset holds, and is what ``Dataset`` carries.
 """
 
 from __future__ import annotations
+
+import functools
+import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -45,6 +68,9 @@ _POINT_BLOCK = 1024
 _EPS = np.finfo(np.float64).eps
 _TINY = np.finfo(np.float64).smallest_subnormal
 _MAX_SCALE = np.finfo(np.float64).max / 4
+# a subset holding less than this share of a graph's rows is queried on its
+# own points: its lists would need k / share entries per row, over all rows
+_MIN_SHARE = 0.5
 
 
 def _screen_slack(d: int, scale):
@@ -294,3 +320,170 @@ class SumOfSquaresIndex(NeighborIndex):
     @staticmethod
     def _squared_sums(diff, out=None) -> np.ndarray:
         return np.square(diff, out=diff).sum(axis=-1, out=out)
+
+
+def _without_self(neigh: np.ndarray, own: np.ndarray) -> np.ndarray:
+    """Each row's k nearest others from its k + 1 nearest ``neigh``, in
+    (distance, index) order, of a point set holding the row as point
+    ``own``: ``own`` dropped or, when lower-index duplicates crowd it out,
+    the last entry."""
+    drop = neigh == own[:, None]
+    drop[:, -1] |= ~drop.any(axis=1)
+    return neigh[~drop].reshape(neigh.shape[0], -1)
+
+
+def _nearest_others(index: NeighborIndex, k: int, members, deadline) -> np.ndarray:
+    """The k nearest other points of ``index`` to its points ``members``
+    (all of them for None), in (distance, index) order."""
+    if members is None:
+        return index.query_batch(index.points, k, exclude_self=True, deadline=deadline)
+    return _without_self(index.query_batch(index.points[members], k + 1, deadline=deadline),
+                         members)
+
+
+class NeighborGraph:
+    """Each row's nearest other rows of one point set, in (distance, index)
+    order, computed the first time a query asks for the row (module
+    docstring)."""
+
+    def __init__(self, points):
+        self.points = np.ascontiguousarray(points, dtype=np.float64)
+        n = len(self.points)
+        self._lists = np.zeros((n, 0), dtype=np.int32)
+        self._width = np.zeros(n, dtype=np.int32)  # valid entries per list
+
+    @functools.cached_property
+    def index(self) -> NeighborIndex:
+        return NeighborIndex(self.points)
+
+    def query(self, k: int, rows=None, members=None, include_self: bool = False,
+              deadline=None) -> np.ndarray:
+        """Each member's k nearest rows among ``rows``, as positions in
+        ``rows``, in (distance, index) order.
+
+        ``rows`` are ascending rows of the graph (all for None) and
+        ``members`` positions in ``rows`` (all for None). The member itself is
+        skipped, and k is at most len(rows) - 1; with ``include_self`` it
+        counts, at distance 0 after the zero-distance rows of lower index
+        (as in a ``query_batch`` of the rows' points), and k is at most
+        len(rows). ``deadline`` goes to every ``query_batch``.
+        """
+        m = len(self.points) if rows is None else rows.size
+        j = min(k, m - 1)
+        if j < 1:
+            raise ValueError("no neighbours available")
+        near = self._others(j, rows, members, deadline)
+        if not include_self:
+            return near
+        own = np.arange(m) if members is None else members
+        at_own, at_near = (own, near) if rows is None else (rows[own], rows[near])
+        zero = NeighborIndex._squared_sums(
+            self.points[at_own][:, None, :] - self.points[at_near]) == 0
+        ahead = (zero & (near < own[:, None])).sum(axis=1)  # equal rows of lower index
+        slot = np.arange(j + 1) == ahead[:, None]
+        merged = np.empty(slot.shape, dtype=np.int64)
+        merged[slot] = own
+        merged[~slot] = near.ravel()
+        return merged[:, :min(k, m)]
+
+    def _others(self, j, rows, members, deadline) -> np.ndarray:
+        """Each member's j nearest other rows among ``rows``, as positions."""
+        n = len(self.points)
+        m = n if rows is None else rows.size
+        if m < _MIN_SHARE * n:
+            return _nearest_others(NeighborIndex(self.points[rows]), j, members, deadline)
+        if m == n:  # every row: the lists hold only rows of the subset
+            self._fill(members, j, deadline)
+            lists = self._lists if members is None else self._lists[members]
+            return lists[:, :j].astype(np.int64)
+        own = np.arange(m) if members is None else members
+        ids = rows[own]
+        position = np.full(n, -1, dtype=np.int64)
+        position[rows] = np.arange(m)
+        # a row without a list gets one of about j / share entries, with
+        # margin; a list that holds too few rows of the subset is widened to
+        # that when narrower, and takes the fallback when not
+        width = min(n - 1, math.ceil((j + 2 * math.sqrt(j) + 2) * n / m))
+        self._fill(ids[self._width[ids] == 0], width, deadline)
+        out, served = self._first_inside(ids, j, position)
+        redo = np.flatnonzero(~served & (self._width[ids] < width))
+        if redo.size:
+            self._fill(ids[redo], width, deadline)
+            out[redo], served[redo] = self._first_inside(ids[redo], j, position)
+        short = np.flatnonzero(~served)
+        if short.size:
+            out[short] = _nearest_others(NeighborIndex(self.points[rows]), j, own[short],
+                                         deadline)
+        return out
+
+    def _first_inside(self, ids, j, position):
+        """The first j entries of the lists of rows ``ids`` that lie in a
+        subset, as ``position``s in it, and which rows have j of them (the
+        other rows' entries are arbitrary)."""
+        near = position[self._lists[ids]]
+        near[np.arange(near.shape[1]) >= self._width[ids][:, None]] = -1
+        inside = near >= 0
+        inside &= np.cumsum(inside, axis=1) <= j
+        served = inside.sum(axis=1) == j
+        out = np.zeros((ids.size, j), dtype=np.int64)
+        out[served] = near[served][inside[served]].reshape(-1, j)
+        return out, served
+
+    def _fill(self, ids, width: int, deadline) -> None:
+        """Compute, at ``width``, the lists of rows ``ids`` (all for None)
+        that hold fewer entries."""
+        n = len(self.points)
+        todo = np.flatnonzero(self._width < width) if ids is None else ids[
+            self._width[ids] < width]
+        if todo.size == 0:
+            return
+        lists = _nearest_others(self.index, width, None if todo.size == n else todo,
+                                deadline)
+        if width > self._lists.shape[1]:
+            grown = np.zeros((n, width), dtype=np.int32)
+            grown[:, :self._lists.shape[1]] = self._lists
+            self._lists = grown
+        self._lists[todo, :width] = lists
+        self._width[todo] = width
+
+
+class NeighborGraphs:
+    """The ``NeighborGraph`` of one dataset's points and one of each class's
+    points, each made on first use."""
+
+    def __init__(self, points: np.ndarray, labels: np.ndarray):
+        self._points = points
+        self._labels = labels
+        self._graphs: dict = {}
+
+    def of_class(self, c: int | None):
+        """The graph of class ``c``'s points and their ascending rows (for
+        None, the graph of all points and None)."""
+        if c not in self._graphs:
+            rows = None if c is None else np.flatnonzero(self._labels == c)
+            points = self._points if rows is None else self._points[rows]
+            self._graphs[c] = (NeighborGraph(points), rows)
+        return self._graphs[c]
+
+
+@dataclass(frozen=True)
+class GraphRows:
+    """Ascending rows ``rows`` of the dataset that ``graphs`` was built on."""
+
+    graphs: NeighborGraphs
+    rows: np.ndarray
+
+    def subset(self, indices: np.ndarray) -> "GraphRows | None":
+        """The rows at ``indices``, or None unless they ascend."""
+        rows = self.rows[indices]
+        if rows.size > 1 and not (rows[1:] > rows[:-1]).all():
+            return None
+        return GraphRows(self.graphs, rows)
+
+    def graph(self, labels: np.ndarray, c: int | None = None):
+        """The graph that holds these rows (with ``c``, those whose ``labels``
+        are c) and their ascending rows in it."""
+        graph, class_rows = self.graphs.of_class(c)
+        if c is None:
+            return graph, self.rows
+        return graph, np.searchsorted(class_rows, self.rows[labels == c])

@@ -6,6 +6,13 @@ Conventions shared by every sampler:
 * distances are Euclidean on the coded feature space, no extra scaling
   (scaling belongs to pipeline preprocessors);
 * neighbour ties break on (distance, lower row index);
+* the exact k-NN queries of ENN, AllKNN, Tomek links, the DANGER and
+  density counts of Borderline-SMOTE and ADASYN, and the same-class
+  neighbours of every SMOTE step go through ``_nearest``. On a dataset that
+  carries a search's ``neighbours`` (a fold's training rows, or rows a
+  sampler kept of them) it serves them from the search's ``NeighborGraph``,
+  else from lists built for that one call. CNN (whose store depends on the
+  rng) and ClusterCentroids' k-means query a ``NeighborIndex`` of their own;
 * multiclass policy: oversamplers raise every non-majority class to the
   majority count; undersamplers edit only classes above the minimum count;
 * surviving original rows are bit-identical to the input and keep their
@@ -17,7 +24,7 @@ from __future__ import annotations
 import numpy as np
 
 from .dataset import Dataset, _class_rows, class_distribution
-from .neighbors import NeighborIndex, SumOfSquaresIndex, _vote_counts
+from .neighbors import NeighborGraph, NeighborIndex, SumOfSquaresIndex, _vote_counts
 from .rng import Rng
 from .space import ComponentConfig, SAMPLER, DomainError
 
@@ -67,14 +74,29 @@ def _largest_remainder(weights: np.ndarray, total: int) -> np.ndarray:
     return quota
 
 
-def _smote_class(Xc: np.ndarray, k: int, count: int, rng: Rng,
+def _nearest(d: Dataset, k: int, members=None, c: int | None = None,
+             include_self: bool = False, deadline=None) -> np.ndarray:
+    """``NeighborGraph.query`` over the rows of ``d`` or, with ``c``, over
+    its class-c rows (positions among them): each member's k nearest, in
+    (distance, index) order. The graph is the search's when ``d`` carries
+    its ``neighbours``, else one built for this call."""
+    if d.neighbours is None:
+        graph = NeighborGraph(d.features if c is None else d.features[d.labels == c])
+        rows = None
+    else:
+        graph, rows = d.neighbours.graph(d.labels, c)
+    return graph.query(k, rows, members, include_self, deadline)
+
+
+def _smote_class(d: Dataset, c: int, k: int, count: int, rng: Rng,
                  base_choice=None, deadline=None) -> np.ndarray:
-    """``count`` synthetics for one class: x + u * (z - x), z among the k
+    """``count`` synthetics for class ``c``: x + u * (z - x), z among the k
     nearest same-class neighbours of x, u uniform in [0, 1)."""
+    Xc = d.features[d.labels == c]
     if len(Xc) < 2:
         raise SamplerError("minority class needs at least 2 samples")
     kc = min(k, len(Xc) - 1)
-    neigh = NeighborIndex(Xc).query_batch(Xc, kc, exclude_self=True, deadline=deadline)
+    neigh = _nearest(d, kc, c=c, deadline=deadline)
     if base_choice is None:
         base = rng.np.integers(0, len(Xc), size=count)
     else:
@@ -84,16 +106,16 @@ def _smote_class(Xc: np.ndarray, k: int, count: int, rng: Rng,
     return _interpolate(Xc[base], Xc[neigh[base, pick]], u)
 
 
-def _other_class_neighbours(d: Dataset, idx: np.ndarray, c: int, m: int,
-                            index: NeighborIndex, deadline=None):
+def _other_class_neighbours(d: Dataset, idx: np.ndarray, c: int, m: int, deadline=None):
     """Neighbour rows of class-``c`` rows ``idx`` among all of ``d``, the mask
     of those in another class, and per row how many of its first m neighbours
     other than itself are in another class.
 
     Each query row sits in the reference set, so m + 1 neighbours are fetched
-    (the row itself may be absent when lower-index duplicates crowd it out).
+    with the row itself among them (it may be absent when lower-index
+    duplicates crowd it out).
     """
-    neigh = index.query_batch(d.features[idx], min(m + 1, d.n), deadline=deadline)
+    neigh = _nearest(d, m + 1, members=idx, include_self=True, deadline=deadline)
     not_self = neigh != idx[:, None]
     other = d.labels[neigh] != c
     counts = (other & (np.cumsum(not_self, axis=1) <= m)).sum(axis=1)
@@ -111,7 +133,7 @@ def smote(d: Dataset, k: int, rng: Rng, deadline=None) -> Dataset:
         deficit = majority - len(idx)
         if deficit == 0:
             continue
-        synth_X.append(_smote_class(d.features[idx], k, deficit, rng, deadline=deadline))
+        synth_X.append(_smote_class(d, c, k, deficit, rng, deadline=deadline))
         synth_y.append(np.full(deficit, c, dtype=np.int64))
     return _append_synthetic(d, synth_X, synth_y)
 
@@ -133,7 +155,6 @@ def borderline_smote(d: Dataset, k: int, m: int, kind: str, rng: Rng,
         raise SamplerError(f"unknown kind {kind!r}")
     rows = _require_resampleable(d, need_pairs=True)
     majority = max(len(v) for v in rows.values())
-    index_all = NeighborIndex(d.features)
     m_eff = min(m, d.n - 1)
     synth_X, synth_y, notes = [], [], []
     for c, idx in rows.items():
@@ -141,16 +162,14 @@ def borderline_smote(d: Dataset, k: int, m: int, kind: str, rng: Rng,
         if deficit == 0:
             continue
         Xc = d.features[idx]
-        neigh_all, other_mask, other = _other_class_neighbours(
-            d, idx, c, m_eff, index_all, deadline)
+        neigh_all, other_mask, other = _other_class_neighbours(d, idx, c, m_eff, deadline)
         danger = np.flatnonzero((other * 2 >= m_eff) & (other < m_eff))
         if danger.size == 0:
-            synth_X.append(_smote_class(Xc, k, deficit, rng, deadline=deadline))
+            synth_X.append(_smote_class(d, c, k, deficit, rng, deadline=deadline))
             notes.append(f"borderline_fallback_smote:{c}")
         else:
             kc = min(k, len(Xc) - 1)
-            neigh_same = NeighborIndex(Xc).query_batch(Xc, kc, exclude_self=True,
-                                                       deadline=deadline)
+            neigh_same = _nearest(d, kc, c=c, deadline=deadline)
             base_local = danger[rng.np.integers(0, danger.size, size=deficit)]
             if kind == "borderline-1":
                 pick = rng.np.integers(0, kc, size=deficit)
@@ -182,23 +201,21 @@ def adasyn(d: Dataset, k: int, rng: Rng, deadline=None) -> Dataset:
         raise SamplerError("k must be >= 1")
     rows = _require_resampleable(d, need_pairs=True)
     majority = max(len(v) for v in rows.values())
-    index_all = NeighborIndex(d.features)
     k_all = min(k, d.n - 1)
     synth_X, synth_y, notes = [], [], []
     for c, idx in rows.items():
         deficit = majority - len(idx)
         if deficit == 0:
             continue
-        Xc = d.features[idx]
-        _, _, other = _other_class_neighbours(d, idx, c, k_all, index_all, deadline)
+        _, _, other = _other_class_neighbours(d, idx, c, k_all, deadline)
         r = other / k_all
         if r.sum() == 0:
-            synth_X.append(_smote_class(Xc, k, deficit, rng, deadline=deadline))
+            synth_X.append(_smote_class(d, c, k, deficit, rng, deadline=deadline))
             notes.append(f"adasyn_fallback_smote:{c}")
         else:
             quota = _largest_remainder(r / r.sum(), deficit)
             base = np.repeat(np.arange(len(idx)), quota)
-            synth_X.append(_smote_class(Xc, k, deficit, rng, base_choice=base,
+            synth_X.append(_smote_class(d, c, k, deficit, rng, base_choice=base,
                                         deadline=deadline))
         synth_y.append(np.full(deficit, c, dtype=np.int64))
     note = ";".join(notes) if notes else None
@@ -214,8 +231,7 @@ def _drop_rows(d: Dataset, removals: np.ndarray) -> Dataset:
 
 def _neighbour_table(d: Dataset, k: int, deadline=None) -> np.ndarray:
     """Each row's min(k, n - 1) nearest other rows, in (distance, index) order."""
-    return NeighborIndex(d.features).query_batch(d.features, min(k, d.n - 1),
-                                                 exclude_self=True, deadline=deadline)
+    return _nearest(d, k, deadline=deadline)
 
 
 def _enn_removals(d: Dataset, neigh: np.ndarray, editable: set[int]) -> np.ndarray:
@@ -404,8 +420,7 @@ def cluster_centroids(d: Dataset, voting: str, rng: Rng, deadline=None) -> Datas
 
 
 def _tomek_removals(d: Dataset, editable: set[int], deadline=None) -> np.ndarray:
-    nn1 = NeighborIndex(d.features).query_batch(d.features, 1, exclude_self=True,
-                                                deadline=deadline)[:, 0]
+    nn1 = _nearest(d, 1, deadline=deadline)[:, 0]
     a = np.arange(d.n)
     linked = (nn1[nn1] == a) & (d.labels != d.labels[nn1])
     mask = linked & np.isin(d.labels, sorted(editable))

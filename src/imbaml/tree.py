@@ -750,22 +750,27 @@ def _search_nodes(seg_node, seg_local, seg_col, rows, at, size, X, y, C, ranks,
     seg_len = size[seg_node]
     seg_end = np.cumsum(seg_len)
     S, E = seg_len.size, int(seg_end[-1])
-    srows, cut = _sorted_entries(seg_node, seg_col, seg_len, seg_end, rows, at, X, ranks)
+    entry_seg = np.repeat(np.arange(S), seg_len)    # each entry's segment
+    srows, cut = _sorted_entries(seg_node, seg_col, seg_len, seg_end, entry_seg, rows, at,
+                                 X, ranks)
     cut = np.flatnonzero(cut)
     if cut.size == 0:
         return
     # the entries grouped by (class, segment), in block order within a group
-    # (a stable sort of small labels is a radix sort)
+    # (a stable sort of small labels is a radix sort), and each one's group,
+    # class * segments + segment, ascending
     lab = y[srows].astype(np.min_scalar_type(C - 1))
     g = np.argsort(lab, kind="stable")
-    first = np.flatnonzero(_new_run(_group_of(g, lab, seg_end)))
-    cut = cut[_count_screen(g, first, cut, seg_len, seg_end, seg_node, C, criterion)]
-    s = np.searchsorted(seg_end, cut, side="right")
+    key = lab[g] * np.int64(S)
+    key += entry_seg[g]
+    first = np.flatnonzero(_new_run(key))
+    s = entry_seg[cut]
+    keep = _count_screen(g, first, cut, seg_len, seg_end, seg_node, s, C, criterion)
+    cut, s = cut[keep], s[keep]
     k = seg_node[s]
     n_left = cut + 1 - (seg_end[s] - seg_len[s])
     # exact left counts: the entries of each (class, segment) group at or
     # before the cut, in the ascending keys (class, segment, entry)
-    key = _group_of(g, lab, seg_end)
     key *= E
     key += g
     q = (np.arange(C) * S + s[:, None]) * E
@@ -796,12 +801,15 @@ def _search_nodes(seg_node, seg_local, seg_col, rows, at, size, X, y, C, ranks,
     best.n_left[kw] = n_left[win]
 
 
-def _sorted_entries(seg_node, seg_col, seg_len, seg_end, rows, at, X, ranks: _Ranks):
+def _sorted_entries(seg_node, seg_col, seg_len, seg_end, entry_seg, rows, at, X,
+                    ranks: _Ranks):
     """The rows of a block's (node, column) segments, each segment sorted
     by value, concatenated, and a mask of the entries after which a split
     may fall: before a larger value, other than NaN, in the same segment.
     One node's segments sort its values per column; several nodes' sort
-    (segment, rank) keys."""
+    the unique int64 keys ``(segment * (n + 1) + rank) << b | entry``, with
+    b the bits of an entry index, as ``_keyed_order`` does. ``entry_seg``
+    holds each entry's segment."""
     E = int(seg_end[-1])
     cut = np.zeros(E, dtype=bool)
     if seg_node[0] == seg_node[-1]:
@@ -813,11 +821,17 @@ def _sorted_entries(seg_node, seg_col, seg_len, seg_end, rows, at, X, ranks: _Ra
         np.greater(vals[1:], vals[:-1], out=cut[:-1])
     else:
         n = ranks.nan_rank
-        entry_seg = np.repeat(np.arange(seg_len.size), seg_len)
         srows = rows[np.arange(E) + np.repeat(at[seg_node] - (seg_end - seg_len), seg_len)]
         ranks.need(seg_col)
         rank = ranks.table[seg_col[entry_seg], srows]
-        order = np.argsort(entry_seg * (n + 1) + rank)
+        # below 2^63: a block of several nodes holds at most MAX_BLOCK_CELLS
+        # (2^16) entries, and ranks are int32
+        shift = max(E - 1, 1).bit_length()
+        key = entry_seg * (n + 1) + rank
+        key <<= shift
+        key |= np.arange(E)
+        key.sort()
+        order = key & ((1 << shift) - 1)
         srows = srows[order]
         rank = rank[order]
         np.greater(rank[1:], rank[:-1], out=cut[:-1])
@@ -827,16 +841,7 @@ def _sorted_entries(seg_node, seg_col, seg_len, seg_end, rows, at, X, ranks: _Ra
     return srows, cut
 
 
-def _group_of(g, lab, seg_end) -> np.ndarray:
-    """The (class, segment) group, class * segments + segment, of each
-    entry of ``g``: ascending when ``g`` lists a block's entries sorted
-    stably by their class ``lab``."""
-    group = lab[g] * np.int64(seg_end.size)
-    group += np.searchsorted(seg_end, g, side="right")
-    return group
-
-
-def _count_screen(g, first, cut, seg_len, seg_end, seg_node, C: int,
+def _count_screen(g, first, cut, seg_len, seg_end, seg_node, s, C: int,
                   criterion: str) -> np.ndarray:
     """The cuts of one unweighted block that may win, as indices into
     ``cut``: per node, every cut whose score is at least the node's best
@@ -845,12 +850,13 @@ def _count_screen(g, first, cut, seg_len, seg_end, seg_node, C: int,
 
     The block's entries are in (segment, sorted) order; ``g`` lists them
     grouped by (class, segment), in block order within a group, and
-    ``first`` holds where each group starts in ``g``. A cut after entry i
-    (``cut``) of a segment of n entries leaves wl entries on the left,
-    with class counts L_c, and wr = n - wl on the right, with R_c. Entry j
-    of class c moves one count from R_c to L_c, so with phi(x) = x^2 (gini)
-    or a fixed-point x log2 x (entropy), it adds phi(L_c + 1) - phi(L_c) to
-    sum_c phi(L_c) and takes phi(R_c) - phi(R_c - 1) from sum_c phi(R_c).
+    ``first`` holds where each group starts in ``g``, and ``s`` each cut's
+    segment. A cut after entry i (``cut``) of a segment of n entries leaves
+    wl entries on the left, with class counts L_c, and wr = n - wl on the
+    right, with R_c. Entry j of class c moves one count from R_c to L_c, so
+    with phi(x) = x^2 (gini) or a fixed-point x log2 x (entropy), it adds
+    phi(L_c + 1) - phi(L_c) to sum_c phi(L_c) and takes phi(R_c) - phi(R_c -
+    1) from sum_c phi(R_c).
     Integer prefix sums of these increments, in block order, are exact and
     give both sums at every cut, in O(entries) with no pass as wide as the
     classes. The higher the score, the lower the child impurity:
@@ -871,7 +877,6 @@ def _count_screen(g, first, cut, seg_len, seg_end, seg_node, C: int,
     after = np.repeat(run, run)             # V_c, then R_c after the move
     after -= before
     after -= 1
-    s = np.searchsorted(seg_end, cut, side="right")   # each cut's segment
     if criterion == "gini":
         # L_c^2 goes up by 2 L_c + 1 (L_c before the move) and R_c^2 down
         # by 2 R_c + 1 (R_c after it); the running sum of up less down

@@ -9,7 +9,11 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from imbaml.neighbors import _POINT_BLOCK, _QUERY_BLOCK, NeighborIndex, SumOfSquaresIndex
+from imbaml.evaluate import EvalTimeout
+from imbaml.neighbors import (_MIN_SHARE, _POINT_BLOCK, _QUERY_BLOCK, NeighborGraph,
+                              NeighborIndex, SumOfSquaresIndex)
+
+from helpers import CountingDeadline
 
 
 def reference(points, queries, k, exclude_self=False):
@@ -279,3 +283,137 @@ def test_deadline_checked_per_point_block_inside_one_query_block():
 def test_no_neighbours_available():
     with pytest.raises(ValueError):
         NeighborIndex(np.zeros((1, 2))).query_batch(np.zeros((1, 2)), 1, exclude_self=True)
+
+
+# ------------------------------------------------------ graph-served queries
+
+def direct(points, k, members, include_self):
+    """The query a graph serves, asked of the subset's own points."""
+    index = NeighborIndex(points)
+    if include_self:
+        return index.query_batch(points[members], min(k, len(points)))
+    return index.query_batch(points, min(k, len(points) - 1), exclude_self=True)[members]
+
+
+def subset_rows(seed, n, share):
+    rng = np.random.default_rng(seed)
+    return np.sort(rng.choice(n, size=max(2, round(share * n)), replace=False))
+
+
+def check_served(graph, rows, k, members=None, include_self=False):
+    points = graph.points[rows]
+    own = np.arange(rows.size) if members is None else members
+    got = graph.query(k, rows, members, include_self)
+    assert np.array_equal(got, direct(points, k, own, include_self))
+
+
+@pytest.mark.parametrize("share", [1 / 9, 1 / 3, 0.5, 0.8, 1.0])
+@pytest.mark.parametrize("k", [1, 2, 5, 17])
+@pytest.mark.parametrize("include_self", [False, True])
+def test_graph_matches_direct_query_on_subsets(share, k, include_self):
+    # grid points: many exact duplicates and tied distances
+    graph = NeighborGraph(grid_points(20, 180))
+    for trial in range(4):
+        rows = subset_rows(trial, 180, share)
+        members = np.sort(np.random.default_rng(trial).choice(
+            rows.size, size=rows.size // 3, replace=False))
+        check_served(graph, rows, k, None, include_self)
+        check_served(graph, rows, k, members, include_self)
+
+
+@pytest.mark.parametrize("include_self", [False, True])
+def test_graph_k_up_to_every_other_row(include_self):
+    graph = NeighborGraph(grid_points(21, 60))
+    for share in (0.6, 0.9, 1.0):
+        rows = subset_rows(3, 60, share)
+        for k in (rows.size - 2, rows.size - 1, rows.size, rows.size + 5):
+            check_served(graph, rows, k, None, include_self)
+
+
+def test_graph_subsets_of_subsets():
+    # AllKNN queries each edited set again: rows of rows, one graph
+    graph = NeighborGraph(grid_points(22, 150, levels=5))
+    rng = np.random.default_rng(4)
+    rows = np.arange(150)
+    while rows.size > 60:
+        rows = np.sort(rng.choice(rows, size=rows.size - 15, replace=False))
+        for k in (1, 3, 8):
+            check_served(graph, rows, k)
+
+
+def test_graph_row_crowded_out_of_its_own_top_k():
+    # rows 0-5 are one point: row 5's include-self top 3 is rows 0, 1, 2
+    P = np.vstack([np.zeros((6, 2)), grid_points(23, 40) + 1.0])
+    graph = NeighborGraph(P)
+    rows = np.arange(46)
+    assert graph.query(3, rows, np.array([5]), include_self=True).tolist() == [[0, 1, 2]]
+    assert graph.query(3, rows, np.array([1]), include_self=True).tolist() == [[0, 1, 2]]
+    assert graph.query(3, rows, np.array([5])).tolist() == [[0, 1, 2]]
+    for share in (0.6, 0.8):
+        check_served(graph, np.union1d(np.arange(6), subset_rows(5, 46, share)), 3,
+                     np.arange(6), include_self=True)
+
+
+@pytest.mark.parametrize("n_classes", [2, 3, 10])
+def test_graph_per_class_subsets(n_classes):
+    # one graph per class, queried with the class's rows of each fold
+    rng = np.random.default_rng(n_classes)
+    P = grid_points(24, 200, levels=6)
+    labels = rng.integers(0, n_classes, size=200)
+    for fold in range(5):
+        rows = np.flatnonzero(np.arange(200) % 5 != fold)
+        for c in range(n_classes):
+            class_rows = np.flatnonzero(labels == c)
+            graph = NeighborGraph(P[class_rows])
+            inside = np.searchsorted(class_rows, rows[labels[rows] == c])
+            if inside.size >= 2:
+                check_served(graph, inside, 4)
+
+
+def test_graph_fallback_rows_get_exact_queries(monkeypatch):
+    # rows 0-29 are one point; a subset keeping only row 0 of them leaves
+    # row 0's list with no subset row, so row 0 alone takes the fallback
+    P = np.vstack([np.zeros((30, 2)), grid_points(25, 70) + 0.5])
+    graph = NeighborGraph(P)
+    rows = np.concatenate([[0], np.arange(30, 100)])
+    assert rows.size >= _MIN_SHARE * len(P)
+    sizes = []
+    query_batch = NeighborIndex.query_batch
+
+    def spy(self, queries, k, exclude_self=False, deadline=None):
+        sizes.append((len(self), len(queries)))
+        return query_batch(self, queries, k, exclude_self, deadline)
+
+    monkeypatch.setattr(NeighborIndex, "query_batch", spy)
+    for include_self in (False, True):
+        check_served(graph, rows, 3, None, include_self)
+    graph_calls = [s for s in sizes if s[0] == len(P)]
+    assert graph_calls == [(100, rows.size)]          # the lists, computed once
+    assert (rows.size, 1) in sizes                    # row 0's fallback
+
+
+def test_graph_reuses_lists_across_folds(monkeypatch):
+    P = grid_points(26, 120, levels=8)
+    graph = NeighborGraph(P)
+    queried = []
+    query_batch = NeighborIndex.query_batch
+
+    def spy(self, queries, k, exclude_self=False, deadline=None):
+        if len(self) == len(P):
+            queried.append(len(queries))
+        return query_batch(self, queries, k, exclude_self, deadline)
+
+    monkeypatch.setattr(NeighborIndex, "query_batch", spy)
+    for fold in range(5):
+        check_served(graph, np.flatnonzero(np.arange(120) % 5 != fold), 3)
+    assert sum(queried) == 120
+
+
+def test_graph_keeps_no_list_a_deadline_interrupted():
+    P = grid_points(27, 2 * _QUERY_BLOCK + 10, levels=20)
+    graph = NeighborGraph(P)
+    rows = np.arange(1, len(P))
+    with pytest.raises(EvalTimeout):
+        graph.query(3, rows, deadline=CountingDeadline(fire_at=2))
+    assert not graph._width.any()
+    check_served(graph, rows, 3)

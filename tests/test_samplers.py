@@ -1,11 +1,13 @@
 import collections
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from imbaml import DEFAULT_SPACE, Dataset, Rng, class_distribution
 from imbaml.evaluate import Deadline, EvalTimeout
-from imbaml.neighbors import _QUERY_BLOCK, NeighborIndex, SumOfSquaresIndex
+from imbaml.neighbors import (_QUERY_BLOCK, GraphRows, NeighborGraphs, NeighborIndex,
+                              SumOfSquaresIndex)
 from imbaml.samplers import (SamplerError, adasyn, all_knn, apply_sampler,
                              borderline_smote, cluster_centroids, cnn, enn,
                              smote, smote_enn, smote_tomek, tomek_links)
@@ -668,3 +670,58 @@ def test_smote_idempotent_on_balance():
     d = make_dataset({0: 9, 1: 4}, seed=21)
     once = smote(d, 5, Rng(1))
     assert smote(once, 5, Rng(2)) is once
+
+
+# ------------------------------------------- graph-served sampler queries
+
+def served(d):
+    """``d`` carrying its own neighbour graphs, as a search's dataset does."""
+    return replace(d, neighbours=GraphRows(NeighborGraphs(d.features, d.labels),
+                                           np.arange(d.n)))
+
+
+SERVED_SAMPLERS = [
+    ("SMOTE", {"k_neighbours": 5}), ("BorderlineSMOTE", {"kind": "borderline-1"}),
+    ("BorderlineSMOTE", {"kind": "borderline-2", "m_neighbours": 12}),
+    ("ADASYN", {"k_neighbours": 7}), ("EditedNearestNeighbours", {"k_neighbours": 4}),
+    ("AllKNN", {"k_neighbours": 6}), ("TomekLinks", {}), ("SMOTEENN", {}),
+    ("SMOTETomek", {"k_smote": 3}),
+]
+
+
+@pytest.mark.parametrize("counts", [(70, 30), (50, 30, 20), (40, 25, 20, 15, 12, 10, 9,
+                                                             8, 6, 5)])
+@pytest.mark.parametrize("name,params", SERVED_SAMPLERS)
+def test_samplers_on_graph_served_rows_match_plain_rows(name, params, counts):
+    # grid rows: exact duplicates, so rows get crowded out of their own
+    # neighbourhoods; fold-like, ASHA-rung-like and nested subsets
+    d = grid_classes(31, counts)
+    search_d = served(d)
+    cfg = DEFAULT_SPACE.make_config(name, params)
+    rng = np.random.default_rng(len(counts))
+    subsets = [np.flatnonzero(np.arange(d.n) % 5 != fold) for fold in range(5)]
+    subsets += [np.sort(rng.choice(d.n, size=d.n // f, replace=False)) for f in (9, 3)]
+    subsets.append(subsets[0][np.sort(rng.choice(subsets[0].size, size=d.n // 2,
+                                                 replace=False))])
+    for i, rows in enumerate(subsets):
+        plain, graph = d.subset(rows), search_d.subset(rows)
+        assert graph.neighbours is not None
+        present = collections.Counter(plain.labels.tolist())
+        if len(present) < 2 or min(present.values()) < 2:
+            continue  # apply_sampler refuses it either way
+        a = apply_sampler(cfg, plain, Rng(i))
+        b = apply_sampler(cfg, graph, Rng(i))
+        assert a.features.tobytes() == b.features.tobytes()
+        assert a.labels.tobytes() == b.labels.tobytes()
+        assert a.provenance == b.provenance
+
+
+def test_subset_keeps_graph_rows_only_in_ascending_order():
+    d = served(make_dataset({0: 10, 1: 6}, seed=32))
+    assert d.subset([1, 4, 9]).neighbours.rows.tolist() == [1, 4, 9]
+    assert d.subset([1, 4, 9]).subset([0, 2]).neighbours.rows.tolist() == [1, 9]
+    assert d.subset([4, 1]).neighbours is None
+    assert d.subset([1, 1]).neighbours is None
+    assert d.subset([-1, 0]).neighbours is None
+    assert d.subset([-2, -1]).neighbours.rows.tolist() == [14, 15]
+    assert d.with_data(d.features, d.labels).neighbours is None

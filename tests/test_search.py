@@ -426,3 +426,30 @@ def test_several_workers_need_fork(monkeypatch):
     with pytest.raises(SearchError, match="'fork' start method"):
         SearchConfig(worker_count=2)
     assert SearchConfig(worker_count=1).worker_count == 1
+
+
+# ------------------------------------------------------ search-owned graphs
+
+def test_search_computes_each_neighbour_list_once_and_keeps_none(monkeypatch):
+    from imbaml.neighbors import NeighborIndex
+
+    d = overlapping_binary(60, 25, seed=5)
+    graph_rows = []  # rows whose lists are computed: queries of the whole set
+    query_batch = NeighborIndex.query_batch
+
+    def spy(self, queries, k, exclude_self=False, deadline=None):
+        if len(self) == d.n:
+            graph_rows.append(len(queries))
+        return query_batch(self, queries, k, exclude_self, deadline)
+
+    monkeypatch.setattr(NeighborIndex, "query_batch", spy)
+    warm = tuple(parse(t, DEFAULT_SPACE) for t in
+                 ("TomekLinks() >> GaussianNB()", "TomekLinks() >> DecisionStumpClassifier()",
+                  "TomekLinks() >> GaussianNB()"))
+    cfg = quick_cfg(budget=60.0, folds_k=5, warm_start=warm, max_evals=3)
+    for _ in range(2):  # a second search on the same dataset starts cold
+        graph_rows.clear()
+        rep = run_random(DEFAULT_SPACE, d, cfg)
+        assert [r.status for r in rep.history] == [STATUS_OK] * 3
+        assert len(graph_rows) >= 2 and sum(graph_rows) == d.n
+    assert d.neighbours is None
