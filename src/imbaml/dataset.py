@@ -33,8 +33,9 @@ class ColumnMeta:
 class Dataset:
     """An in-memory classification dataset.
 
-    ``features`` is a dense float64 matrix with no NaN (imputation happens at
-    ingestion), ``labels`` holds small integer codes indexing ``label_names``.
+    ``features`` is a dense float64 matrix of finite values, with no NaN or
+    +-inf (imputation happens at ingestion), ``labels`` holds small integer
+    codes indexing ``label_names``.
     Features, labels and metadata are immutable after construction.
 
     ``neighbours``, when set, says which rows of a search dataset these rows

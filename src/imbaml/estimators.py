@@ -151,10 +151,6 @@ class LogisticRegression:
         g = Xb.T @ (p - y_onehot) / n + self._penalty_grad(W, n)
         return f, g, p
 
-    def _grad(self, Xb, y_onehot, W, n):
-        _, g, p = self._objective(Xb, y_onehot, W, n)
-        return g, p
-
     def _hessp(self, Xb, p, V, n):
         """Hessian of the objective (at probabilities ``p``) times ``V``."""
         pz = p * (Xb @ V)
@@ -413,21 +409,15 @@ class RUSBoostClassifier:
         self.forest = Forest(self.trees)
         return self
 
-    def staged_decision(self, X, deadline=None):
-        """Cumulative weighted-vote matrices after each accepted round."""
+    def _decision(self, X, deadline=None):
+        """Weighted votes: each round's alpha added to its (row, vote)
+        cells, in round order."""
         X = np.asarray(X, dtype=np.float64)
         acc = np.zeros((X.shape[0], self.n_classes))
         votes = self.forest.predict(X, deadline)
+        rows = np.arange(X.shape[0])
         for t, alpha in enumerate(self.alphas):
-            onehot = np.zeros_like(acc)
-            onehot[np.arange(X.shape[0]), votes[:, t]] = 1.0
-            acc = acc + alpha * onehot
-            yield acc.copy()
-
-    def _decision(self, X, deadline=None):
-        acc = np.zeros((np.asarray(X).shape[0], self.n_classes))
-        for acc in self.staged_decision(X, deadline):
-            pass
+            acc[rows, votes[:, t]] += alpha
         return acc
 
     def predict_score(self, X):

@@ -240,7 +240,8 @@ def evaluate(p: Pipeline, d: Dataset, folds: FoldPlan, metric: str,
     result.
     Estimator failures yield ``error`` so the surrounding search continues.
     ``sensitivity`` scores the class
-    ``class_distribution(d).minority_classes()[0]``.
+    ``class_distribution(d).minority_classes()[0]``; a fold without a true
+    row of it scores 0.0.
     ``probe``, when given, receives (fold, X_val, y_val) before scoring —
     an audit hook for the leakage guard. It runs in the process that
     evaluates: in a search with several workers that is a forked child, so
@@ -267,9 +268,7 @@ def evaluate(p: Pipeline, d: Dataset, folds: FoldPlan, metric: str,
                                   rng.child(_FIT_CHILD_BASE + i), deadline)
             deadline.check()
             y_pred = fitted.predict(X_val, deadline)
-            cm = confusion(y_val, y_pred)
-            pos = positive if metric == "sensitivity" and positive in cm.classes else None
-            fold_scores.append(score(cm, metric, positive=pos))
+            fold_scores.append(_score(confusion(y_val, y_pred), metric, positive))
         wall = time.monotonic() - start
         return EvaluationResult(p.id, serialize(p), metric, tuple(fold_scores),
                                 float(np.mean(fold_scores)), wall, cap=cap)
@@ -287,18 +286,25 @@ def holdout_final(p: Pipeline, train: Dataset, test: Dataset, metric: str,
     """Fit once on the full training set and score the held-out set once.
 
     Classes present only in the holdout contribute zero recall, by the
-    shared confusion-matrix conventions.
+    shared confusion-matrix conventions. ``sensitivity`` scores the
+    training set's first minority class, 0.0 when the holdout has no row of
+    it.
     """
     if train.label_names != test.label_names:
         raise ValueError("train/test label dictionaries are incompatible")
     fitted = fit_pipeline(p, train, rng.child(0), Deadline(None))
     y_pred = fitted.predict(test.features)
-    cm = confusion(test.labels, y_pred)
-    positive = None
-    if metric == "sensitivity":
-        dist = class_distribution(train)
-        cand = dist.minority_classes()[0]
-        positive = cand if cand in cm.classes else None
+    return _score(confusion(test.labels, y_pred), metric,
+                  class_distribution(train).minority_classes()[0])
+
+
+def _score(cm, metric: str, positive: int) -> float:
+    """``score`` of ``cm``, where ``sensitivity`` is the recall of
+    ``positive``: 0.0 when ``cm`` holds no true row of it (an empty
+    denominator contributes 0), never another class's recall."""
+    if metric == "sensitivity" and (positive not in cm.classes
+                                    or not cm.counts[cm.classes.index(positive)].any()):
+        return 0.0
     return score(cm, metric, positive=positive)
 
 

@@ -229,11 +229,6 @@ def _drop_rows(d: Dataset, removals: np.ndarray) -> Dataset:
     return d.subset(np.setdiff1d(np.arange(d.n), removals))
 
 
-def _neighbour_table(d: Dataset, k: int, deadline=None) -> np.ndarray:
-    """Each row's min(k, n - 1) nearest other rows, in (distance, index) order."""
-    return _nearest(d, k, deadline=deadline)
-
-
 def _enn_removals(d: Dataset, neigh: np.ndarray, editable: set[int]) -> np.ndarray:
     """Single-pass ENN rule: editable-class rows whose vote over ``neigh`` disagrees."""
     votes = _vote_counts(d.labels[neigh], len(d.label_names)).argmax(axis=1)
@@ -249,7 +244,7 @@ def enn(d: Dataset, k: int, deadline=None) -> Dataset:
     if k < 1:
         raise SamplerError("k must be >= 1")
     _require_resampleable(d, need_pairs=False)
-    return _drop_rows(d, _enn_removals(d, _neighbour_table(d, k, deadline),
+    return _drop_rows(d, _enn_removals(d, _nearest(d, k, deadline=deadline),
                                        _editable_classes(d.labels)))
 
 
@@ -265,7 +260,7 @@ def all_knn(d: Dataset, k_max: int, deadline=None) -> Dataset:
         raise SamplerError("k_max must be >= 1")
     _require_resampleable(d, need_pairs=False)
     current = d
-    neigh = _neighbour_table(current, k_max, deadline)
+    neigh = _nearest(current, k_max, deadline=deadline)
     for k in range(1, k_max + 1):
         removals = _enn_removals(current, neigh[:, :k], _editable_classes(current.labels))
         if removals.size == 0:
@@ -276,7 +271,7 @@ def all_knn(d: Dataset, k_max: int, deadline=None) -> Dataset:
             break
         current = current.subset(keep)
         if k < k_max:
-            neigh = _neighbour_table(current, k_max, deadline)
+            neigh = _nearest(current, k_max, deadline=deadline)
     return current
 
 
@@ -457,7 +452,7 @@ def smote_enn(d: Dataset, strategy: str, k_smote: int, k_enn: int, rng: Rng,
         editable = minority
     else:
         editable = all_classes
-    neigh = _neighbour_table(over, k_enn, deadline)
+    neigh = _nearest(over, k_enn, deadline=deadline)
     return _drop_rows(over, _enn_removals(over, neigh, editable))
 
 

@@ -4,14 +4,16 @@ and the one walk that predicts with them.
 ``grow_trees`` grows any number of trees, one per bag of rows and columns of
 one matrix, together, a level per step: each step takes every pending node
 of every unfinished tree and does its column draws, counting, split search
-and row partitioning with NumPy calls over all of them at once. The split
-search screens every cut with a cheap score of bounded rounding error and
-scores only the cuts that may win with the reference formula, so every
-tree is the one scoring every cut gives. ``DecisionTreeClassifier.fit`` is
-that kernel with one bag; ``estimators.BaggedTrees`` draws all of its bags
-and makes one call. ``Forest`` stacks fitted trees into one node array and
-finds the leaf of every (row, tree) pair in one level-by-level walk, the
-walk a single tree's ``predict_score`` also uses.
+and row partitioning with NumPy calls over all of them at once. One kernel
+searches every block of (node, column) segments, weighted or not. It
+screens the cuts with a cheap score of bounded rounding error, except in
+weighted blocks below ``SCREEN_MIN_CELLS``, which keep every cut, and
+scores only the kept cuts with the reference formula, so every tree is the
+one scoring every cut gives. ``DecisionTreeClassifier.fit`` is
+``grow_trees`` with one bag; ``estimators.BaggedTrees`` draws all of its
+bags and makes one call. ``Forest`` stacks fitted trees into one node array
+and finds the leaf of every (row, tree) pair in one level-by-level walk,
+the walk a single tree's ``predict_score`` also uses.
 """
 
 from __future__ import annotations
@@ -275,28 +277,32 @@ def grow_trees(X, y, n_classes: int, bags, *, criterion: str = "gini",
     the first largest impurity decrease wins; per node the first column
     whose best is strictly larger wins, across blocks too.
 
-    An unweighted block, of one node or several, goes through one kernel
-    (``_search_nodes``). A block of one node sorts that node's values per
-    column; a block of several nodes sorts (segment, rank) keys, from
-    per-column dense ranks computed once per call on first use. Class
-    counts are integers, so the block screens every cut in O(entries) from
-    exact integer prefix sums (``_count_screen``, ``_count_slack``) and
-    scores the survivors exactly from their exact left counts; a child
-    takes the rows on its side of the winning cut in any order.
-
-    Weighted sums run sequentially in the node's row order, as a lone fit
-    sums them, so a weighted node sorts each column stably and a weighted
-    child keeps its rows in the sorted order of the winning column
-    (``_search_node``). A weighted block of at least ``SCREEN_MIN_CELLS``
-    cuts x classes, when every weight is finite and has no sign bit, orders
-    its columns by unique (rank, position in the node) keys instead, the
-    same order at a fraction of the cost, and screens its cuts: an O(rows x
-    columns) surrogate of the decrease with a bounded rounding error
-    (``_screen``, ``_screen_slack``) drops the cuts that cannot win, and
-    only the survivors are scored exactly, from left class sums added in
-    the lone fit's order. Either way the winner is the one scoring every
-    cut picks. After growth each tree's nodes are renumbered to the order a
-    depth-first fit creates them in (see ``DecisionTreeClassifier``).
+    Every block goes through one kernel (``_search_block``), which sorts,
+    screens and sums the left class weights by whether the fit is
+    weighted, and scores the kept cuts and picks the winners alike:
+      * sort: a block of one unweighted node sorts that node's values per
+        column; a block of several unweighted nodes sorts (segment, rank)
+        keys; a weighted node sorts unique (rank, position in the node)
+        keys per column, the stable sort by value, whatever its size.
+        Ranks are per-column dense ranks, computed once per call on first
+        use.
+      * screen: unweighted class counts are integers, so the block screens
+        every cut in O(entries) from exact integer prefix sums
+        (``_count_screen``, ``_count_slack``). A weighted block of at least
+        ``SCREEN_MIN_CELLS`` cuts x classes, when every weight is finite
+        and has no sign bit, screens its cuts with an O(rows x columns)
+        surrogate of the decrease of bounded rounding error (``_screen``,
+        ``_screen_slack``); a smaller one scores every cut.
+      * left sums: exact counts, unweighted; weighted, the class sums of a
+        cumulative sum of one-hot rows, or for a screened block the
+        survivors' sums added in the same order (``_survivor_sums``).
+    Either way the winner is the one scoring every cut picks. Weighted
+    sums run sequentially in the node's row order, as a lone fit sums
+    them, so a weighted child keeps its rows in the sorted order of the
+    winning column; an unweighted child takes the rows on its side of the
+    winning cut in any order. After growth each tree's nodes are
+    renumbered to the order a depth-first fit creates them in (see
+    ``DecisionTreeClassifier``).
 
     The deadline is checked once per step and before every block. From the
     end of a step's first block on, which carries one-off costs such as
@@ -396,14 +402,9 @@ def grow_trees(X, y, n_classes: int, bags, *, criterion: str = "gini",
             for a, b in _blocks(seg_node, seg_len, single=w is not None):
                 if deadline is not None:
                     deadline.check(started, done, left)
-                if w is None:
-                    _search_nodes(seg_node[a:b], seg_local[a:b], seg_col[a:b], rows, at, size,
-                                  X, y, C, ranks, criterion, value, node_w, imp,
-                                  node_root_w, best)
-                else:
-                    _search_node(seg_node[a], seg_local[a:b], seg_col[a:b], rows, at, size,
-                                 X, y, w, C, ranks, screen, criterion, value, node_w, imp,
-                                 node_root_w, best)
+                _search_block(seg_node[a:b], seg_local[a:b], seg_col[a:b], rows, at, size, X, y,
+                              w, C, ranks, screen, criterion, value, node_w, imp, node_root_w,
+                              best)
                 entries = int(seg_len[a:b].sum())
                 left -= entries
                 if started is None:  # the first block carries one-off costs
@@ -497,65 +498,6 @@ def _blocks(seg_node: np.ndarray, seg_len: np.ndarray, single: bool):
             b = min(b, int(node_end[np.searchsorted(node_end, a, side="right")]))
         yield a, b
         a = b
-
-
-def _search_node(k, seg_local, seg_col, rows, at, size, X, y, w, C, ranks, screen, criterion,
-                 value, node_w, imp, root_w, best: _Best) -> None:
-    """Best split of weighted node ``k`` over one block of its candidate
-    columns; updates ``best`` where it is strictly larger than what earlier
-    blocks found.
-
-    A split falls between distinct values of a column sorted stably by
-    value, as a lone fit sorts, and every cut is scored from the class sums
-    of one cumulative sum of weighted one-hot rows. A block of at least
-    ``SCREEN_MIN_CELLS`` cuts x classes, with screenable weights
-    (``grow_trees``) and a finite node weight, does less: it orders each
-    column by unique (rank, position in the node) keys (``_keyed_order``),
-    the same order, and keeps only the cuts that ``_screen`` cannot rule
-    out. Each cut it drops has a smaller decrease, as a lone fit computes
-    it, than the winner, and it keeps every cut whose decrease could be
-    NaN. The survivors' left class sums are those of the one-hot sum, bit
-    for bit (``_survivor_sums``). Either way the first largest decrease in
-    (column, position) order wins; a NaN decrease wins nothing (NaN is
-    argmax's largest, and fails >).
-    """
-    node_rows = rows[at[k]:at[k] + size[k]]
-    if (screen and seg_col.size * (node_rows.size - 1) * C >= SCREEN_MIN_CELLS
-            and math.isfinite(node_w[k])):
-        srows, rank = _keyed_order(node_rows, seg_col, ranks)
-        cut = rank[:, 1:] > rank[:, :-1]
-        if ranks.any_nan:                           # NaN compares false
-            cut &= rank[:, 1:] < ranks.nan_rank
-        cut &= _screen(srows, cut, y, w, C, criterion, node_w[k])
-        col, pos = np.nonzero(cut)
-        if col.size == 0:
-            return
-        left = _survivor_sums(srows, col, pos, y, w, C)
-    else:
-        order = np.argsort(X[node_rows[None, :], seg_col[:, None]], axis=1, kind="stable")
-        srows = node_rows[order]                    # (column, position)
-        vals = X[srows, seg_col[:, None]]
-        col, pos = np.nonzero(vals[:, 1:] > vals[:, :-1])  # a split after (col, pos)
-        if col.size == 0:
-            return
-        left = _onehot_sums(srows, y, w, C)[col, pos]
-    right = value[k] - left
-    wl = left.sum(axis=1)
-    wr = right.sum(axis=1)
-    child = (wl * _impurity(left, criterion, wl)
-             + wr * _impurity(right, criterion, wr)) / node_w[k]
-    dec = (node_w[k] / root_w[k]) * (imp[k] - child)
-    j = np.argmax(dec)
-    if not dec[j] > best.dec[k]:
-        return
-    c, i = col[j], pos[j]
-    lo, hi = X[srows[c, i], seg_col[c]], X[srows[c, i + 1], seg_col[c]]
-    best.dec[k] = dec[j]
-    best.local[k] = seg_local[c]
-    best.thr[k] = 0.5 * (lo + hi)
-    best.cut[k] = lo
-    best.n_left[k] = i + 1
-    best.order[k] = srows[c].copy()
 
 
 def _keyed_order(node_rows, seg_col, ranks: _Ranks):
@@ -731,88 +673,125 @@ def _screen(srows, cut, y, w, C, criterion, W) -> np.ndarray:
     return cut & (near | ~(score < top - 2 * _screen_slack(n, C, criterion, W)))
 
 
-def _search_nodes(seg_node, seg_local, seg_col, rows, at, size, X, y, C, ranks,
+def _search_block(seg_node, seg_local, seg_col, rows, at, size, X, y, w, C, ranks, screen,
                   criterion, value, node_w, imp, root_w, best: _Best) -> None:
-    """Best split per node over one unweighted block of whole (node, column)
-    segments, of one node or several; updates ``best`` where it is strictly
-    larger than what earlier blocks found.
+    """Best split per node over one block of whole (node, column) segments,
+    of one node or, unweighted, several; updates ``best`` where it is
+    strictly larger than what earlier blocks found.
 
-    A one-node block sorts each column's values; a block of several nodes
-    sorts (segment, rank) keys. A split falls between distinct values (NaN
-    compares false). Every cut is screened in O(entries) from integer class
-    counts (``_count_screen``): per node, a cut whose score is more than
-    twice ``_count_slack`` below the node's best has a smaller decrease, as
-    the reference formula computes it, than the best-scoring cut, and is
-    dropped. The survivors are scored exactly, from their exact left class
-    counts, and the first largest decrease per node in (column, position)
-    order wins.
+    Each segment is sorted by value (``_sorted_entries``; a weighted node
+    sorts stably) and a split falls between distinct values (NaN compares
+    false). Besides that order, only the screen and the left class sums
+    depend on weights:
+      * an unweighted block screens every cut in O(entries) from integer
+        class counts (``_count_screen``): per node, a cut whose score is
+        more than twice ``_count_slack`` below the node's best has a
+        smaller decrease, as the reference formula computes it, than the
+        best-scoring cut, and is dropped. The survivors' left class counts
+        are exact.
+      * a weighted block of at least ``SCREEN_MIN_CELLS`` cuts x classes,
+        with screenable weights (``grow_trees``) and a finite node weight,
+        keeps only the cuts that ``_screen`` cannot rule out. Each cut it
+        drops has a smaller decrease, as a lone fit computes it, than the
+        winner, and it keeps every cut whose decrease could be NaN. The
+        survivors' left class sums are those of the one-hot sum, bit for
+        bit (``_survivor_sums``).
+      * a smaller weighted block scores every cut, from the class sums of
+        one cumulative sum of weighted one-hot rows (``_onehot_sums``).
+    The kept cuts are scored with the reference formula, and the first
+    largest decrease per node in (column, position) order wins; a NaN
+    decrease wins nothing (NaN is argmax's largest, and fails >). A
+    weighted winner also records its column's sorted rows, which its
+    children keep in that order.
     """
     seg_len = size[seg_node]
     seg_end = np.cumsum(seg_len)
     S, E = seg_len.size, int(seg_end[-1])
+    seg_start = seg_end - seg_len
     entry_seg = np.repeat(np.arange(S), seg_len)    # each entry's segment
     srows, cut = _sorted_entries(seg_node, seg_col, seg_len, seg_end, entry_seg, rows, at,
-                                 X, ranks)
+                                 X, ranks, w is not None)
+    one = seg_node[0] == seg_node[-1]
+    if w is not None:                               # of one node
+        W = node_w[seg_node[0]]
+        grid = srows.reshape(S, -1)                 # (column, position)
+        screened = (screen and S * (seg_len[0] - 1) * C >= SCREEN_MIN_CELLS
+                    and math.isfinite(W))
+        if screened:
+            mask = cut.reshape(S, -1)[:, :-1]
+            mask &= _screen(grid, mask, y, w, C, criterion, W)
     cut = np.flatnonzero(cut)
     if cut.size == 0:
         return
-    # the entries grouped by (class, segment), in block order within a group
-    # (a stable sort of small labels is a radix sort), and each one's group,
-    # class * segments + segment, ascending
-    lab = y[srows].astype(np.min_scalar_type(C - 1))
-    g = np.argsort(lab, kind="stable")
-    key = lab[g] * np.int64(S)
-    key += entry_seg[g]
-    first = np.flatnonzero(_new_run(key))
     s = entry_seg[cut]
-    keep = _count_screen(g, first, cut, seg_len, seg_end, seg_node, s, C, criterion)
-    cut, s = cut[keep], s[keep]
-    k = seg_node[s]
-    n_left = cut + 1 - (seg_end[s] - seg_len[s])
-    # exact left counts: the entries of each (class, segment) group at or
-    # before the cut, in the ascending keys (class, segment, entry)
-    key *= E
-    key += g
-    q = (np.arange(C) * S + s[:, None]) * E
-    left = (np.searchsorted(key, q + cut[:, None], side="right")
-            - np.searchsorted(key, q)).astype(np.float64)
+    if w is None:
+        # the entries grouped by (class, segment), in block order within a
+        # group (a stable sort of small labels is a radix sort), and each
+        # one's group, class * segments + segment, ascending
+        lab = y[srows].astype(np.min_scalar_type(C - 1))
+        g = np.argsort(lab, kind="stable")
+        key = lab[g] * np.int64(S)
+        key += entry_seg[g]
+        first = np.flatnonzero(_new_run(key))
+        keep = _count_screen(g, first, cut, seg_len, seg_end, seg_node, s, C, criterion)
+        cut, s = cut[keep], s[keep]
+        # exact left counts: the entries of each (class, segment) group at
+        # or before the cut, in the ascending keys (class, segment, entry)
+        key *= E
+        key += g
+        q = (np.arange(C) * S + s[:, None]) * E
+        left = (np.searchsorted(key, q + cut[:, None], side="right")
+                - np.searchsorted(key, q)).astype(np.float64)
+    elif screened:
+        left = _survivor_sums(grid, s, cut - seg_start[s], y, w, C)
+    else:
+        left = _onehot_sums(grid, y, w, C).reshape(E, C)[cut]
+    k = seg_node[0] if one else seg_node[s]
     right = value[k] - left
-    wl = n_left.astype(np.float64)
-    wr = node_w[k] - wl
+    wl = left.sum(axis=1)
+    wr = right.sum(axis=1)
     child = (wl * _impurity(left, criterion, wl)
              + wr * _impurity(right, criterion, wr)) / node_w[k]
     dec = (node_w[k] / root_w[k]) * (imp[k] - child)
     # first largest decrease per node, in (column, position) order
-    new = _new_run(k)
-    top = np.maximum.reduceat(dec, np.flatnonzero(new))
-    hit = np.flatnonzero(dec == top[np.cumsum(new) - 1])
-    win = hit[_new_run(k[hit])]
-    win = win[dec[win] > best.dec[k[win]]]
-    if win.size == 0:
-        return
+    if one:
+        win = np.argmax(dec)
+        if not dec[win] > best.dec[k]:
+            return
+    else:
+        new = _new_run(k)
+        top = np.maximum.reduceat(dec, np.flatnonzero(new))
+        hit = np.flatnonzero(dec == top[np.cumsum(new) - 1])
+        win = hit[_new_run(k[hit])]
+        win = win[dec[win] > best.dec[k[win]]]
+        if win.size == 0:
+            return
     i = cut[win]
     sw = s[win]
     lo = X[srows[i], seg_col[sw]]
-    kw = k[win]
+    kw = seg_node[sw]
     best.dec[kw] = dec[win]
     best.local[kw] = seg_local[sw]
     best.thr[kw] = 0.5 * (lo + X[srows[i + 1], seg_col[sw]])
     best.cut[kw] = lo
-    best.n_left[kw] = n_left[win]
+    best.n_left[kw] = i + 1 - seg_start[sw]
+    if w is not None:
+        best.order[k] = grid[sw].copy()
 
 
 def _sorted_entries(seg_node, seg_col, seg_len, seg_end, entry_seg, rows, at, X,
-                    ranks: _Ranks):
+                    ranks: _Ranks, weighted: bool):
     """The rows of a block's (node, column) segments, each segment sorted
     by value, concatenated, and a mask of the entries after which a split
     may fall: before a larger value, other than NaN, in the same segment.
-    One node's segments sort its values per column; several nodes' sort
-    the unique int64 keys ``(segment * (n + 1) + rank) << b | entry``, with
-    b the bits of an entry index, as ``_keyed_order`` does. ``entry_seg``
-    holds each entry's segment."""
+    A weighted node orders its rows per column as a stable sort by value
+    (``_keyed_order``), as its sums run in that order; an unweighted node
+    sorts its values per column; several unweighted nodes sort the unique
+    int64 keys ``(segment * (n + 1) + rank) << b | entry``, with b the bits
+    of an entry index. ``entry_seg`` holds each entry's segment."""
     E = int(seg_end[-1])
     cut = np.zeros(E, dtype=bool)
-    if seg_node[0] == seg_node[-1]:
+    if not weighted and seg_node[0] == seg_node[-1]:
         node_rows = rows[at[seg_node[0]]:][:seg_len[0]]
         vals = X[node_rows[None, :], seg_col[:, None]]
         order = np.argsort(vals, axis=1)
@@ -820,23 +799,27 @@ def _sorted_entries(seg_node, seg_col, seg_len, seg_end, entry_seg, rows, at, X,
         vals = np.take_along_axis(vals, order, axis=1).ravel()
         np.greater(vals[1:], vals[:-1], out=cut[:-1])
     else:
-        n = ranks.nan_rank
-        srows = rows[np.arange(E) + np.repeat(at[seg_node] - (seg_end - seg_len), seg_len)]
-        ranks.need(seg_col)
-        rank = ranks.table[seg_col[entry_seg], srows]
-        # below 2^63: a block of several nodes holds at most MAX_BLOCK_CELLS
-        # (2^16) entries, and ranks are int32
-        shift = max(E - 1, 1).bit_length()
-        key = entry_seg * (n + 1) + rank
-        key <<= shift
-        key |= np.arange(E)
-        key.sort()
-        order = key & ((1 << shift) - 1)
-        srows = srows[order]
-        rank = rank[order]
+        if weighted:
+            node_rows = rows[at[seg_node[0]]:][:seg_len[0]]
+            srows, rank = _keyed_order(node_rows, seg_col, ranks)
+            srows, rank = srows.ravel(), rank.ravel()
+        else:
+            srows = rows[np.arange(E) + np.repeat(at[seg_node] - (seg_end - seg_len), seg_len)]
+            ranks.need(seg_col)
+            rank = ranks.table[seg_col[entry_seg], srows]
+            # below 2^63: a block of several nodes holds at most
+            # MAX_BLOCK_CELLS (2^16) entries, and ranks are int32
+            shift = max(E - 1, 1).bit_length()
+            key = entry_seg * (ranks.nan_rank + 1) + rank
+            key <<= shift
+            key |= np.arange(E)
+            key.sort()
+            order = key & ((1 << shift) - 1)
+            srows = srows[order]
+            rank = rank[order]
         np.greater(rank[1:], rank[:-1], out=cut[:-1])
         if ranks.any_nan:
-            cut[:-1] &= rank[1:] < n
+            cut[:-1] &= rank[1:] < ranks.nan_rank
     cut[seg_end - 1] = False
     return srows, cut
 

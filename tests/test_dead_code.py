@@ -7,7 +7,9 @@ in ``src/``, ``tests/`` or ``perfbench/`` outside its own definition. A name
 counts when it is written as a name, as an attribute (``obj.name``), in an
 import, or as a whole string constant, since perfbench wraps methods by
 name. Names are matched by spelling alone, so one use covers every
-definition of that name.
+definition of that name. A private (leading-underscore) function must be
+named in ``src/`` or ``perfbench/``: one that only tests name is code only
+tests need.
 
 Second, the body of each such function must read each of its parameters,
 nested functions included. The shared interfaces are exempt: a method's
@@ -103,9 +105,10 @@ def unread_parameters(source: str) -> list[tuple[str, str, int]]:
     return found
 
 
-def package_sources() -> tuple[dict[str, str], list[str]]:
-    """(path -> source of each package module, sources of the other scanned files)."""
-    files = sorted({p for root in SCANNED for p in root.rglob("*.py")})
+def package_sources(scanned=SCANNED) -> tuple[dict[str, str], list[str]]:
+    """(path -> source of each package module, sources of the other files
+    under ``scanned``)."""
+    files = sorted({p for root in scanned for p in root.rglob("*.py")})
     package = {str(p.relative_to(ROOT)): p.read_text(encoding="utf-8")
                for p in files if PACKAGE in p.parents}
     others = [p.read_text(encoding="utf-8") for p in files if PACKAGE not in p.parents]
@@ -115,6 +118,12 @@ def package_sources() -> tuple[dict[str, str], list[str]]:
 def test_every_package_function_is_named():
     package, others = package_sources()
     assert unnamed_functions(package, others) == []
+
+
+def test_every_private_package_function_is_named_outside_tests():
+    package, others = package_sources([ROOT / "src", ROOT / "perfbench"])
+    assert [f for f in unnamed_functions(package, others)
+            if f.split()[-1].startswith("_")] == []
 
 
 def test_every_package_parameter_is_read():

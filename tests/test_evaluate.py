@@ -191,6 +191,23 @@ def test_holdout_final_class_absent_at_train():
     assert score <= (1.0 + 1.0 + 0.0) / 3  # unseen class recalls zero
 
 
+@pytest.mark.parametrize("spread", [2.0, 0.5])
+def test_sensitivity_without_the_positive_class_scores_zero(spread):
+    # 60/30/3 rows in 5 folds: folds 3 and 4 hold no class-2 row. Such a
+    # fold, or a holdout without class 2, scores 0.0, not class 1's recall;
+    # at spread 0.5 the classes overlap and class 2 is predicted there too
+    d = make_dataset({0: 60, 1: 30, 2: 3}, seed=3, spread=spread)
+    folds = stratified_folds(d, 5, Rng(1))
+    missing = [i for i in range(5) if not (d.labels[folds.val_indices(i)] == 2).any()]
+    assert missing == [3, 4]
+    p = Pipeline((DEFAULT_SPACE.default_config("GaussianNB"),))
+    r = evaluate(p, d, folds, "sensitivity", None, Rng(2))
+    assert r.status == STATUS_OK
+    assert [r.fold_scores[i] for i in missing] == [0.0, 0.0]
+    test = d.subset(np.flatnonzero(d.labels != 2))
+    assert holdout_final(p, d, test, "sensitivity", Rng(0)) == 0.0
+
+
 def test_holdout_final_matches_manual_replay():
     from imbaml.evaluate import fit_pipeline, Deadline
     from imbaml.metrics import confusion, score

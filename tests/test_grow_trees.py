@@ -7,7 +7,9 @@ sample columns per node are checked against the oracle's scalar form of the
 keyed draw rule, and the vectorised draw against that rule node by node.
 Weighted blocks that screen their cuts are checked where the screen is
 tightest: equal decreases, weights over 24 decades, zero-weight sides, one
-dominant row, NaN and +-inf. So are unweighted blocks, which all screen
+dominant row, NaN and +-inf, and the tie-heavy columns where a weighted
+sort must stay stable (long single-class runs, near-equal decreases, few
+distinct values), with and without the screen. So are unweighted blocks, which all screen
 their cuts from integer class counts: equal decreases within a node and
 across the nodes of a block, duplicate columns, long single-class runs,
 near-equal decreases, columns without a cut, NaN and +-inf, from 2 to 30
@@ -238,7 +240,7 @@ def screen_data(case, n_classes, seed=21):
 
 
 SCREEN_CASES = ["mirror", "duplicate_columns", "wide_weights", "zero_weights",
-                "dominant_row", "nan_inf"]
+                "dominant_row", "nan_inf", "long_runs", "near_ties", "few_values"]
 
 
 @pytest.mark.parametrize("case", SCREEN_CASES)
