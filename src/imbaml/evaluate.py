@@ -7,8 +7,10 @@ training rows are ``d.subset`` of ascending indices, so when ``d`` carries a
 search's neighbour graphs (``Dataset.neighbours``; the search owns them, and
 a forked worker has its own copy) the fold's samplers are served from them. Timeouts are
 cooperative: one ``Deadline`` per evaluation is checked between pipeline
-steps, after each fold, and inside the sampler, neighbour-query, estimator
-fit and kNN prediction loops. Preprocessor fitting and transforms and every
+steps, after each fold, and inside the sampler, neighbour-query and
+estimator fit loops and two prediction loops: kNN's neighbour queries and
+``tree.Forest.predict``, once per chunk, which the bagged-tree ensembles and
+RUSBoost predict through. Preprocessor fitting and transforms and every
 other prediction run unchecked. An evaluation run in-process (a search with
 one worker, or a direct call) has no watchdog and overruns its cap by up to
 the longest stretch between two checks; a search with several workers runs

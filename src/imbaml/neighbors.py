@@ -1,19 +1,15 @@
 """Deterministic brute-force nearest neighbours.
 
 Every resampler is defined on Euclidean distance over the coded feature
-space, with ties broken by lower row index. Squared distances are computed
-element-wise, each one a reduction over one row's features only, so its
-value does not depend on block sizes or on how points are grouped; equal
-inputs give bit-equal distances and therefore stable tie-breaks. Two
-expressions exist, and an index uses one of them on every path:
-
-* ``NeighborIndex`` reduces the squared differences with ``np.einsum`` over
-  a block of queries × points. Its bit-equality holds within one NumPy
-  build and CPU dispatch (einsum picks a SIMD/FMA reduction at run time);
-  across builds the last bit may differ.
-* ``SumOfSquaresIndex`` computes ``((a - b) ** 2).sum(axis=-1)``, the
-  expression ``samplers.cnn`` has always used, so that CNN's output does not
-  change.
+space, with ties broken by lower row index. Every squared distance is one
+expression, ``_squared_sums``: ``np.einsum`` reduces the squared
+differences over the last (feature) axis, so each value is a reduction over
+one row's features only and does not depend on block sizes or on how points
+are grouped; equal inputs give bit-equal distances and therefore stable
+tie-breaks. The bit-equality holds within one NumPy build and CPU dispatch
+(einsum picks a SIMD/FMA reduction at run time); across builds the last bit
+may differ. Every ranking of candidate rows is ``_top_k``: the first minimum
+for k = 1, otherwise a stable sort.
 
 ``query_batch`` works one block of queries at a time. It first screens the
 block with the product formula |p - mu|^2 - 2 (q - mu).(p - mu), where mu is
@@ -87,10 +83,9 @@ def _screen_slack(d: int, scale):
       * 2 u S^2 + u^2 S^2 for the centring: each coordinate of q~ - p~ is
         off from q - p by at most u (|q - mu| + |p - mu|), a vector of norm
         at most about u S;
-      * gamma_(d+2) S^2 for the computed distance, since |q - p| <= S. This
-        holds for either expression of the module docstring: each rounds
-        one difference and one square per feature and sums d terms, and the
-        bound does not depend on the order of summation;
+      * gamma_(d+2) S^2 for the computed distance, since |q - p| <= S: it
+        rounds one difference and one square per feature and sums d terms,
+        and the bound does not depend on the order of summation;
       * under gradual underflow, at most one smallest subnormal per
         product, 4 d of them in all.
     That is about (d + 3) eps S^2 + 4 d tiny; e = 16 (d + 4) (eps S^2 +
@@ -106,24 +101,14 @@ def _top_k(d2: np.ndarray, k: int) -> np.ndarray:
     Matches a per-row ``np.lexsort((index, value))``, so inf sorts after every
     finite value and NaN after inf.
     """
-    n = d2.shape[1]
-    has_nan = np.isnan(d2).any()
-    if k == 1 and not has_nan:
+    if k == 1 and not np.isnan(d2).any():
         return d2.argmin(axis=1)[:, None]  # first minimum = lowest index
-    if has_nan or 4 * k >= n:
-        return np.argsort(d2, axis=1, kind="stable")[:, :k]
-    kth = np.partition(d2, k - 1, axis=1)[:, k - 1:k]
-    keep = d2 <= kth
-    excess = keep.sum(axis=1) - k
-    tied = np.flatnonzero(excess)
-    if tied.size:
-        # more entries equal the k-th value than fit: drop the highest indices
-        eq = d2[tied] == kth[tied]
-        from_end = np.cumsum(eq[:, ::-1], axis=1)[:, ::-1]
-        keep[tied] &= ~(eq & (from_end <= excess[tied, None]))
-    cand = np.nonzero(keep)[1].reshape(-1, k)  # ascending index within each row
-    order = np.argsort(np.take_along_axis(d2, cand, axis=1), axis=1, kind="stable")
-    return np.take_along_axis(cand, order, axis=1)
+    return np.argsort(d2, axis=1, kind="stable")[:, :k]
+
+
+def _squared_sums(diff, out=None) -> np.ndarray:
+    """Sum of squares over the last axis: the one squared-distance expression."""
+    return np.einsum("...k,...k->...", diff, diff, out=out)
 
 
 def _vote_counts(labels: np.ndarray, n_classes: int) -> np.ndarray:
@@ -143,17 +128,12 @@ class NeighborIndex:
         with np.errstate(all="ignore"):
             self._centre = self.points.mean(axis=0) if len(self.points) else 0.0
             centred = self.points - self._centre
-            self._sq_norms = np.einsum("ij,ij->i", centred, centred)
+            self._sq_norms = _squared_sums(centred)
             self._max_norm = np.sqrt(self._sq_norms.max(initial=0.0))
             self._minus2_centred_t = np.ascontiguousarray(-2.0 * centred.T)
 
     def __len__(self) -> int:
         return self.points.shape[0]
-
-    @staticmethod
-    def _squared_sums(diff, out=None) -> np.ndarray:
-        """Sum of squares over the last axis of a (rows, points, d) block."""
-        return np.einsum("ijk,ijk->ij", diff, diff, out=out)
 
     def distances(self, queries, deadline=None) -> np.ndarray:
         """Squared Euclidean distances, shape (n_queries, n_points).
@@ -174,7 +154,7 @@ class NeighborIndex:
                 pts = self.points[None, p0:p0 + _POINT_BLOCK, :]
                 m, w = block.shape[0], pts.shape[1]
                 diff = np.subtract(block, pts, out=buf[:m * w * d].reshape(m, w, d))
-                self._squared_sums(diff, out=out[q0:q0 + m, p0:p0 + w])
+                _squared_sums(diff, out=out[q0:q0 + m, p0:p0 + w])
         return out
 
     def query_batch(self, queries, k: int, exclude_self: bool = False,
@@ -231,7 +211,7 @@ class NeighborIndex:
             return self._exact_top_k(block, q0, k, exclude_self, deadline)
         with np.errstate(over="ignore"):
             qc = block - self._centre
-            scale = (np.sqrt(np.einsum("ij,ij->i", qc, qc)) + self._max_norm) ** 2
+            scale = (np.sqrt(_squared_sums(qc)) + self._max_norm) ** 2
         if not (np.isfinite(scale).all() and scale.max() < _MAX_SCALE):
             return self._exact_top_k(block, q0, k, exclude_self, deadline)
         m = block.shape[0]
@@ -272,7 +252,7 @@ class NeighborIndex:
         Each value is bit-equal to the matching ``distances`` entry.
         """
         diff = block[:, None, :] - self.points[cand]
-        d2 = self._squared_sums(diff)
+        d2 = _squared_sums(diff)
         d2[cand < 0] = np.inf
         return d2
 
@@ -294,7 +274,7 @@ class NeighborIndex:
         n, d = self.points.shape
         with np.errstate(over="ignore", invalid="ignore"):
             qc = q - self._centre
-            q_norm = np.einsum("i,i->", qc, qc)
+            q_norm = _squared_sums(qc)
             scale = (np.sqrt(q_norm) + self._max_norm) ** 2
         if np.isfinite(scale) and scale < _MAX_SCALE:
             key = np.einsum("k,kj->j", qc, self._minus2_centred_t)
@@ -305,21 +285,6 @@ class NeighborIndex:
         dist = self._gathered_distances(q[None], cand[None])[0]
         near = dist <= radii[cand]
         return cand[near], dist[near]
-
-    def query(self, point, k: int) -> np.ndarray:
-        return self.query_batch(np.atleast_2d(point), k)[0]
-
-
-class SumOfSquaresIndex(NeighborIndex):
-    """A ``NeighborIndex`` whose exact distances are ``((a - b) ** 2).sum(axis=-1)``.
-
-    Screens, bounds and fallbacks are those of ``NeighborIndex``; only the
-    exact expression differs, on every path.
-    """
-
-    @staticmethod
-    def _squared_sums(diff, out=None) -> np.ndarray:
-        return np.square(diff, out=diff).sum(axis=-1, out=out)
 
 
 def _without_self(neigh: np.ndarray, own: np.ndarray) -> np.ndarray:
@@ -377,8 +342,7 @@ class NeighborGraph:
             return near
         own = np.arange(m) if members is None else members
         at_own, at_near = (own, near) if rows is None else (rows[own], rows[near])
-        zero = NeighborIndex._squared_sums(
-            self.points[at_own][:, None, :] - self.points[at_near]) == 0
+        zero = _squared_sums(self.points[at_own][:, None, :] - self.points[at_near]) == 0
         ahead = (zero & (near < own[:, None])).sum(axis=1)  # equal rows of lower index
         slot = np.arange(j + 1) == ahead[:, None]
         merged = np.empty(slot.shape, dtype=np.int64)

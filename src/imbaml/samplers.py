@@ -24,7 +24,7 @@ from __future__ import annotations
 import numpy as np
 
 from .dataset import Dataset, _class_rows, class_distribution
-from .neighbors import NeighborGraph, NeighborIndex, SumOfSquaresIndex, _vote_counts
+from .neighbors import NeighborGraph, NeighborIndex, _squared_sums, _vote_counts
 from .rng import Rng
 from .space import ComponentConfig, SAMPLER, DomainError
 
@@ -288,9 +288,9 @@ def cnn(d: Dataset, k: int, rng: Rng, deadline=None) -> Dataset:
     seed per editable class; remaining editable samples are visited in rng
     order and added when the store's k-NN vote misclassifies them, repeating
     passes until a full pass adds nothing. The vote uses the k nearest store
-    members in (squared distance, row) order, distances being
-    ``((a - b) ** 2).sum(axis=-1)`` (``SumOfSquaresIndex``), and gives ties
-    to the lowest class code.
+    members in (squared distance, row) order, with the squared distances of
+    every neighbour query (``neighbors._squared_sums``), and gives ties to
+    the lowest class code.
 
     That protocol is replayed without a step per visited row. Every pool
     row, in visit order, keeps its k nearest store members (in no order),
@@ -327,10 +327,9 @@ def cnn(d: Dataset, k: int, rng: Rng, deadline=None) -> Dataset:
     near_d = np.full((order.size, min(k, d.n)), np.inf)
     near_r = np.full(near_d.shape, d.n, dtype=np.int64)
     k0 = min(k, store.size)
-    near_r[:, :k0] = store[SumOfSquaresIndex(X[store]).query_batch(X_pool, k0,
-                                                                    deadline=deadline)]
-    for c in range(k0):
-        near_d[:, c] = ((X_pool - X[near_r[:, c]]) ** 2).sum(axis=1)
+    near_r[:, :k0] = store[NeighborIndex(X[store]).query_batch(X_pool, k0, deadline=deadline)]
+    for c in range(k0):  # a slot at a time: pool x d differences, not pool x k x d
+        near_d[:, c] = _squared_sums(X_pool - X[near_r[:, c]])
 
     n_classes = len(d.label_names)
     codes = np.append(y, n_classes)  # an empty slot votes for no class
@@ -338,7 +337,7 @@ def cnn(d: Dataset, k: int, rng: Rng, deadline=None) -> Dataset:
     flag = votes[:, :n_classes].argmax(axis=1) != y_pool
     slot = _farthest(near_d, near_r)
     radius = near_d[np.arange(order.size), slot]
-    index = SumOfSquaresIndex(X_pool)
+    index = NeighborIndex(X_pool)
     added = []
     pos = -1
     while flag.any():

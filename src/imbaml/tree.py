@@ -31,7 +31,11 @@ from .rng import LEFT_KEY, RIGHT_KEY, Rng, splitmix64_array
 # is larger: a block holds at least one whole segment.
 MAX_BLOCK_CELLS = 1 << 16
 # A weighted block of fewer cuts x classes than this scores every cut
-# exactly; a larger one screens its cuts first (``_screen``).
+# exactly; a larger one screens its cuts first (``_screen``). Below it the
+# screen's fixed cost exceeds what it saves: depth-3 weighted fits on
+# 50 x 9 (10 classes), 40 x 17 and 200 x 17 (2 classes) bags took 2.1, 2.0
+# and 3.6 ms with this threshold and 3.6, 3.4 and 4.7 ms with every block
+# screened (2-vCPU VM, NumPy 2.4.6), for the same trees.
 SCREEN_MIN_CELLS = 1 << 13
 _U = np.finfo(np.float64).eps / 2
 _TINY = np.finfo(np.float64).smallest_subnormal

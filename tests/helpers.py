@@ -1,4 +1,5 @@
-"""Shared dataset builders and a counting deadline for the test suite."""
+"""Shared dataset builders, the distance expression of the brute-force oracles
+and a counting deadline for the test suite."""
 
 from __future__ import annotations
 
@@ -6,6 +7,7 @@ import numpy as np
 
 from imbaml import Dataset, Rng
 from imbaml.evaluate import EvalTimeout
+from imbaml.neighbors import _squared_sums
 
 
 def make_dataset(counts: dict[int, int], seed: int = 0, d: int = 2,
@@ -46,6 +48,13 @@ def grid_classes(seed: int, counts: tuple[int, ...]) -> Dataset:
     X = rng.np.integers(0, 4, size=(n, 2)).astype(np.float64)
     y = np.repeat(np.arange(len(counts)), counts)[rng.np.permutation(n)]
     return Dataset.from_arrays("grid", X, y)
+
+
+def squared_distances(X: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Squared distance from each row of ``X`` to ``x``, by the one expression
+    every neighbour query of the program uses, so that an oracle breaks
+    last-bit ties as the program does."""
+    return _squared_sums(X - x)
 
 
 def row_bytes(X: np.ndarray) -> set[bytes]:

@@ -325,8 +325,7 @@ def test_count_screen_drops_most_cuts(criterion, monkeypatch):
     assert kept <= 3 * nodes and 50 * kept < cuts
 
 
-def test_shared_ranks_must_be_of_the_same_matrix(monkeypatch):
-    monkeypatch.setattr(tree_mod, "SCREEN_MIN_CELLS", 0)   # weighted nodes use the ranks
+def test_shared_ranks_must_be_of_the_same_matrix():
     X, y = data(30, 3, 2, seed=24, special=("nan",))
     w = Rng(25).np.random(30)
     with pytest.raises(ValueError, match="ranks"):

@@ -10,8 +10,7 @@ import numpy as np
 import pytest
 
 from imbaml.evaluate import EvalTimeout
-from imbaml.neighbors import (_MIN_SHARE, _POINT_BLOCK, _QUERY_BLOCK, NeighborGraph,
-                              NeighborIndex, SumOfSquaresIndex)
+from imbaml.neighbors import _MIN_SHARE, _POINT_BLOCK, _QUERY_BLOCK, NeighborGraph, NeighborIndex
 
 from helpers import CountingDeadline
 
@@ -83,15 +82,6 @@ def test_inf_and_nan_order_like_lexsort(k):
         got = NeighborIndex(P).query_batch(Q, k)
         want = reference(P, Q, k)
     assert np.array_equal(got, want)
-
-
-def test_single_point_query_matches_batch_row():
-    P = grid_points(9, 90, d=3)
-    index = NeighborIndex(P)
-    batch = index.query_batch(P, 7)
-    for i in (0, 13, 89):
-        assert np.array_equal(index.query(P[i], 7), batch[i])
-        assert np.array_equal(index.query(P[i], 7), reference(P, P[i], 7)[0])
 
 
 def adversarial_points(kind, seed, n, d=4):
@@ -188,20 +178,7 @@ def test_gathered_distances_are_bit_equal_to_distances(kind, d):
     assert np.isinf(got[~real]).all()
 
 
-@pytest.mark.parametrize("d", [1, 2, 5, 8, 11, 31])
-def test_sum_of_squares_index_uses_its_expression_on_every_path(d):
-    rng = np.random.default_rng(40 + d)
-    P = rng.normal(size=(_POINT_BLOCK + 50, d)) * np.logspace(-3, 3, d)
-    Q = P[rng.integers(0, len(P), 30)] + rng.normal(size=(30, d))
-    index = SumOfSquaresIndex(P)
-    want = np.stack([((P - q) ** 2).sum(axis=1) for q in Q])
-    assert index.distances(Q).tobytes() == want.tobytes()
-    cand = rng.integers(0, len(P), size=(30, 40))
-    got = index._gathered_distances(Q, cand)
-    assert got.tobytes() == np.take_along_axis(want, cand, axis=1).tobytes()
-
-
-@pytest.mark.parametrize("index_type", [NeighborIndex, SumOfSquaresIndex])
+@pytest.mark.parametrize("index_type", [NeighborIndex])
 @pytest.mark.parametrize("kind", KINDS)
 def test_within_matches_brute_force(kind, index_type):
     P = adversarial_points(kind, 30, 300)
@@ -246,7 +223,7 @@ def test_within_falls_back_on_non_finite_or_overflowing_input(case):
     radii = np.full(len(P), 2.0)
     radii[17] = np.inf
     with np.errstate(invalid="ignore", over="ignore"):
-        index = SumOfSquaresIndex(P)
+        index = NeighborIndex(P)
         full = index.distances(q)[0]
         hit, dist = index.within(q, radii)
     want = np.flatnonzero(full <= radii)

@@ -6,15 +6,14 @@ import pytest
 
 from imbaml import DEFAULT_SPACE, Dataset, Rng, class_distribution
 from imbaml.evaluate import Deadline, EvalTimeout
-from imbaml.neighbors import (_QUERY_BLOCK, GraphRows, NeighborGraphs, NeighborIndex,
-                              SumOfSquaresIndex)
+from imbaml.neighbors import _QUERY_BLOCK, GraphRows, NeighborGraphs, NeighborIndex
 from imbaml.samplers import (SamplerError, adasyn, all_knn, apply_sampler,
                              borderline_smote, cluster_centroids, cnn, enn,
                              smote, smote_enn, smote_tomek, tomek_links)
 from imbaml.space import DomainError
 
 from helpers import (CountingDeadline, grid_classes, grid_dataset, make_dataset,
-                     overlapping_binary, row_bytes)
+                     overlapping_binary, row_bytes, squared_distances)
 
 
 # ------------------------------------------------------------------- oracles
@@ -25,7 +24,7 @@ def segment_membership(synth, pool_base, pool_target, k, lo=0.0, hi=1.0):
     must vanish."""
     index = NeighborIndex(pool_target)
     for bi, x in enumerate(pool_base):
-        neigh = index.query(x, min(k + 1, len(pool_target)))
+        neigh = index.query_batch(x[None], min(k + 1, len(pool_target)))[0]
         for zi in neigh:
             z = pool_target[zi]
             if np.array_equal(z, x):
@@ -41,6 +40,15 @@ def segment_membership(synth, pool_base, pool_target, k, lo=0.0, hi=1.0):
     return False
 
 
+def _near_duplicates(seed: int) -> Dataset:
+    """Rows 1-2 ulp apart in 11 features, so that orders hang on the last bit
+    of the distance expression."""
+    rng = np.random.default_rng(seed)
+    base = rng.normal(size=(20, 11))[rng.integers(0, 20, 120)]
+    X = base + rng.integers(-2, 3, size=base.shape) * np.spacing(base)
+    return Dataset.from_arrays("ulp", X, (rng.random(120) < 0.3).astype(np.int64))
+
+
 def enn_oracle_removals(d, k):
     """Brute-force ENN: recompute each point's neighbour vote independently."""
     counts = collections.Counter(d.labels.tolist())
@@ -50,7 +58,7 @@ def enn_oracle_removals(d, k):
     for i in range(d.n):
         if d.labels[i] not in editable:
             continue
-        d2 = ((d.features - d.features[i]) ** 2).sum(axis=1)
+        d2 = squared_distances(d.features, d.features[i])
         d2[i] = np.inf
         order = np.lexsort((np.arange(d.n), d2))[:min(k, d.n - 1)]
         votes = collections.Counter(d.labels[order].tolist())
@@ -65,11 +73,21 @@ def tomek_oracle_links(d):
     """O(n^2) scan for mutual 1-NN opposite-class pairs."""
     nn = []
     for i in range(d.n):
-        d2 = ((d.features - d.features[i]) ** 2).sum(axis=1)
+        d2 = squared_distances(d.features, d.features[i])
         d2[i] = np.inf
         nn.append(int(np.lexsort((np.arange(d.n), d2))[0]))
     return {(min(a, nn[a]), max(a, nn[a])) for a in range(d.n)
             if nn[nn[a]] == a and d.labels[a] != d.labels[nn[a]]}
+
+
+def tomek_oracle_kept(d):
+    """Rows Tomek links keep: all but the editable-class members of a link."""
+    links = tomek_oracle_links(d)
+    counts = collections.Counter(d.labels.tolist())
+    low = min(counts.values())
+    editable = {c for c, n in counts.items() if n > low}
+    removed = {m for pair in links for m in pair if d.labels[m] in editable}
+    return np.delete(np.arange(d.n), sorted(removed))
 
 
 # --------------------------------------------------------------------- SMOTE
@@ -131,7 +149,7 @@ def test_borderline_danger_classification():
     # brute-force DANGER classification for each minority point
     danger = []
     for i in np.flatnonzero(d.labels == 1):
-        d2 = ((d.features - d.features[i]) ** 2).sum(axis=1)
+        d2 = squared_distances(d.features, d.features[i])
         d2[i] = np.inf
         neigh = np.lexsort((np.arange(d.n), d2))[:m]
         n_other = int((d.labels[neigh] != 1).sum())
@@ -199,7 +217,7 @@ def test_adasyn_harder_point_gets_larger_quota():
     # brute-force r_i: share of other-class points among the k all-class neighbours
     r = []
     for i in np.flatnonzero(d.labels == 1):
-        d2 = ((d.features - d.features[i]) ** 2).sum(axis=1)
+        d2 = squared_distances(d.features, d.features[i])
         d2[i] = np.inf
         neigh = np.lexsort((np.arange(d.n), d2))[:k]
         r.append(int((d.labels[neigh] != 1).sum()) / k)
@@ -256,6 +274,14 @@ def test_enn_matches_brute_force_oracle():
     removed = enn_oracle_removals(d, 3)
     expected = np.delete(np.arange(d.n), removed)
     assert np.array_equal(out.features, d.features[expected])
+
+
+@pytest.mark.parametrize("k", [1, 3, 7])
+@pytest.mark.parametrize("seed", range(6))
+def test_enn_matches_brute_force_oracle_on_near_duplicates(seed, k):
+    d = _near_duplicates(seed)
+    removed = enn_oracle_removals(d, k)
+    assert np.array_equal(enn(d, k).features, d.features[np.delete(np.arange(d.n), removed)])
 
 
 def test_enn_never_removes_minority():
@@ -361,7 +387,7 @@ def cnn_replay(d: Dataset, k: int, seed: int) -> np.ndarray:
                 continue
             members = sorted(in_store)
             with np.errstate(over="ignore"):
-                d2 = ((d.features[members] - d.features[i]) ** 2).sum(axis=1)
+                d2 = squared_distances(d.features[members], d.features[i])
             nearest = np.lexsort((np.array(members), d2))[:k]
             votes = collections.Counter(int(d.labels[members[j]]) for j in nearest)
             top = max(votes.values())
@@ -386,15 +412,6 @@ def _overflowing(seed: int) -> Dataset:
     overflow, so both screens must fall back to exact distances."""
     d = overlapping_binary(40, 7, seed=seed, d=2)
     return d.with_data(d.features * np.where(d.labels == 0, 1e160, 1.0)[:, None], d.labels)
-
-
-def _near_duplicates(seed: int) -> Dataset:
-    """Rows 1-2 ulp apart in 11 features, so that orders hang on the last bit
-    of the distance expression."""
-    rng = np.random.default_rng(seed)
-    base = rng.normal(size=(20, 11))[rng.integers(0, 20, 120)]
-    X = base + rng.integers(-2, 3, size=base.shape) * np.spacing(base)
-    return Dataset.from_arrays("ulp", X, (rng.random(120) < 0.3).astype(np.int64))
 
 
 CNN_REPLAY_CASES = {
@@ -432,7 +449,7 @@ def test_cnn_checks_deadline_per_ranking_block_and_per_insertion(monkeypatch):
     assert counted.calls == blocks + out.n - 31 and out.n > 31
 
     within = []
-    monkeypatch.setattr(SumOfSquaresIndex, "within", lambda *args: within.append(args))
+    monkeypatch.setattr(NeighborIndex, "within", lambda *args: within.append(args))
     for deadline in (CountingDeadline(fire_at=blocks), Deadline(-1.0)):
         with pytest.raises(EvalTimeout):
             cnn(d, 3, Rng(2), deadline=deadline)
@@ -506,15 +523,13 @@ def test_tomek_adjacent_pair_removes_majority_member():
 
 def test_tomek_matches_brute_force_scan():
     d = overlapping_binary(25, 10, seed=13, separation=0.6)
-    links = tomek_oracle_links(d)
-    counts = collections.Counter(d.labels.tolist())
-    low = min(counts.values())
-    editable = {c for c, n in counts.items() if n > low}
-    expected_removed = {m for pair in links for m in pair
-                        if d.labels[m] in editable}
-    out = tomek_links(d)
-    kept = np.delete(np.arange(d.n), sorted(expected_removed))
-    assert np.array_equal(out.features, d.features[kept])
+    assert np.array_equal(tomek_links(d).features, d.features[tomek_oracle_kept(d)])
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_tomek_matches_brute_force_scan_on_near_duplicates(seed):
+    d = _near_duplicates(seed)
+    assert np.array_equal(tomek_links(d).features, d.features[tomek_oracle_kept(d)])
 
 
 # ------------------------------------------------------------- compositions
@@ -535,7 +550,7 @@ def test_smote_enn_matches_sequential_oracle():
     for i in range(over.n):
         if over.labels[i] in minority:
             continue
-        d2 = ((over.features - over.features[i]) ** 2).sum(axis=1)
+        d2 = squared_distances(over.features, over.features[i])
         d2[i] = np.inf
         neigh = np.lexsort((np.arange(over.n), d2))[:3]
         votes = collections.Counter(over.labels[neigh].tolist())
