@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
@@ -27,6 +28,13 @@ class ColumnMeta:
     name: str
     kind: str = NUMERIC
     categories: tuple[str, ...] | None = None
+
+
+@functools.lru_cache(maxsize=32)
+def _generated_columns(width: int) -> tuple[ColumnMeta, ...]:
+    """``x0 .. x{width-1}``, numeric; one shared tuple per width (ColumnMeta
+    is frozen), as a pipeline rebuilds a width on every fold."""
+    return tuple(ColumnMeta(f"x{j}") for j in range(width))
 
 
 @dataclass(frozen=True)
@@ -90,7 +98,7 @@ class Dataset:
         if label_names is None:
             label_names = tuple(f"c{i}" for i in range(int(y.max()) + 1 if y.size else 0))
         if columns is None:
-            columns = tuple(ColumnMeta(f"x{j}") for j in range(X.shape[1]))
+            columns = _generated_columns(X.shape[1])
         return Dataset(name, X, y, tuple(label_names), tuple(columns))
 
     def with_data(self, features, labels, note: str | None = None) -> "Dataset":
@@ -99,7 +107,7 @@ class Dataset:
         features = np.asarray(features, dtype=np.float64)
         cols = self.columns
         if features.shape[1] != len(cols):
-            cols = tuple(ColumnMeta(f"x{j}") for j in range(features.shape[1]))
+            cols = _generated_columns(features.shape[1])
         prov = self.provenance + ((note,) if note else ())
         return Dataset(self.name, features, labels, self.label_names, cols,
                        self.n_missing_cells, prov)

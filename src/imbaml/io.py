@@ -1,13 +1,21 @@
-"""Dataset ingestion: CSV, ARFF and a cached OpenML download client."""
+"""Dataset ingestion: CSV, ARFF and a cached OpenML download client.
+
+``load_csv`` has two readers. A file whose feature cells are all present,
+finite, unquoted numbers is read by NumPy's C text reader (``np.loadtxt``)
+from the file itself, one line at a time, so beyond the float64 feature
+matrix it holds only the label cells and the reader's buffers. Every other
+file, and any file the C reader rejects, is read cell by cell through
+``csv.reader``, which holds every cell as a string. Whenever the C reader
+returns, its ``Dataset`` is byte-identical to the cell-by-cell one.
+"""
 
 from __future__ import annotations
 
 import csv
+import itertools
 import json
 import os
 import re
-import urllib.error
-import urllib.request
 from pathlib import Path
 
 import numpy as np
@@ -108,9 +116,34 @@ def load_csv(path, label_column=None) -> Dataset:
 
     ``label_column`` is a header name or 0-based index; by default the last
     column is the label. Columns where every present cell parses as a float
-    are numeric; everything else is ordinal-coded categorical.
+    are numeric; everything else is ordinal-coded categorical. Blank lines
+    are skipped; every other row must have as many cells as the header.
+
+    A file whose feature cells are all present, finite, unquoted numbers is
+    read with ``np.loadtxt`` (``_read_numeric_csv``), which holds the
+    feature matrix, the label cells and the reader's buffers; any other
+    file is read cell by cell (``_read_csv_cells``), which holds every cell
+    as a string. Both give the same ``Dataset``.
     """
     path = Path(path)
+    d = _read_numeric_csv(path, label_column)
+    return d if d is not None else _read_csv_cells(path, label_column)
+
+
+def _label_index(names: list[str], label_column) -> int:
+    if label_column is None:
+        return len(names) - 1
+    if isinstance(label_column, int):
+        if not 0 <= label_column < len(names):
+            raise DataError("label column absent")
+        return label_column
+    if label_column not in names:
+        raise DataError("label column absent")
+    return names.index(label_column)
+
+
+def _read_csv_cells(path: Path, label_column) -> Dataset:
+    """``load_csv`` for any file: every cell a string from ``csv.reader``."""
     try:
         with open(path, newline="", encoding="utf-8") as fh:
             reader = csv.reader(fh)
@@ -127,17 +160,7 @@ def load_csv(path, label_column=None) -> Dataset:
     for i, row in enumerate(data):
         if len(row) != width:
             raise DataError(f"row {i} has {len(row)} cells, expected {width}")
-
-    if label_column is None:
-        label_idx = width - 1
-    elif isinstance(label_column, int):
-        if not 0 <= label_column < width:
-            raise DataError("label column absent")
-        label_idx = label_column
-    else:
-        if label_column not in names:
-            raise DataError("label column absent")
-        label_idx = names.index(label_column)
+    label_idx = _label_index(names, label_column)
 
     feat_idx = [j for j in range(width) if j != label_idx]
     rows = [[row[j] for j in feat_idx] for row in data]
@@ -150,6 +173,60 @@ def load_csv(path, label_column=None) -> Dataset:
     X, metas, n_missing = _encode_columns(rows, col_names, kinds)
     y, label_names = _encode_labels([row[label_idx] for row in data])
     return Dataset(path.stem, X, y, label_names, metas, n_missing)
+
+
+def _read_numeric_csv(path: Path, label_column) -> Dataset | None:
+    """``load_csv`` by one ``np.loadtxt`` pass over the feature columns, or
+    None where the result could differ from ``_read_csv_cells``'s.
+
+    The file is opened with universal newlines, so its lines are the rows
+    ``csv.reader`` sees (``\\r\\n`` and a lone ``\\r`` end a line), and
+    ``_numeric_lines`` feeds them to ``loadtxt`` after checking each one's
+    width. Any ``ValueError`` (a cell ``loadtxt`` cannot parse, a ragged
+    row, a missing label, bytes that are not UTF-8) returns None, and so do
+    a quote in the header or a label, which ``csv.reader`` would unquote,
+    and a NaN or infinite cell, which the cell-by-cell path imputes or
+    rejects.
+    """
+    label_cells: list[str] = []
+    try:
+        with open(path, encoding="utf-8") as fh:
+            header = next((line for line in fh if line != "\n"), "")
+            names = [c.strip() for c in header.split(",")]
+            if '"' in header or len(names) < 2:
+                return None
+            label_idx = _label_index(names, label_column)
+            lines = _numeric_lines(fh, len(names), label_idx, label_cells)
+            first = next(lines, None)  # loadtxt warns on an empty input
+            if first is None:
+                return None
+            feat_idx = [j for j in range(len(names)) if j != label_idx]
+            X = np.loadtxt(itertools.chain((first,), lines), delimiter=",",
+                           comments=None, usecols=feat_idx, ndmin=2)
+        y, label_names = _encode_labels(label_cells)
+    except ValueError:
+        return None
+    if any('"' in name for name in label_names) or not np.isfinite(X).all():
+        return None
+    columns = tuple(ColumnMeta(names[j], NUMERIC) for j in feat_idx)
+    return Dataset(path.stem, X, y, label_names, columns)
+
+
+def _numeric_lines(fh, width: int, label_idx: int, label_cells: list[str]):
+    """The data lines of ``fh``, appending each one's label cell (unstripped)
+    to ``label_cells``. Blank lines are skipped, as ``csv.reader`` yields no
+    row for them. Raises ValueError at a line whose cell count is not
+    ``width``, or that holds one of the separators U+001C..U+001F, which
+    ``loadtxt`` strips from around a number and ``float`` rejects."""
+    tail = width - 1 - label_idx  # cells right of the label
+    for line in fh:
+        if (line.count(",") != width - 1 or "\x1c" in line or "\x1d" in line
+                or "\x1e" in line or "\x1f" in line):
+            if line == "\n":
+                continue
+            raise ValueError("not a line of the numeric reader")
+        label_cells.append(line.rsplit(",", tail + 1)[-tail - 1])
+        yield line
 
 
 _ATTR_RE = re.compile(r"@attribute\s+('[^']+'|\"[^\"]+\"|\S+)\s+(.+)", re.IGNORECASE)
@@ -233,6 +310,8 @@ def load_arff(path, label_attribute: str | None = None) -> Dataset:
 
 
 def _default_http_get(url: str) -> bytes:
+    import urllib.error  # only OpenML downloads need the network modules
+    import urllib.request
     try:
         with urllib.request.urlopen(url, timeout=60) as resp:
             return resp.read()

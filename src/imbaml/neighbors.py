@@ -64,6 +64,10 @@ _POINT_BLOCK = 1024
 _EPS = np.finfo(np.float64).eps
 _TINY = np.finfo(np.float64).smallest_subnormal
 _MAX_SCALE = np.finfo(np.float64).max / 4
+# a block of fewer entries is ranked by one stable sort, which beats first
+# keeping each row's entries up to its k-th value below about 4,096 entries
+# (128 rows of 32 or 8 rows of 512; 2-vCPU VM, k = 2..24)
+_SORT_CELLS = 4096
 # a subset holding less than this share of a graph's rows is queried on its
 # own points: its lists would need k / share entries per row, over all rows
 _MIN_SHARE = 0.5
@@ -103,7 +107,25 @@ def _top_k(d2: np.ndarray, k: int) -> np.ndarray:
     """
     if k == 1 and not np.isnan(d2).any():
         return d2.argmin(axis=1)[:, None]  # first minimum = lowest index
-    return np.argsort(d2, axis=1, kind="stable")[:, :k]
+    if d2.size < _SORT_CELLS:
+        return np.argsort(d2, axis=1, kind="stable")[:, :k]
+    # only entries up to a row's k-th value can rank; a NaN k-th value
+    # (fewer than k non-NaN entries) keeps the whole row
+    kth = np.partition(d2, k - 1, axis=1)[:, k - 1:k]
+    keep = (d2 <= kth) | np.isnan(kth)
+    cand = _kept_columns(keep, np.count_nonzero(keep, axis=1))
+    vals = np.take_along_axis(d2, cand, axis=1)
+    vals[cand < 0] = np.inf  # padding, right of every kept entry
+    return np.take_along_axis(cand, np.argsort(vals, axis=1, kind="stable")[:, :k], axis=1)
+
+
+def _kept_columns(keep: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """Each row's kept column indices in ascending order, padded with -1
+    to the widest row; ``counts`` is the kept entries per row."""
+    r, c = np.nonzero(keep)
+    cand = np.full((keep.shape[0], counts.max()), -1, dtype=np.intp)
+    cand[r, np.arange(r.size) - np.repeat(np.cumsum(counts) - counts, counts)] = c
+    return cand
 
 
 def _squared_sums(diff, out=None) -> np.ndarray:
@@ -238,10 +260,7 @@ class NeighborIndex:
             # heavy ties: this block's deadline checks are already done
             return self._exact_top_k(block, q0, k, exclude_self, None)
         else:
-            # kept points per row in ascending index order, padded with -1
-            r, c = np.nonzero(keep)
-            cand = np.full((m, widest), -1, dtype=np.intp)
-            cand[r, np.arange(r.size) - np.repeat(np.cumsum(counts) - counts, counts)] = c
+            cand = _kept_columns(keep, counts)
         return np.take_along_axis(cand, _top_k(self._gathered_distances(block, cand), k),
                                   axis=1)
 

@@ -24,10 +24,9 @@ share no lists, and reuse them across one evaluation's folds only.
 
 from __future__ import annotations
 
-import multiprocessing
 import time
 from dataclasses import dataclass, field, replace
-from multiprocessing.connection import Connection, wait
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -39,6 +38,10 @@ from .neighbors import GraphRows, NeighborGraphs
 from .pipeline import Pipeline, crossover, mutate, random_pipeline, serialize
 from .rng import Rng
 from .space import SearchSpace
+
+if TYPE_CHECKING:  # multiprocessing is imported where a search forks
+    from multiprocessing.connection import Connection
+    from multiprocessing.process import BaseProcess
 
 _FOLDS_CHILD = 11
 _COORD_CHILD = 13
@@ -87,11 +90,13 @@ class SearchConfig:
             raise SearchError("folds_k must be >= 2")
         if self.max_evals is not None and self.max_evals < 0:
             raise SearchError("max_evals must be >= 0")
-        if self.worker_count > 1 and "fork" not in multiprocessing.get_all_start_methods():
-            raise SearchError(
-                "worker_count > 1 needs the 'fork' start method, which this platform "
-                "lacks: each evaluation runs in a forked child that inherits the "
-                "dataset and the search space, whose builders cannot be pickled")
+        if self.worker_count > 1:
+            import multiprocessing  # only multi-worker searches fork
+            if "fork" not in multiprocessing.get_all_start_methods():
+                raise SearchError(
+                    "worker_count > 1 needs the 'fork' start method, which this platform "
+                    "lacks: each evaluation runs in a forked child that inherits the "
+                    "dataset and the search space, whose builders cannot be pickled")
         if self.population_size < 1:
             raise SearchError("population_size must be >= 1")
 
@@ -159,7 +164,7 @@ class _Child:
     cap: float
     metric: str
     started: float
-    process: multiprocessing.process.BaseProcess
+    process: BaseProcess
     reader: Connection
 
     @property
@@ -235,6 +240,7 @@ class _Driver:
         and search space and sends back only ``EvaluationResult.to_dict()``."""
         # fork, not spawn: user search spaces hold lambda builders, which do
         # not pickle, and the coordinator starts no threads of its own
+        import multiprocessing
         ctx = multiprocessing.get_context("fork")
         cap = self.cap()
         reader, writer = ctx.Pipe(duplex=False)
@@ -285,6 +291,7 @@ class _Driver:
                     break
                 on_result(job, self.execute(job, self.cap()))
             return
+        from multiprocessing.connection import wait
         in_flight: dict[Connection, _Child] = {}
         try:
             while True:

@@ -455,9 +455,11 @@ def _draw_columns(keys: np.ndarray, n_cols: np.ndarray, n_feat: np.ndarray) -> n
     node's columns ascending, concatenated in node order."""
     out = np.empty(int(n_feat.sum()), dtype=np.int64)
     at = _starts(n_feat)
-    shapes, group = np.unique(np.stack([n_cols, n_feat]), axis=1, return_inverse=True)
-    for g, (d, k) in enumerate(shapes.T.tolist()):
-        i = np.flatnonzero(group.ravel() == g)
+    base = int(n_feat.max()) + 1
+    # one integer per (columns, draws) pair: a 1-d unique is a plain sort
+    shapes, group = np.unique(n_cols * base + n_feat, return_inverse=True)
+    for g, (d, k) in enumerate(divmod(s, base) for s in shapes.tolist()):
+        i = np.flatnonzero(group == g)
         col_keys = splitmix64_array(np.arange(1, d + 1, dtype=np.uint64))
         score = splitmix64_array(keys[i, None] ^ col_keys)
         # one node's scores are distinct (xor with its key and splitmix64

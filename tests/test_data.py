@@ -74,6 +74,80 @@ def test_ingestion_deterministic(tmp_path):
     assert d1.labels.tolist() == d2.labels.tolist()
 
 
+def write_bytes(tmp_path, name, data: bytes):
+    p = tmp_path / name
+    p.write_bytes(data)
+    return p
+
+
+@pytest.mark.parametrize("ending", [b"\r\n", b"\r", b"\n"], ids=["crlf", "cr", "lf"])
+def test_load_csv_line_endings_and_blank_lines(tmp_path, ending):
+    text = b"f1,f2,y{e}{e}1,2,a{e}{e}3.5,4,b{e}{e}".replace(b"{e}", ending)
+    d = load_csv(write_bytes(tmp_path, "t.csv", text))
+    assert d.features.tolist() == [[1.0, 2.0], [3.5, 4.0]]
+    assert d.label_names == ("a", "b") and d.labels.tolist() == [0, 1]
+
+
+def test_load_csv_whitespace_only_line_is_a_short_row(tmp_path):
+    p = write(tmp_path, "t.csv", "f1,y\n1,a\n   \n2,b\n")
+    with pytest.raises(DataError, match="row 1 has 1 cells, expected 2"):
+        load_csv(p)
+
+
+def test_load_csv_quoted_numeric_field_is_numeric(tmp_path):
+    p = write(tmp_path, "t.csv", 'f1,f2,y\n"1.5",2,a\n3,"4",b\n')
+    d = load_csv(p)
+    assert [c.kind for c in d.columns] == ["numeric", "numeric"]
+    assert d.features.tolist() == [[1.5, 2.0], [3.0, 4.0]]
+
+
+def test_load_csv_label_by_name_and_index_and_stripped(tmp_path):
+    p = write(tmp_path, "t.csv", "f1,y,f2\n1, a ,2\n3,b  ,4\n5,a,6\n")
+    by_name, by_index = load_csv(p, label_column="y"), load_csv(p, label_column=1)
+    for d in (by_name, by_index):
+        assert d.label_names == ("a", "b") and d.labels.tolist() == [0, 1, 0]
+        assert [c.name for c in d.columns] == ["f1", "f2"]
+        assert d.features.tolist() == [[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]]
+    assert by_name.features.tobytes() == by_index.features.tobytes()
+
+
+def test_load_csv_single_data_row(tmp_path):
+    d = load_csv(write(tmp_path, "t.csv", "f1,f2,y\n1,2,a\n"))
+    assert d.features.shape == (1, 2) and d.features.tolist() == [[1.0, 2.0]]
+    assert d.label_names == ("a",)
+
+
+def test_load_csv_trailing_comma_adds_an_empty_column(tmp_path):
+    p = write(tmp_path, "t.csv", "f1,f2,y,\n1,2,a,\n3,4,b,\n")
+    with pytest.raises(DataError, match="missing label value at data row 0"):
+        load_csv(p)  # the last, empty column is the default label
+    with pytest.raises(DataError, match="column '' has all values missing"):
+        load_csv(p, label_column="y")
+
+
+@pytest.mark.parametrize("row,cells", [("1,2,3,a", 4), ("1,a", 2)], ids=["more", "fewer"])
+def test_load_csv_row_width_must_match_the_header(tmp_path, row, cells):
+    p = write(tmp_path, "t.csv", f"f1,f2,y\n1,2,a\n{row}\n3,4,b\n")
+    with pytest.raises(DataError, match=f"row 1 has {cells} cells, expected 3"):
+        load_csv(p)
+
+
+def test_load_csv_nan_cell_is_missing_and_inf_is_rejected(tmp_path):
+    d = load_csv(write(tmp_path, "nan.csv", "f1,y\n1,a\nnan,b\n3,a\n"))
+    assert d.features[:, 0].tolist() == [1.0, 2.0, 3.0]  # median of 1 and 3
+    assert d.n_missing_cells == 1 and d.columns[0].kind == "numeric"
+    with pytest.raises(DataError, match="non-finite"):
+        load_csv(write(tmp_path, "inf.csv", "f1,y\n1,a\n-inf,b\n"))
+
+
+def test_load_csv_reads_numbers_as_float_does(tmp_path):
+    # underscores and non-ASCII decimal digits parse with float()
+    p = write(tmp_path, "t.csv", "f1,f2,y\n1_000,\u0661\u0662,a\n2,3,b\n")
+    d = load_csv(p)
+    assert [c.kind for c in d.columns] == ["numeric", "numeric"]
+    assert d.features.tolist() == [[1000.0, 12.0], [2.0, 3.0]]
+
+
 # --------------------------------------------------------------- ARFF loading
 
 ARFF = """% comment

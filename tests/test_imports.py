@@ -9,6 +9,9 @@ root of an attribute chain) somewhere else in the module, or in its
 from __future__ import annotations
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -63,3 +66,14 @@ def test_scan_flags_an_unused_import():
     assert unused_imports("from a import b as c\nx: 'c | None' = None\n") == []
     # a docstring that names an import does not use it
     assert unused_imports('"""Raises E."""\nfrom a import E\n') == ["E (line 2)"]
+
+
+def test_import_loads_no_network_or_process_pool_modules():
+    # OpenML downloads import urllib, multi-worker searches multiprocessing;
+    # a one-worker fit on a local file pays for neither
+    code = ("import sys, imbaml; print(sorted(m for m in ('urllib.request', "
+            "'multiprocessing') if m in sys.modules))")
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120, check=True)
+    assert proc.stdout.strip() == "[]"
