@@ -184,7 +184,8 @@ def _read_numeric_csv(path: Path, label_column) -> Dataset | None:
     ``_numeric_lines`` feeds them to ``loadtxt`` after checking each one's
     width. Any ``ValueError`` (a cell ``loadtxt`` cannot parse, a ragged
     row, a missing label, bytes that are not UTF-8) returns None, and so do
-    a quote in the header or a label, which ``csv.reader`` would unquote,
+    a quote in the header or a label, which ``csv.reader`` would unquote, a
+    NUL anywhere, which only some Python versions' ``csv.reader`` accepts,
     and a NaN or infinite cell, which the cell-by-cell path imputes or
     rejects.
     """
@@ -193,7 +194,7 @@ def _read_numeric_csv(path: Path, label_column) -> Dataset | None:
         with open(path, encoding="utf-8") as fh:
             header = next((line for line in fh if line != "\n"), "")
             names = [c.strip() for c in header.split(",")]
-            if '"' in header or len(names) < 2:
+            if '"' in header or "\x00" in header or len(names) < 2:
                 return None
             label_idx = _label_index(names, label_column)
             lines = _numeric_lines(fh, len(names), label_idx, label_cells)
@@ -217,11 +218,12 @@ def _numeric_lines(fh, width: int, label_idx: int, label_cells: list[str]):
     to ``label_cells``. Blank lines are skipped, as ``csv.reader`` yields no
     row for them. Raises ValueError at a line whose cell count is not
     ``width``, or that holds one of the separators U+001C..U+001F, which
-    ``loadtxt`` strips from around a number and ``float`` rejects."""
+    ``loadtxt`` strips from around a number and ``float`` rejects, or a NUL,
+    which ``csv.reader`` rejects before Python 3.11 and accepts after."""
     tail = width - 1 - label_idx  # cells right of the label
     for line in fh:
-        if (line.count(",") != width - 1 or "\x1c" in line or "\x1d" in line
-                or "\x1e" in line or "\x1f" in line):
+        if (line.count(",") != width - 1 or "\x00" in line or "\x1c" in line
+                or "\x1d" in line or "\x1e" in line or "\x1f" in line):
             if line == "\n":
                 continue
             raise ValueError("not a line of the numeric reader")

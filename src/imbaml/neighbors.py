@@ -8,8 +8,10 @@ one row's features only and does not depend on block sizes or on how points
 are grouped; equal inputs give bit-equal distances and therefore stable
 tie-breaks. The bit-equality holds within one NumPy build and CPU dispatch
 (einsum picks a SIMD/FMA reduction at run time); across builds the last bit
-may differ. Every ranking of candidate rows is ``_top_k``: the first minimum
-for k = 1, otherwise a stable sort.
+may differ. Every ranking of candidate rows is one stable sort of each row's
+kept candidates (``_rank``), after the screen below or, over full distance
+rows, after ``_top_k`` keeps each row's entries up to its k-th value; k = 1
+over full rows takes the first minimum instead.
 
 ``query_batch`` works one block of queries at a time. It first screens the
 block with the product formula |p - mu|^2 - 2 (q - mu).(p - mu), where mu is
@@ -64,10 +66,6 @@ _POINT_BLOCK = 1024
 _EPS = np.finfo(np.float64).eps
 _TINY = np.finfo(np.float64).smallest_subnormal
 _MAX_SCALE = np.finfo(np.float64).max / 4
-# a block of fewer entries is ranked by one stable sort, which beats first
-# keeping each row's entries up to its k-th value below about 4,096 entries
-# (128 rows of 32 or 8 rows of 512; 2-vCPU VM, k = 2..24)
-_SORT_CELLS = 4096
 # a subset holding less than this share of a graph's rows is queried on its
 # own points: its lists would need k / share entries per row, over all rows
 _MIN_SHARE = 0.5
@@ -103,19 +101,26 @@ def _top_k(d2: np.ndarray, k: int) -> np.ndarray:
     """Column indices of the k smallest entries per row, in (value, index) order.
 
     Matches a per-row ``np.lexsort((index, value))``, so inf sorts after every
-    finite value and NaN after inf.
+    finite value and NaN after inf. Only a row's entries up to its k-th value
+    can rank: a partition finds that value, and the kept entries (the whole
+    row where it is NaN, i.e. the row has fewer than k non-NaN entries) are
+    gathered and ranked by ``_rank``.
     """
     if k == 1 and not np.isnan(d2).any():
         return d2.argmin(axis=1)[:, None]  # first minimum = lowest index
-    if d2.size < _SORT_CELLS:
-        return np.argsort(d2, axis=1, kind="stable")[:, :k]
-    # only entries up to a row's k-th value can rank; a NaN k-th value
-    # (fewer than k non-NaN entries) keeps the whole row
     kth = np.partition(d2, k - 1, axis=1)[:, k - 1:k]
     keep = (d2 <= kth) | np.isnan(kth)
     cand = _kept_columns(keep, np.count_nonzero(keep, axis=1))
     vals = np.take_along_axis(d2, cand, axis=1)
     vals[cand < 0] = np.inf  # padding, right of every kept entry
+    return _rank(cand, vals, k)
+
+
+def _rank(cand: np.ndarray, vals: np.ndarray, k: int) -> np.ndarray:
+    """The first k of each row's candidate columns in (value, index) order:
+    one stable sort of ``vals``, the candidates' values. ``cand`` holds each
+    row's candidates in ascending order, then -1 padding valued inf; every
+    row has at least k candidates, so no padding ranks."""
     return np.take_along_axis(cand, np.argsort(vals, axis=1, kind="stable")[:, :k], axis=1)
 
 
@@ -261,8 +266,7 @@ class NeighborIndex:
             return self._exact_top_k(block, q0, k, exclude_self, None)
         else:
             cand = _kept_columns(keep, counts)
-        return np.take_along_axis(cand, _top_k(self._gathered_distances(block, cand), k),
-                                  axis=1)
+        return _rank(cand, self._gathered_distances(block, cand), k)
 
     def _gathered_distances(self, block, cand) -> np.ndarray:
         """Squared distances from each query row to its candidate points.

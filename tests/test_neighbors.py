@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from imbaml.evaluate import EvalTimeout
-from imbaml.neighbors import (_MIN_SHARE, _POINT_BLOCK, _QUERY_BLOCK, _SORT_CELLS, NeighborGraph,
+from imbaml.neighbors import (_MIN_SHARE, _POINT_BLOCK, _QUERY_BLOCK, NeighborGraph,
                               NeighborIndex, _top_k)
 
 from helpers import CountingDeadline
@@ -88,8 +88,8 @@ def test_inf_and_nan_order_like_lexsort(k):
 @pytest.mark.parametrize("k", [1, 2, 5, 40])
 @pytest.mark.parametrize("shape", [(8, 60), (64, 64), (128, 700)])
 def test_top_k_of_a_block_orders_like_lexsort(shape, k):
-    # blocks on both sides of _SORT_CELLS; few distinct values (wide ties),
-    # inf and NaN entries, and rows with fewer than k non-NaN entries
+    # few distinct values (wide ties), inf and NaN entries, and rows with
+    # fewer than k non-NaN entries
     m, n = shape
     rng = np.random.default_rng(m + n + k)
     d2 = rng.integers(0, 6, size=shape).astype(np.float64)
@@ -99,7 +99,6 @@ def test_top_k_of_a_block_orders_like_lexsort(shape, k):
     d2[1, 1:] = np.nan
     want = np.array([np.lexsort((np.arange(n), row))[:k] for row in d2])
     assert np.array_equal(_top_k(d2, k), want)
-    assert (d2.size < _SORT_CELLS) == (shape == (8, 60))
 
 
 def adversarial_points(kind, seed, n, d=4):
