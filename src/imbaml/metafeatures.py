@@ -84,26 +84,22 @@ def _discretize(col: np.ndarray, kind: str) -> np.ndarray:
 
 
 def _mutual_information(a: np.ndarray, b: np.ndarray) -> float:
-    joint: dict[tuple[int, int], int] = {}
-    for pair in zip(a.tolist(), b.tolist()):
-        joint[pair] = joint.get(pair, 0) + 1
-    h_joint = _entropy_bits(np.array(list(joint.values())))
-    h_a = _entropy_bits(np.bincount(a - a.min()))
-    h_b = _entropy_bits(np.bincount(b - b.min()))
-    return max(0.0, h_a + h_b - h_joint)
+    a, b = a - a.min(), b - b.min()
+    # joint counts of the (a, b) pairs in order of first appearance, the
+    # order in which ``_entropy_bits`` sums them
+    _, first, joint = np.unique(a * (b.max() + 1) + b, return_index=True, return_counts=True)
+    h_joint = _entropy_bits(joint[np.argsort(first)])
+    return max(0.0, _entropy_bits(np.bincount(a)) + _entropy_bits(np.bincount(b)) - h_joint)
 
 
 def _average_ranks(x: np.ndarray) -> np.ndarray:
+    """1-based ranks, each run of equal values taking its average rank."""
     order = np.argsort(x, kind="stable")
-    ranks = np.empty(x.size, dtype=np.float64)
-    i = 0
     xs = x[order]
-    while i < x.size:
-        j = i
-        while j + 1 < x.size and xs[j + 1] == xs[i]:
-            j += 1
-        ranks[order[i:j + 1]] = (i + j) / 2 + 1  # 1-based average rank
-        i = j + 1
+    start = np.flatnonzero(np.concatenate([[True], xs[1:] != xs[:-1]]))
+    end = np.append(start[1:], x.size) - 1
+    ranks = np.empty(x.size, dtype=np.float64)
+    ranks[order] = np.repeat((start + end) / 2 + 1, end - start + 1)
     return ranks
 
 

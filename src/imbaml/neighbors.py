@@ -33,23 +33,28 @@ point with its own radius, by the same key and bound.
 ``_vote_counts`` tallies the class codes of each row's neighbours (or of a
 forest's trees); its ``argmax`` gives ties to the lowest code.
 
-``NeighborGraph`` keeps, per row of one point set, the row's nearest other
-rows in (distance, index) order, as an int32 list computed by ``query_batch``
-the first time a query asks for that row, and answers exact k-NN queries
-inside any ascending subset of its rows. A subset's rows keep their order, so
-its (distance, index) order is the graph's, and a row's top k in the subset
-are the first k entries of its list that lie in the subset. A new list gets
-about (k + 2 sqrt(k) + 2) / share entries, share being the subset's share of
-the rows; a list that holds fewer than k subset rows is widened to that once,
-and when it already has that width the row takes the fallback: a screened
-``query_batch`` of the subset's own points, for k + 1 neighbours less the row
-itself. A subset of less than ``_MIN_SHARE`` of the rows is queried that way
-whole, and a query over every row takes exactly k entries and no filter. The
-lists take 4 bytes per row and entry, the widest list setting the width of
-all; the graph's ``NeighborIndex`` and point copy are those of a direct
-query. A list is stored once its query has finished, so a deadline that ends
-the query leaves the graph as it was. ``NeighborGraphs`` holds the graph of
-one dataset and one per class; ``GraphRows`` names the rows of that dataset
+``NeighborGraph`` keeps, per row of one point set, the row's nearest rows,
+the row itself included, in (distance, index) order: an int32 list that is
+the row's ``query_batch`` of the points, computed the first time a query
+asks for that row. It answers exact k-NN queries inside any ascending subset
+of its rows. A subset's rows keep their order, so its (distance, index)
+order is the graph's, and a row's top j in the subset are the first j
+entries of its list that lie in the subset. An ``include_self`` query reads
+j = k such entries; an "others" query reads j = k + 1 and drops the row
+itself, or the last entry when lower-index duplicates crowd the row out
+(``_without_self``), so a row is never its own neighbour, also where
+squared distances overflow and tie at inf. A new list gets about (j + 2
+sqrt(j) + 2) / share entries, share being the subset's share of the rows; a
+list that holds fewer than j subset rows is widened to that once, and when
+it already has that width the row takes the fallback: a screened
+``query_batch`` of the subset's own points, for j entries. A subset of less
+than ``_MIN_SHARE`` of the rows is queried that way whole, and a query over
+every row takes exactly j entries and no filter. The lists take 4 bytes per
+row and entry, the widest list setting the width of all; the graph's
+``NeighborIndex`` and point copy are those of a direct query. A list is
+stored once its query has finished, so a deadline that ends the query
+leaves the graph as it was. ``NeighborGraphs`` holds the graph of one
+dataset and one per class; ``GraphRows`` names the rows of that dataset
 which another dataset holds, and is what ``Dataset`` carries.
 """
 
@@ -184,42 +189,33 @@ class NeighborIndex:
                 _squared_sums(diff, out=out[q0:q0 + m, p0:p0 + w])
         return out
 
-    def query_batch(self, queries, k: int, exclude_self: bool = False,
-                    deadline=None) -> np.ndarray:
+    def query_batch(self, queries, k: int, deadline=None) -> np.ndarray:
         """Indices of the k nearest points per query, ordered by (distance, index).
 
-        With ``exclude_self`` the i-th query skips reference point i (queries
-        must then be the reference set itself). Each block of queries is
-        screened by the product formula and only its survivors are re-ranked
-        by exact distances (``_screened_top_k``); a block with a non-finite
-        value, overflowing norms, 4k >= n or heavy ties ranks full
-        ``distances`` rows instead. Either way the result is the exact one.
+        A finite query equal to point i ranks i at distance 0, after the
+        equal points of lower index. Each block of queries is screened by
+        the product formula and only its survivors are re-ranked by exact
+        distances (``_screened_top_k``); a block with a non-finite value,
+        overflowing norms, 4k >= n or heavy ties ranks full ``distances``
+        rows instead. Either way the result is the exact one.
         ``deadline``, when given, is checked once per block of points, by
         the screen or by ``distances``, never by both.
         """
         Q = np.atleast_2d(np.asarray(queries, dtype=np.float64))
-        n = len(self)
-        if exclude_self and Q.shape[0] != n:
-            raise ValueError("exclude_self requires queries == reference points")
-        k = min(k, n - (1 if exclude_self else 0))
+        k = min(k, len(self))
         if k < 1:
             raise ValueError("no neighbours available")
         order = np.empty((Q.shape[0], k), dtype=np.int64)
         for q0 in range(0, Q.shape[0], _QUERY_BLOCK):
             block = Q[q0:q0 + _QUERY_BLOCK]
-            order[q0:q0 + block.shape[0]] = self._screened_top_k(block, q0, k, exclude_self,
-                                                                 deadline)
+            order[q0:q0 + block.shape[0]] = self._screened_top_k(block, k, deadline)
         return order
 
-    def _exact_top_k(self, block, q0, k, exclude_self, deadline) -> np.ndarray:
+    def _exact_top_k(self, block, k, deadline) -> np.ndarray:
         """Top k of one query block from its full ``distances`` rows."""
-        d2 = self.distances(block, deadline)
-        if exclude_self:
-            rows = np.arange(d2.shape[0])
-            d2[rows, q0 + rows] = np.inf
-        return _top_k(d2, k)
+        return _top_k(self.distances(block, deadline), k)
 
-    def _screened_top_k(self, block, q0, k, exclude_self, deadline) -> np.ndarray:
+    def _screened_top_k(self, block, k, deadline) -> np.ndarray:
         """Top k of one query block: screen by a product formula, re-rank exactly.
 
         The key ``|p~|^2 - 2 q~.p~`` ranks a row's points as the distance
@@ -235,12 +231,12 @@ class NeighborIndex:
         """
         n, d = self.points.shape
         if 4 * k >= n or not (np.isfinite(self._max_norm) and np.isfinite(block).all()):
-            return self._exact_top_k(block, q0, k, exclude_self, deadline)
+            return self._exact_top_k(block, k, deadline)
         with np.errstate(over="ignore"):
             qc = block - self._centre
             scale = (np.sqrt(_squared_sums(qc)) + self._max_norm) ** 2
         if not (np.isfinite(scale).all() and scale.max() < _MAX_SCALE):
-            return self._exact_top_k(block, q0, k, exclude_self, deadline)
+            return self._exact_top_k(block, k, deadline)
         m = block.shape[0]
         key = np.empty((m, n))
         for p0 in range(0, n, _POINT_BLOCK):
@@ -250,8 +246,6 @@ class NeighborIndex:
                       out=key[:, p0:p0 + _POINT_BLOCK])
         key += self._sq_norms
         rows = np.arange(m)
-        if exclude_self:
-            key[rows, q0 + rows] = np.inf
         top = key.argmin(axis=1)[:, None] if k == 1 else np.argpartition(key, k - 1, axis=1)
         bound = key[rows, top[:, k - 1]] + 2 * _screen_slack(d, scale)
         keep = key <= bound[:, None]
@@ -263,7 +257,7 @@ class NeighborIndex:
             cand = np.sort(top[:, :k], axis=1)
         elif 4 * widest >= n or widest > _POINT_BLOCK:
             # heavy ties: this block's deadline checks are already done
-            return self._exact_top_k(block, q0, k, exclude_self, None)
+            return self._exact_top_k(block, k, None)
         else:
             cand = _kept_columns(keep, counts)
         return _rank(cand, self._gathered_distances(block, cand), k)
@@ -320,19 +314,10 @@ def _without_self(neigh: np.ndarray, own: np.ndarray) -> np.ndarray:
     return neigh[~drop].reshape(neigh.shape[0], -1)
 
 
-def _nearest_others(index: NeighborIndex, k: int, members, deadline) -> np.ndarray:
-    """The k nearest other points of ``index`` to its points ``members``
-    (all of them for None), in (distance, index) order."""
-    if members is None:
-        return index.query_batch(index.points, k, exclude_self=True, deadline=deadline)
-    return _without_self(index.query_batch(index.points[members], k + 1, deadline=deadline),
-                         members)
-
-
 class NeighborGraph:
-    """Each row's nearest other rows of one point set, in (distance, index)
-    order, computed the first time a query asks for the row (module
-    docstring)."""
+    """Each row's nearest rows of one point set, the row itself included,
+    in (distance, index) order, computed the first time a query asks for
+    the row (module docstring)."""
 
     def __init__(self, points):
         self.points = np.ascontiguousarray(points, dtype=np.float64)
@@ -346,51 +331,46 @@ class NeighborGraph:
 
     def query(self, k: int, rows=None, members=None, include_self: bool = False,
               deadline=None) -> np.ndarray:
-        """Each member's k nearest rows among ``rows``, as positions in
-        ``rows``, in (distance, index) order.
+        """Each member's k nearest other rows among ``rows``, as positions
+        in ``rows``, in (distance, index) order.
 
         ``rows`` are ascending rows of the graph (all for None) and
-        ``members`` positions in ``rows`` (all for None). The member itself is
-        skipped, and k is at most len(rows) - 1; with ``include_self`` it
-        counts, at distance 0 after the zero-distance rows of lower index
-        (as in a ``query_batch`` of the rows' points), and k is at most
+        ``members`` positions in ``rows`` (all for None). A member is never
+        its own neighbour, and k is at most len(rows) - 1: these are the
+        member's k + 1 nearest rows less the member or, when lower-index
+        duplicates crowd it out, less the last (``_without_self``). With
+        ``include_self`` they are its k nearest rows, itself among them as
+        in a ``query_batch`` of the rows' points, and k is at most
         len(rows). ``deadline`` goes to every ``query_batch``.
         """
         m = len(self.points) if rows is None else rows.size
-        j = min(k, m - 1)
-        if j < 1:
+        if min(k, m - 1) < 1:
             raise ValueError("no neighbours available")
-        near = self._others(j, rows, members, deadline)
-        if not include_self:
-            return near
+        if include_self:
+            return self._nearest(min(k, m), rows, members, deadline)
         own = np.arange(m) if members is None else members
-        at_own, at_near = (own, near) if rows is None else (rows[own], rows[near])
-        zero = _squared_sums(self.points[at_own][:, None, :] - self.points[at_near]) == 0
-        ahead = (zero & (near < own[:, None])).sum(axis=1)  # equal rows of lower index
-        slot = np.arange(j + 1) == ahead[:, None]
-        merged = np.empty(slot.shape, dtype=np.int64)
-        merged[slot] = own
-        merged[~slot] = near.ravel()
-        return merged[:, :min(k, m)]
+        return _without_self(self._nearest(min(k + 1, m), rows, members, deadline), own)
 
-    def _others(self, j, rows, members, deadline) -> np.ndarray:
-        """Each member's j nearest other rows among ``rows``, as positions."""
+    def _nearest(self, j, rows, members, deadline) -> np.ndarray:
+        """Each member's j nearest rows among ``rows``, itself included, as
+        positions."""
         n = len(self.points)
         m = n if rows is None else rows.size
+        own = np.arange(m) if members is None else members
         if m < _MIN_SHARE * n:
-            return _nearest_others(NeighborIndex(self.points[rows]), j, members, deadline)
+            points = self.points[rows]
+            return NeighborIndex(points).query_batch(points[own], j, deadline)
         if m == n:  # every row: the lists hold only rows of the subset
             self._fill(members, j, deadline)
             lists = self._lists if members is None else self._lists[members]
             return lists[:, :j].astype(np.int64)
-        own = np.arange(m) if members is None else members
         ids = rows[own]
         position = np.full(n, -1, dtype=np.int64)
         position[rows] = np.arange(m)
         # a row without a list gets one of about j / share entries, with
         # margin; a list that holds too few rows of the subset is widened to
         # that when narrower, and takes the fallback when not
-        width = min(n - 1, math.ceil((j + 2 * math.sqrt(j) + 2) * n / m))
+        width = min(n, math.ceil((j + 2 * math.sqrt(j) + 2) * n / m))
         self._fill(ids[self._width[ids] == 0], width, deadline)
         out, served = self._first_inside(ids, j, position)
         redo = np.flatnonzero(~served & (self._width[ids] < width))
@@ -399,8 +379,8 @@ class NeighborGraph:
             out[redo], served[redo] = self._first_inside(ids[redo], j, position)
         short = np.flatnonzero(~served)
         if short.size:
-            out[short] = _nearest_others(NeighborIndex(self.points[rows]), j, own[short],
-                                         deadline)
+            points = self.points[rows]
+            out[short] = NeighborIndex(points).query_batch(points[own[short]], j, deadline)
         return out
 
     def _first_inside(self, ids, j, position):
@@ -419,15 +399,13 @@ class NeighborGraph:
     def _fill(self, ids, width: int, deadline) -> None:
         """Compute, at ``width``, the lists of rows ``ids`` (all for None)
         that hold fewer entries."""
-        n = len(self.points)
         todo = np.flatnonzero(self._width < width) if ids is None else ids[
             self._width[ids] < width]
         if todo.size == 0:
             return
-        lists = _nearest_others(self.index, width, None if todo.size == n else todo,
-                                deadline)
+        lists = self.index.query_batch(self.points[todo], width, deadline)
         if width > self._lists.shape[1]:
-            grown = np.zeros((n, width), dtype=np.int32)
+            grown = np.zeros((len(self.points), width), dtype=np.int32)
             grown[:, :self._lists.shape[1]] = self._lists
             self._lists = grown
         self._lists[todo, :width] = lists

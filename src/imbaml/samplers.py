@@ -6,6 +6,8 @@ Conventions shared by every sampler:
 * distances are Euclidean on the coded feature space, no extra scaling
   (scaling belongs to pipeline preprocessors);
 * neighbour ties break on (distance, lower row index);
+* a row is never its own neighbour, also when squared distances overflow
+  to inf and tie with it;
 * the exact k-NN queries of ENN, AllKNN, Tomek links, the DANGER and
   density counts of Borderline-SMOTE and ADASYN, and the same-class
   neighbours of every SMOTE step go through ``_nearest``. On a dataset that
@@ -24,7 +26,7 @@ from __future__ import annotations
 import numpy as np
 
 from .dataset import Dataset, _class_rows, class_distribution
-from .neighbors import NeighborGraph, NeighborIndex, _squared_sums, _vote_counts
+from .neighbors import NeighborGraph, NeighborIndex, _squared_sums, _vote_counts, _without_self
 from .rng import Rng
 from .space import ComponentConfig, SAMPLER, DomainError
 
@@ -113,13 +115,12 @@ def _other_class_neighbours(d: Dataset, idx: np.ndarray, c: int, m: int, deadlin
 
     Each query row sits in the reference set, so m + 1 neighbours are fetched
     with the row itself among them (it may be absent when lower-index
-    duplicates crowd it out).
+    duplicates crowd it out), and the counts are over ``_without_self`` of
+    them.
     """
     neigh = _nearest(d, m + 1, members=idx, include_self=True, deadline=deadline)
-    not_self = neigh != idx[:, None]
-    other = d.labels[neigh] != c
-    counts = (other & (np.cumsum(not_self, axis=1) <= m)).sum(axis=1)
-    return neigh, other, counts
+    counts = (d.labels[_without_self(neigh, idx)] != c).sum(axis=1)
+    return neigh, d.labels[neigh] != c, counts
 
 
 def smote(d: Dataset, k: int, rng: Rng, deadline=None) -> Dataset:

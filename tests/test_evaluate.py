@@ -103,9 +103,9 @@ def test_evaluate_hands_its_deadline_to_knn_prediction(monkeypatch):
     seen = []
     query_batch = NeighborIndex.query_batch
 
-    def recording(self, queries, k, exclude_self=False, deadline=None):
+    def recording(self, queries, k, deadline=None):
         seen.append(deadline)
-        return query_batch(self, queries, k, exclude_self, deadline)
+        return query_batch(self, queries, k, deadline)
 
     monkeypatch.setattr(NeighborIndex, "query_batch", recording)
     d = overlapping_binary(40, 16, seed=17)

@@ -10,7 +10,8 @@ import pytest
 
 from imbaml import (DataError, MetadataStore, MetaRecord, Rng, StoredPipeline,
                     extract_metafeatures, serialize, warm_start_candidates)
-from imbaml.metafeatures import FEATURE_NAMES, MetaFeatureVector
+from imbaml.metafeatures import (FEATURE_NAMES, MetaFeatureVector, _average_ranks,
+                                 _entropy_bits, _mutual_information)
 from imbaml.metastore import MetaStoreError, rank_records
 
 from helpers import make_dataset
@@ -106,3 +107,46 @@ def test_extract_metafeatures_is_deterministic():
     assert first.get("MajorityClassSize") == 40.0
     with pytest.raises(DataError):
         extract_metafeatures(make_dataset({0: 2, 1: 1}), Rng(5))
+
+
+def loop_average_ranks(x):
+    """Average ranks one run of equal values at a time: the oracle."""
+    order = np.argsort(x, kind="stable")
+    ranks = np.empty(x.size, dtype=np.float64)
+    xs = x[order]
+    i = 0
+    while i < x.size:
+        j = i
+        while j + 1 < x.size and xs[j + 1] == xs[i]:
+            j += 1
+        ranks[order[i:j + 1]] = (i + j) / 2 + 1
+        i = j + 1
+    return ranks
+
+
+def loop_mutual_information(a, b):
+    """Joint counts from a dict of pairs, in first-appearance order: the oracle."""
+    joint = {}
+    for pair in zip(a.tolist(), b.tolist()):
+        joint[pair] = joint.get(pair, 0) + 1
+    h_joint = _entropy_bits(np.array(list(joint.values())))
+    h_a = _entropy_bits(np.bincount(a - a.min()))
+    h_b = _entropy_bits(np.bincount(b - b.min()))
+    return max(0.0, h_a + h_b - h_joint)
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_ranks_and_mutual_information_match_the_loop_versions(seed):
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(2, 3000))
+    x = rng.integers(-3, int(rng.integers(1, 40)), size=n).astype(np.float64)
+    if seed % 3 == 0:
+        x = x / 7.0
+        x[rng.random(n) < 0.05] = -0.0
+    if seed % 4 == 1:
+        x[rng.random(n) < 0.05] = np.nan
+    assert _average_ranks(x).tobytes() == loop_average_ranks(x).tobytes()
+    a = rng.integers(-2, int(rng.integers(1, 12)), size=n)
+    b = rng.integers(0, int(rng.integers(1, 10)), size=n)
+    got = _mutual_information(a, b)
+    assert np.float64(got).tobytes() == np.float64(loop_mutual_information(a, b)).tobytes()

@@ -13,18 +13,21 @@ from imbaml.evaluate import EvalTimeout
 from imbaml.neighbors import (_MIN_SHARE, _POINT_BLOCK, _QUERY_BLOCK, NeighborGraph,
                               NeighborIndex, _top_k)
 
-from helpers import CountingDeadline
+from helpers import CountingDeadline, overlapping_binary
 
 
 def reference(points, queries, k, exclude_self=False):
+    """With ``exclude_self`` the queries are the points, and query i drops
+    point i from its order."""
     n = len(points)
     out = []
     for i, q in enumerate(np.atleast_2d(queries)):
         diff = q[None, :] - points
         d2 = np.einsum("ij,ij->i", diff, diff)
+        order = np.lexsort((np.arange(n), d2))
         if exclude_self:
-            d2[i] = np.inf
-        out.append(np.lexsort((np.arange(n), d2))[:min(k, n - exclude_self)])
+            order = order[order != i]
+        out.append(order[:k])
     return np.array(out)
 
 
@@ -44,7 +47,7 @@ def test_grid_ties_and_duplicates(k):
 @pytest.mark.parametrize("k", [1, 3, 40, 159, 160, 500])
 def test_exclude_self_with_duplicates(k):
     P = grid_points(2, 160, levels=3)
-    got = NeighborIndex(P).query_batch(P, k, exclude_self=True)
+    got = NeighborGraph(P).query(k)
     assert np.array_equal(got, reference(P, P, k, exclude_self=True))
     assert not (got == np.arange(len(P))[:, None]).any()
 
@@ -57,8 +60,7 @@ def test_blocks_with_partial_tails(k):
     Q = np.round(np.random.default_rng(4).normal(size=(m, 3)), 1)
     index = NeighborIndex(P)
     assert np.array_equal(index.query_batch(Q, k), reference(P, Q, k))
-    assert np.array_equal(index.query_batch(P, k, exclude_self=True),
-                          reference(P, P, k, exclude_self=True))
+    assert np.array_equal(NeighborGraph(P).query(k), reference(P, P, k, exclude_self=True))
 
 
 def test_distances_do_not_depend_on_blocking():
@@ -128,8 +130,11 @@ KINDS = ("grid", "ulp", "offset", "scaled", "half", "tiny")
 @pytest.mark.parametrize("exclude_self", [False, True])
 def test_screen_matches_reference_on_adversarial_points(kind, k, exclude_self):
     P = adversarial_points(kind, 20, 300)
-    Q = P if exclude_self else np.vstack([adversarial_points(kind, 21, 150), P[::37]])
-    got = NeighborIndex(P).query_batch(Q, k, exclude_self=exclude_self)
+    if exclude_self:
+        Q, got = P, NeighborGraph(P).query(k)
+    else:
+        Q = np.vstack([adversarial_points(kind, 21, 150), P[::37]])
+        got = NeighborIndex(P).query_batch(Q, k)
     assert np.array_equal(got, reference(P, Q, k, exclude_self))
 
 
@@ -172,7 +177,7 @@ def test_ordinary_block_is_screened_without_full_distances(monkeypatch):
         assert np.array_equal(got, want)
         assert calls == [_QUERY_BLOCK]
         calls.clear()
-        NeighborIndex(P).query_batch(P, k, exclude_self=True)
+        NeighborGraph(P).query(k)
         assert calls == []
 
 
@@ -276,17 +281,16 @@ def test_deadline_checked_per_point_block_inside_one_query_block():
 
 def test_no_neighbours_available():
     with pytest.raises(ValueError):
-        NeighborIndex(np.zeros((1, 2))).query_batch(np.zeros((1, 2)), 1, exclude_self=True)
+        NeighborGraph(np.zeros((1, 2))).query(1)
 
 
 # ------------------------------------------------------ graph-served queries
 
 def direct(points, k, members, include_self):
     """The query a graph serves, asked of the subset's own points."""
-    index = NeighborIndex(points)
     if include_self:
-        return index.query_batch(points[members], min(k, len(points)))
-    return index.query_batch(points, min(k, len(points) - 1), exclude_self=True)[members]
+        return NeighborIndex(points).query_batch(points[members], min(k, len(points)))
+    return reference(points, points, k, exclude_self=True)[members]
 
 
 def subset_rows(seed, n, share):
@@ -374,9 +378,9 @@ def test_graph_fallback_rows_get_exact_queries(monkeypatch):
     sizes = []
     query_batch = NeighborIndex.query_batch
 
-    def spy(self, queries, k, exclude_self=False, deadline=None):
+    def spy(self, queries, k, deadline=None):
         sizes.append((len(self), len(queries)))
-        return query_batch(self, queries, k, exclude_self, deadline)
+        return query_batch(self, queries, k, deadline)
 
     monkeypatch.setattr(NeighborIndex, "query_batch", spy)
     for include_self in (False, True):
@@ -392,10 +396,10 @@ def test_graph_reuses_lists_across_folds(monkeypatch):
     queried = []
     query_batch = NeighborIndex.query_batch
 
-    def spy(self, queries, k, exclude_self=False, deadline=None):
+    def spy(self, queries, k, deadline=None):
         if len(self) == len(P):
             queried.append(len(queries))
-        return query_batch(self, queries, k, exclude_self, deadline)
+        return query_batch(self, queries, k, deadline)
 
     monkeypatch.setattr(NeighborIndex, "query_batch", spy)
     for fold in range(5):
@@ -411,3 +415,28 @@ def test_graph_keeps_no_list_a_deadline_interrupted():
         graph.query(3, rows, deadline=CountingDeadline(fire_at=2))
     assert not graph._width.any()
     check_served(graph, rows, 3)
+
+
+def overflowing_points(name):
+    """Point sets whose squared distances overflow to inf: three points far
+    apart, and the class-1 rows of the ``overflow`` resampling fixture."""
+    if name == "three":
+        return np.array([[1e160], [-1e160], [3e160]])
+    huge = overlapping_binary(30, 8, seed=8, d=2)
+    return huge.features[huge.labels == 1] * 1e160
+
+
+@pytest.mark.parametrize("k", [1, 2])
+@pytest.mark.parametrize("name", ["three", "overflow_class1"])
+def test_no_row_is_its_own_neighbour_when_distances_overflow(name, k):
+    # the row itself, at distance 0, must not tie with the others at inf
+    P = overflowing_points(name)
+    n = len(P)
+    graph = NeighborGraph(P)
+    with np.errstate(over="ignore"):
+        for rows in (np.arange(n), np.arange(1, n), np.arange(0, n, 2)):
+            got = graph.query(k, None if rows.size == n else rows)
+            assert got.shape == (rows.size, min(k, rows.size - 1))
+            assert not (got == np.arange(rows.size)[:, None]).any()
+            points = P[rows]
+            assert np.array_equal(got, reference(points, points, k, exclude_self=True))

@@ -5,7 +5,10 @@ every output in a fixture sweep (binary and multiclass, ties and duplicate
 points, squared distances that overflow to inf, several k), so any change in
 neighbour order, tie-breaking or rng consumption shows as a changed digest.
 The pinned values were recorded on the per-row ``lexsort`` neighbour code
-that the blocked kernel replaced.
+that the blocked kernel replaced; those of SMOTE, BorderlineSMOTE, ADASYN,
+SMOTEENN and SMOTETomek were recorded again, and only their ``overflow``
+fixture moved, when a row stopped being listed among its own neighbours
+where squared distances overflow.
 """
 
 from __future__ import annotations
@@ -23,16 +26,16 @@ from imbaml.samplers import _kmeans, apply_sampler, cnn
 from helpers import grid_classes, make_dataset, overlapping_binary
 
 PINNED = {
-    "SMOTE": "1c8e949b73088997721e7337a7fedbbb7a4c03b05eaf12117eefa9a6a4911f86",
-    "BorderlineSMOTE": "7390f675d33a7c4dd0e16d4adc0f26b7c5f6b9ce95ef4d3f4bb73eb295db58b7",
-    "ADASYN": "015cb0f92a37755a16d8902316273ae9f8cde5173931562cae6d225e20b8d6f1",
+    "SMOTE": "9bf753dc90f572148f22988c77c163afaf5faa521e5ec29c65d2672fc1069213",
+    "BorderlineSMOTE": "b7e0083eb230e29d5f8eb017cd702f5b72553c7243ca1cbd21bd5bb030584dca",
+    "ADASYN": "81c50aeac12409144f29a261df4a3e69df7e4e811ac1f0f70935153da07823c3",
     "EditedNearestNeighbours": "72c19d3ff7b77437fcb352ceb1a4db67afeb246b798b7843c4ccbae36a260738",
     "CondensedNearestNeighbour": "b1ec7a5284b803da24fed1acb5bf20fb03b74cf6d864f74f4c61cc3810f62feb",
     "AllKNN": "e21b19e322e5113d30551031c9904484506056b10f04ef3d906c02a31ea7ccac",
     "ClusterCentroids": "ee11066ec82954112e95d564376bbe2a0672578964f7a2964a54b63a7a3ba5f8",
     "TomekLinks": "934917275de9bb8bdddd201fa1af0442a3a3480027f8f4b4f715c6b926b7ddcd",
-    "SMOTEENN": "2f1d4706829bac49a05112c0582fa67bd89ea2c5cac27ee41c836b905ce306b3",
-    "SMOTETomek": "7d67724759a66d1a9574dfcec6c1505ac9f3bbac3800c27194695ff7b43778b7",
+    "SMOTEENN": "5b20a4fceb88f4878c58409fba4e03b544654c2f01c3120d187f77bf3165d3ab",
+    "SMOTETomek": "911629caaf70153083e27b51e7b12193fa3a402ec371fd187a31fd870721b1f4",
     "KNeighborsClassifier": "63b2fa3f760d7cf4a906ebf351b4c38d4c03ac4d08e6f9bf97c43a7fed1ccf48",
 }
 
@@ -115,6 +118,18 @@ def all_digests() -> dict[str, str]:
 @pytest.mark.parametrize("name", sorted(SWEEP))
 def test_sampler_output_bytes_pinned(name):
     assert sampler_digest(name) == PINNED[name]
+
+
+def test_smote_copies_no_row_when_distances_overflow():
+    # a row that lists itself among its neighbours interpolates toward itself
+    d = fixtures()["overflow"]
+    for i, params in enumerate(SWEEP["SMOTE"]):
+        cfg = DEFAULT_SPACE.make_config("SMOTE", params)
+        with np.errstate(over="ignore"):
+            out = apply_sampler(cfg, d, Rng(1000 + i))
+        synthetic = out.features[d.n:]
+        assert synthetic.size
+        assert not (synthetic[:, None, :] == d.features[None]).all(axis=2).any()
 
 
 def test_knn_predict_score_bytes_pinned():

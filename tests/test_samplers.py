@@ -336,9 +336,9 @@ def test_all_knn_queries_once_per_edited_set(monkeypatch, separation, k_max):
     calls = []
     query_batch = NeighborIndex.query_batch
 
-    def counting(self, queries, k, exclude_self=False, deadline=None):
+    def counting(self, queries, k, deadline=None):
         calls.append(k)
-        return query_batch(self, queries, k, exclude_self, deadline)
+        return query_batch(self, queries, k, deadline)
 
     monkeypatch.setattr(NeighborIndex, "query_batch", counting)
     out = all_knn(d, k_max)

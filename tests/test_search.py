@@ -437,10 +437,10 @@ def test_search_computes_each_neighbour_list_once_and_keeps_none(monkeypatch):
     graph_rows = []  # rows whose lists are computed: queries of the whole set
     query_batch = NeighborIndex.query_batch
 
-    def spy(self, queries, k, exclude_self=False, deadline=None):
+    def spy(self, queries, k, deadline=None):
         if len(self) == d.n:
             graph_rows.append(len(queries))
-        return query_batch(self, queries, k, exclude_self, deadline)
+        return query_batch(self, queries, k, deadline)
 
     monkeypatch.setattr(NeighborIndex, "query_batch", spy)
     warm = tuple(parse(t, DEFAULT_SPACE) for t in
