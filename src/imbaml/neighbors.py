@@ -121,6 +121,23 @@ def _top_k(d2: np.ndarray, k: int) -> np.ndarray:
     return _rank(cand, vals, k)
 
 
+def _least_columns(key: np.ndarray, k: int) -> np.ndarray:
+    """Columns of k smallest entries per row of a finite ``key``, the k-th
+    smallest last. k <= 2 takes first-minimum passes, several times cheaper
+    than the partition a larger k takes (an "others" query of
+    ``NeighborGraph`` at k = 1 asks for 2)."""
+    if k > 2:
+        return np.argpartition(key, k - 1, axis=1)[:, :k]
+    top = key.argmin(axis=1)[:, None]
+    if k == 2:
+        rows, first = np.arange(key.shape[0]), top[:, 0]
+        kept = key[rows, first]
+        key[rows, first] = np.inf
+        top = np.column_stack([first, key.argmin(axis=1)])
+        key[rows, first] = kept
+    return top
+
+
 def _rank(cand: np.ndarray, vals: np.ndarray, k: int) -> np.ndarray:
     """The first k of each row's candidate columns in (value, index) order:
     one stable sort of ``vals``, the candidates' values. ``cand`` holds each
@@ -246,7 +263,7 @@ class NeighborIndex:
                       out=key[:, p0:p0 + _POINT_BLOCK])
         key += self._sq_norms
         rows = np.arange(m)
-        top = key.argmin(axis=1)[:, None] if k == 1 else np.argpartition(key, k - 1, axis=1)
+        top = _least_columns(key, k)
         bound = key[rows, top[:, k - 1]] + 2 * _screen_slack(d, scale)
         keep = key <= bound[:, None]
         counts = np.count_nonzero(keep, axis=1)  # >= k per row
