@@ -434,7 +434,8 @@ def test_no_row_is_its_own_neighbour_when_distances_overflow(name, k):
     n = len(P)
     graph = NeighborGraph(P)
     with np.errstate(over="ignore"):
-        for rows in (np.arange(n), np.arange(1, n), np.arange(0, n, 2)):
+        # every row, subsets served by the lists, and a pair (below _MIN_SHARE at n = 8)
+        for rows in (np.arange(n), np.arange(1, n), np.arange(0, n, 2), np.array([0, n - 1])):
             got = graph.query(k, None if rows.size == n else rows)
             assert got.shape == (rows.size, min(k, rows.size - 1))
             assert not (got == np.arange(rows.size)[:, None]).any()
