@@ -297,9 +297,9 @@ def grow_trees(X, y, n_classes: int, bags, *, criterion: str = "gini",
         and has no sign bit, screens its cuts with an O(rows x columns)
         surrogate of the decrease of bounded rounding error (``_screen``,
         ``_screen_slack``); a smaller one scores every cut.
-      * left sums: exact counts, unweighted; weighted, the kept cuts' sums
-        of a cumulative sum of one-hot rows, or the same sums added in the
-        same order (``_survivor_sums``).
+      * left sums: exact counts, unweighted; weighted, the class sums of a
+        cumulative sum of one-hot rows, or for a screened block the
+        survivors' sums added in the same order (``_survivor_sums``).
     Either way the winner is the one scoring every cut picks. Weighted
     sums run sequentially in the node's row order, as a lone fit sums
     them, so a weighted child keeps its rows in the sorted order of the
@@ -530,16 +530,14 @@ def _survivor_sums(srows, col, pos, y, w, C) -> np.ndarray:
     which adds in that order; many take the one-hot sum over their
     columns, so this never costs more than that."""
     new = _new_run(col)                          # col is ascending
-    cols = col[new]
+    cols, inv = col[new], np.cumsum(new) - 1
     # in cells: a bincount reads its prefix and costs about 512 cells for
     # the call; the one-hot sum fills and sums columns x rows x classes
     if int(pos.sum()) + 512 * pos.size <= cols.size * srows.shape[1] * C:
         prefixes = [srows[c, :p + 1] for c, p in zip(col.tolist(), pos.tolist())]
         return np.array([np.bincount(y.take(r), weights=w.take(r), minlength=C)
                          for r in prefixes])
-    if cols.size < srows.shape[0]:               # keep the columns with cuts
-        srows, col = srows[cols], np.cumsum(new) - 1
-    return _onehot_sums(srows, y, w, C).reshape(-1, C)[col * srows.shape[1] + pos]
+    return _onehot_sums(srows[cols], y, w, C)[inv, pos]
 
 
 def _onehot_sums(srows, y, w, C) -> np.ndarray:
@@ -701,10 +699,11 @@ def _search_block(seg_node, seg_local, seg_col, rows, at, size, X, y, w, C, rank
         with screenable weights (``grow_trees``) and a finite node weight,
         keeps only the cuts that ``_screen`` cannot rule out. Each cut it
         drops has a smaller decrease, as a lone fit computes it, than the
-        winner, and it keeps every cut whose decrease could be NaN. A
-        smaller weighted block keeps every cut. Either way the kept cuts'
-        left class sums are those of one cumulative sum of weighted one-hot
-        rows, bit for bit (``_survivor_sums``).
+        winner, and it keeps every cut whose decrease could be NaN. The
+        survivors' left class sums are those of the one-hot sum, bit for
+        bit (``_survivor_sums``).
+      * a smaller weighted block scores every cut, from the class sums of
+        one cumulative sum of weighted one-hot rows (``_onehot_sums``).
     The kept cuts are scored with the reference formula, and the first
     largest decrease per node in (column, position) order wins; a NaN
     decrease wins nothing (NaN is argmax's largest, and fails >). A
@@ -749,8 +748,10 @@ def _search_block(seg_node, seg_local, seg_col, rows, at, size, X, y, w, C, rank
         q = (np.arange(C) * S + s[:, None]) * E
         left = (np.searchsorted(key, q + cut[:, None], side="right")
                 - np.searchsorted(key, q)).astype(np.float64)
-    else:
+    elif screened:
         left = _survivor_sums(grid, s, cut - seg_start[s], y, w, C)
+    else:
+        left = _onehot_sums(grid, y, w, C).reshape(E, C)[cut]
     k = seg_node[0] if one else seg_node[s]
     right = value[k] - left
     wl = left.sum(axis=1)
