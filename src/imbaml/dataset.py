@@ -112,12 +112,12 @@ class Dataset:
         return Dataset(self.name, features, labels, self.label_names, cols,
                        self.n_missing_cells, prov)
 
-    def subset(self, indices, note: str | None = None) -> "Dataset":
+    def subset(self, indices) -> "Dataset":
         indices = np.asarray(indices, dtype=np.int64)
         graph = self.neighbours and self.neighbours.subset(indices)
         return Dataset(self.name, self.features[indices], self.labels[indices],
                        self.label_names, self.columns, self.n_missing_cells,
-                       self.provenance + ((note,) if note else ()), graph)
+                       self.provenance, graph)
 
 
 @dataclass(frozen=True)

@@ -429,12 +429,10 @@ class RUSBoostClassifier:
 
 
 class FittedModel:
-    """A trained terminal estimator plus its training label dictionary."""
+    """A trained terminal estimator."""
 
-    def __init__(self, config: ComponentConfig, model, label_names: tuple[str, ...]):
-        self.config = config
+    def __init__(self, model):
         self.model = model
-        self.label_names = label_names
 
     def predict(self, X, deadline=None) -> np.ndarray:
         return self.model.predict(X, deadline=deadline)
@@ -453,4 +451,4 @@ def fit(config: ComponentConfig, d: Dataset, rng: Rng, deadline=None) -> FittedM
         raise EstimatorError("need at least 2 classes")
     model = config.instantiate()
     model.fit(d.features, d.labels, len(d.label_names), rng=rng, deadline=deadline)
-    return FittedModel(config, model, d.label_names)
+    return FittedModel(model)

@@ -120,7 +120,6 @@ _SCORERS = {
     "balanced_accuracy": balanced_accuracy,
     "g_mean": g_mean,
     "f1_macro": f1_macro,
-    "sensitivity": sensitivity,
 }
 
 

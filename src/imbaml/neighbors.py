@@ -8,10 +8,11 @@ one row's features only and does not depend on block sizes or on how points
 are grouped; equal inputs give bit-equal distances and therefore stable
 tie-breaks. The bit-equality holds within one NumPy build and CPU dispatch
 (einsum picks a SIMD/FMA reduction at run time); across builds the last bit
-may differ. Every ranking of candidate rows is one stable sort of each row's
-kept candidates (``_rank``), after the screen below or, over full distance
-rows, after ``_top_k`` keeps each row's entries up to its k-th value; k = 1
-over full rows takes the first minimum instead.
+may differ. Every ranking keeps, per row, the columns of a matrix whose
+entry is at most the row's k-th smallest value plus a slack
+(``_candidates``), and ranks them by one stable sort of their exact
+distances (``_rank``). The matrix is the screen key below, with twice its
+error bound as slack, or full distance rows, with none.
 
 ``query_batch`` works one block of queries at a time. It first screens the
 block with the product formula |p - mu|^2 - 2 (q - mu).(p - mu), where mu is
@@ -102,57 +103,62 @@ def _screen_slack(d: int, scale):
     return 16 * (d + 4) * (_EPS * scale + _TINY)
 
 
-def _top_k(d2: np.ndarray, k: int) -> np.ndarray:
-    """Column indices of the k smallest entries per row, in (value, index) order.
+def _kth_smallest(M: np.ndarray, k: int) -> np.ndarray:
+    """Each row's k-th smallest value, NaN sorting last. Where no row holds
+    a NaN, k <= 2 takes first-minimum passes, several times cheaper than the
+    partition any other ``M`` takes (an "others" query of ``NeighborGraph``
+    at k = 1 asks for 2)."""
+    if k <= 2:
+        rows, first = np.arange(M.shape[0]), M.argmin(axis=1)
+        kth = M[rows, first]  # NaN where the row holds a NaN
+        if not np.isnan(kth).any():
+            if k == 1:
+                return kth
+            M[rows, first] = np.inf
+            second = M.min(axis=1)
+            M[rows, first] = kth
+            return second
+    return np.partition(M, k - 1, axis=1)[:, k - 1]
 
-    Matches a per-row ``np.lexsort((index, value))``, so inf sorts after every
-    finite value and NaN after inf. Only a row's entries up to its k-th value
-    can rank: a partition finds that value, and the kept entries (the whole
-    row where it is NaN, i.e. the row has fewer than k non-NaN entries) are
-    gathered and ranked by ``_rank``.
-    """
-    if k == 1 and not np.isnan(d2).any():
-        return d2.argmin(axis=1)[:, None]  # first minimum = lowest index
-    kth = np.partition(d2, k - 1, axis=1)[:, k - 1:k]
-    keep = (d2 <= kth) | np.isnan(kth)
-    cand = _kept_columns(keep, np.count_nonzero(keep, axis=1))
-    vals = np.take_along_axis(d2, cand, axis=1)
-    vals[cand < 0] = np.inf  # padding, right of every kept entry
-    return _rank(cand, vals, k)
 
-
-def _least_columns(key: np.ndarray, k: int) -> np.ndarray:
-    """Columns of k smallest entries per row of a finite ``key``, the k-th
-    smallest last. k <= 2 takes first-minimum passes, several times cheaper
-    than the partition a larger k takes (an "others" query of
-    ``NeighborGraph`` at k = 1 asks for 2)."""
-    if k > 2:
-        return np.argpartition(key, k - 1, axis=1)[:, :k]
-    top = key.argmin(axis=1)[:, None]
-    if k == 2:
-        rows, first = np.arange(key.shape[0]), top[:, 0]
-        kept = key[rows, first]
-        key[rows, first] = np.inf
-        top = np.column_stack([first, key.argmin(axis=1)])
-        key[rows, first] = kept
-    return top
+def _candidates(M: np.ndarray, k: int, slack=0.0) -> np.ndarray:
+    """Each row's columns whose entry is at most its k-th smallest value plus
+    ``slack`` (every column where that value is NaN), in ascending order,
+    then -1 padding to the widest row."""
+    m, n = M.shape
+    kth = _kth_smallest(M, k) + slack
+    keep = M <= kth[:, None]
+    keep[np.isnan(kth)] = True
+    flat = np.flatnonzero(keep)
+    rows = flat // n
+    counts = np.bincount(rows, minlength=m)
+    cand = np.full((m, counts.max()), -1, dtype=np.intp)
+    cand[rows, np.arange(flat.size) - (np.cumsum(counts) - counts)[rows]] = flat - rows * n
+    return cand
 
 
 def _rank(cand: np.ndarray, vals: np.ndarray, k: int) -> np.ndarray:
     """The first k of each row's candidate columns in (value, index) order:
     one stable sort of ``vals``, the candidates' values. ``cand`` holds each
     row's candidates in ascending order, then -1 padding valued inf; every
-    row has at least k candidates, so no padding ranks."""
+    row has at least k candidates, so no padding ranks, and a single
+    candidate per row needs no sort."""
+    if cand.shape[1] == 1:
+        return cand
     return np.take_along_axis(cand, np.argsort(vals, axis=1, kind="stable")[:, :k], axis=1)
 
 
-def _kept_columns(keep: np.ndarray, counts: np.ndarray) -> np.ndarray:
-    """Each row's kept column indices in ascending order, padded with -1
-    to the widest row; ``counts`` is the kept entries per row."""
-    r, c = np.nonzero(keep)
-    cand = np.full((keep.shape[0], counts.max()), -1, dtype=np.intp)
-    cand[r, np.arange(r.size) - np.repeat(np.cumsum(counts) - counts, counts)] = c
-    return cand
+def _top_k(d2: np.ndarray, k: int) -> np.ndarray:
+    """Column indices of the k smallest entries per row, in (value, index) order.
+
+    Matches a per-row ``np.lexsort((index, value))``, so inf sorts after every
+    finite value and NaN after inf: each row's ``_candidates`` ranked by
+    their own values.
+    """
+    cand = _candidates(d2, k)
+    vals = np.take_along_axis(d2, cand, axis=1)
+    vals[cand < 0] = np.inf  # padding, right of every kept entry
+    return _rank(cand, vals, k)
 
 
 def _squared_sums(diff, out=None) -> np.ndarray:
@@ -210,11 +216,13 @@ class NeighborIndex:
         """Indices of the k nearest points per query, ordered by (distance, index).
 
         A finite query equal to point i ranks i at distance 0, after the
-        equal points of lower index. Each block of queries is screened by
-        the product formula and only its survivors are re-ranked by exact
-        distances (``_screened_top_k``); a block with a non-finite value,
-        overflowing norms, 4k >= n or heavy ties ranks full ``distances``
-        rows instead. Either way the result is the exact one.
+        equal points of lower index. Each block of queries keeps, per row,
+        the points whose product-formula key is at most the k-th smallest
+        key plus twice its error bound, and ranks them by exact distances
+        (``_screened_top_k``); a block with a non-finite value, overflowing
+        norms, 4k >= n or heavy ties keeps the points whose distance is at
+        most the k-th smallest of its full ``distances`` row instead
+        (``_top_k``). Either way the result is the exact one.
         ``deadline``, when given, is checked once per block of points, by
         the screen or by ``distances``, never by both.
         """
@@ -239,9 +247,9 @@ class NeighborIndex:
         does, up to the constant |q~|^2 and an error of at most e =
         ``_screen_slack``. If t is the k-th smallest key, the k points
         behind it have distance - |q~|^2 <= t + e, so every exact top-k
-        point does too, and its key is <= t + 2e: only points with a larger
-        key are dropped. The survivors are re-ranked by
-        ``_gathered_distances``, whose values are bit-equal to
+        point does too, and its key is <= t + 2e: ``_candidates`` with slack
+        2e keeps exactly the points whose key is <= t + 2e. They are ranked
+        by ``_gathered_distances``, whose values are bit-equal to
         ``distances``, so order and ties are those of the exact path.
         ``deadline`` is checked once per block of points, by the screen or
         by the fallback, never by both.
@@ -262,21 +270,10 @@ class NeighborIndex:
             np.einsum("ik,kj->ij", qc, self._minus2_centred_t[:, p0:p0 + _POINT_BLOCK],
                       out=key[:, p0:p0 + _POINT_BLOCK])
         key += self._sq_norms
-        rows = np.arange(m)
-        top = _least_columns(key, k)
-        bound = key[rows, top[:, k - 1]] + 2 * _screen_slack(d, scale)
-        keep = key <= bound[:, None]
-        counts = np.count_nonzero(keep, axis=1)  # >= k per row
-        widest = counts.max()
-        if widest == k:  # the kept points are exactly the top k
-            if k == 1:
-                return top
-            cand = np.sort(top[:, :k], axis=1)
-        elif 4 * widest >= n or widest > _POINT_BLOCK:
+        cand = _candidates(key, k, 2 * _screen_slack(d, scale))
+        if 4 * cand.shape[1] >= n or cand.shape[1] > _POINT_BLOCK:
             # heavy ties: this block's deadline checks are already done
             return self._exact_top_k(block, k, None)
-        else:
-            cand = _kept_columns(keep, counts)
         return _rank(cand, self._gathered_distances(block, cand), k)
 
     def _gathered_distances(self, block, cand) -> np.ndarray:

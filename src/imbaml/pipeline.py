@@ -18,6 +18,7 @@ from .space import ComponentConfig, ESTIMATOR, PREPROCESSOR, SAMPLER, SearchSpac
 
 MAX_SAMPLERS = 2
 MAX_PREPROCESSORS = 3
+MUTATE_RETRIES = 10
 
 STEP_SEPARATOR = " >> "
 
@@ -214,11 +215,12 @@ def _mutate_once(p: Pipeline, space: SearchSpace, rng: Rng) -> Pipeline:
     return Pipeline(tuple(steps))
 
 
-def mutate(p: Pipeline, space: SearchSpace, rng: Rng, max_retries: int = 10) -> MutationResult:
-    """One structural or hyperparameter move; retries until the child differs
-    from the parent, else returns the parent with ``changed=False``."""
+def mutate(p: Pipeline, space: SearchSpace, rng: Rng) -> MutationResult:
+    """One structural or hyperparameter move; retries, ``MUTATE_RETRIES``
+    tries in all, until the child differs from the parent, else returns the
+    parent with ``changed=False``."""
     original = serialize(p)
-    for _ in range(max_retries):
+    for _ in range(MUTATE_RETRIES):
         child = _mutate_once(p, space, rng)
         if serialize(child) != original:
             return MutationResult(child, True)

@@ -127,9 +127,6 @@ class SearchSpace:
         if len(self.components) != len(components):
             raise ValueError("duplicate component names")
 
-    def __contains__(self, name: str) -> bool:
-        return name in self.components
-
     def spec(self, name: str) -> ComponentSpec:
         if name not in self.components:
             raise DomainError(f"unknown component '{name}'")

@@ -91,16 +91,20 @@ def test_inf_and_nan_order_like_lexsort(k):
 @pytest.mark.parametrize("shape", [(8, 60), (64, 64), (128, 700)])
 def test_top_k_of_a_block_orders_like_lexsort(shape, k):
     # few distinct values (wide ties), inf and NaN entries, and rows with
-    # fewer than k non-NaN entries
+    # fewer than k non-NaN entries; then the same without NaN, which k <= 2
+    # selects by first-minimum passes, with a row of fewer than k finite ones
     m, n = shape
     rng = np.random.default_rng(m + n + k)
     d2 = rng.integers(0, 6, size=shape).astype(np.float64)
     d2[rng.random(shape) < 0.05] = np.inf
+    finite = d2.copy()
+    finite[1, 1:] = np.inf
     d2[rng.random(shape) < 0.05] = np.nan
     d2[0] = np.nan
     d2[1, 1:] = np.nan
-    want = np.array([np.lexsort((np.arange(n), row))[:k] for row in d2])
-    assert np.array_equal(_top_k(d2, k), want)
+    for block in (d2, finite):
+        want = np.array([np.lexsort((np.arange(n), row))[:k] for row in block])
+        assert np.array_equal(_top_k(block, k), want)
 
 
 def adversarial_points(kind, seed, n, d=4):
