@@ -11,7 +11,7 @@ import numpy as np
 from .rng import Rng
 
 if TYPE_CHECKING:
-    from .neighbors import GraphRows
+    from .neighbors import NeighborGraphs
 
 NUMERIC = "numeric"
 CATEGORICAL = "categorical"
@@ -46,11 +46,9 @@ class Dataset:
     codes indexing ``label_names``.
     Features, labels and metadata are immutable after construction.
 
-    ``neighbours``, when set, says which rows of a search dataset these rows
-    are, and holds that dataset's neighbour graphs (``neighbors.GraphRows``),
-    whose lists fill in as samplers query them. A search sets it on its own
-    copy of the dataset; ``subset`` passes it on when the indices ascend, and
-    ``with_data`` and a subset in any other order drop it.
+    ``neighbours``, when set, is the view of a dataset's neighbour graphs
+    that covers these rows (``neighbors.NeighborGraphs``). ``subset``
+    passes on the view's own ``subset``; ``with_data`` drops it.
     """
 
     name: str
@@ -60,7 +58,7 @@ class Dataset:
     columns: tuple[ColumnMeta, ...]
     n_missing_cells: int = 0
     provenance: tuple[str, ...] = field(default=())
-    neighbours: GraphRows | None = field(default=None, repr=False, compare=False)
+    neighbours: NeighborGraphs | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         X = np.ascontiguousarray(self.features, dtype=np.float64)
@@ -113,7 +111,11 @@ class Dataset:
                        self.n_missing_cells, prov)
 
     def subset(self, indices) -> "Dataset":
-        indices = np.asarray(indices, dtype=np.int64)
+        """The rows at integer ``indices``, in that order."""
+        indices = np.asarray(indices)
+        if indices.size and indices.dtype.kind not in "iu":
+            raise DataError(f"row indices must be integers, not {indices.dtype}")
+        indices = indices.astype(np.int64, copy=False)
         graph = self.neighbours and self.neighbours.subset(indices)
         return Dataset(self.name, self.features[indices], self.labels[indices],
                        self.label_names, self.columns, self.n_missing_cells,

@@ -3,9 +3,9 @@
 Resampling and preprocessor fitting happen strictly inside each training
 partition; validation rows are passed through untouched, so every scored
 validation row is bit-identical to an original dataset row. A fold's
-training rows are ``d.subset`` of ascending indices, so when ``d`` carries a
-search's neighbour graphs (``Dataset.neighbours``; the search owns them, and
-a forked worker has its own copy) the fold's samplers are served from them. Timeouts are
+training rows are ``d.subset`` of ascending indices, so they keep ``d``'s
+neighbour-graph view (``Dataset.neighbours``), when it has one, for the
+fold's samplers to query. Timeouts are
 cooperative: one ``Deadline`` per evaluation is checked between pipeline
 steps, after each fold, and inside the sampler, neighbour-query and
 estimator fit loops and two prediction loops: kNN's neighbour queries and

@@ -54,16 +54,15 @@ every row takes exactly j entries and no filter. The lists take 4 bytes per
 row and entry, the widest list setting the width of all; the graph's
 ``NeighborIndex`` and point copy are those of a direct query. A list is
 stored once its query has finished, so a deadline that ends the query
-leaves the graph as it was. ``NeighborGraphs`` holds the graph of one
-dataset and one per class; ``GraphRows`` names the rows of that dataset
-which another dataset holds, and is what ``Dataset`` carries.
+leaves the graph as it was. ``NeighborGraphs`` is the view of one
+dataset's graphs that a ``Dataset`` carries.
 """
 
 from __future__ import annotations
 
+import copy
 import functools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -427,42 +426,46 @@ class NeighborGraph:
 
 
 class NeighborGraphs:
-    """The ``NeighborGraph`` of one dataset's points and one of each class's
-    points, each made on first use."""
+    """A view of one dataset's neighbour graphs: ``rows``, the ascending
+    rows of that dataset it covers (all of them in a new view), and the
+    table of the ``NeighborGraph`` of the dataset's points and of each
+    class's points, each built on first use and shared by every view that
+    ``subset`` returns.
+
+    ``Dataset.neighbours`` holds a view, and ``Dataset.subset`` passes on
+    the view of the rows it keeps, so a search's folds, and the rows its
+    samplers keep of them, fill and read one set of lists. ``query`` maps
+    the view's rows, or those labelled c, to positions in the matching
+    graph for ``NeighborGraph.query``.
+    """
 
     def __init__(self, points: np.ndarray, labels: np.ndarray):
         self._points = points
         self._labels = labels
-        self._graphs: dict = {}
+        self._graphs: dict = {}  # class (None for all) -> (graph, its rows)
+        self.rows = np.arange(len(labels))
 
-    def of_class(self, c: int | None):
-        """The graph of class ``c``'s points and their ascending rows (for
-        None, the graph of all points and None)."""
-        if c not in self._graphs:
-            rows = None if c is None else np.flatnonzero(self._labels == c)
-            points = self._points if rows is None else self._points[rows]
-            self._graphs[c] = (NeighborGraph(points), rows)
-        return self._graphs[c]
-
-
-@dataclass(frozen=True)
-class GraphRows:
-    """Ascending rows ``rows`` of the dataset that ``graphs`` was built on."""
-
-    graphs: NeighborGraphs
-    rows: np.ndarray
-
-    def subset(self, indices: np.ndarray) -> "GraphRows | None":
-        """The rows at ``indices``, or None unless they ascend."""
+    def subset(self, indices: np.ndarray) -> "NeighborGraphs | None":
+        """The view of this view's rows at ``indices``, or None unless they
+        ascend."""
         rows = self.rows[indices]
         if rows.size > 1 and not (rows[1:] > rows[:-1]).all():
             return None
-        return GraphRows(self.graphs, rows)
+        view = copy.copy(self)
+        view.rows = rows
+        return view
 
-    def graph(self, labels: np.ndarray, c: int | None = None):
-        """The graph that holds these rows (with ``c``, those whose ``labels``
-        are c) and their ascending rows in it."""
-        graph, class_rows = self.graphs.of_class(c)
-        if c is None:
-            return graph, self.rows
-        return graph, np.searchsorted(class_rows, self.rows[labels == c])
+    def query(self, k: int, c: int | None = None, members=None, include_self: bool = False,
+              deadline=None) -> np.ndarray:
+        """``NeighborGraph.query`` over this view's rows or, with ``c``, over
+        its class-c rows: each member's k nearest, as positions among them,
+        in (distance, index) order."""
+        if c not in self._graphs:
+            class_rows = None if c is None else np.flatnonzero(self._labels == c)
+            points = self._points if c is None else self._points[class_rows]
+            self._graphs[c] = (NeighborGraph(points), class_rows)
+        graph, class_rows = self._graphs[c]
+        rows = self.rows
+        if c is not None:
+            rows = np.searchsorted(class_rows, rows[self._labels[rows] == c])
+        return graph.query(k, rows, members, include_self, deadline)

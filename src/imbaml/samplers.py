@@ -10,11 +10,10 @@ Conventions shared by every sampler:
   to inf and tie with it;
 * the exact k-NN queries of ENN, AllKNN, Tomek links, the DANGER and
   density counts of Borderline-SMOTE and ADASYN, and the same-class
-  neighbours of every SMOTE step go through ``_nearest``. On a dataset that
-  carries a search's ``neighbours`` (a fold's training rows, or rows a
-  sampler kept of them) it serves them from the search's ``NeighborGraph``,
-  else from lists built for that one call. CNN (whose store depends on the
-  rng) and ClusterCentroids' k-means query a ``NeighborIndex`` of their own;
+  neighbours of every SMOTE step go through ``_nearest``, which queries
+  the dataset's ``neighbours`` view, or a new view for that one call. CNN
+  (whose store depends on the rng) and ClusterCentroids' k-means query a
+  ``NeighborIndex`` of their own;
 * multiclass policy: oversamplers raise every non-majority class to the
   majority count; undersamplers edit only classes above the minimum count;
 * surviving original rows are bit-identical to the input and keep their
@@ -26,7 +25,7 @@ from __future__ import annotations
 import numpy as np
 
 from .dataset import Dataset, _class_rows, class_distribution
-from .neighbors import NeighborGraph, NeighborIndex, _squared_sums, _vote_counts, _without_self
+from .neighbors import NeighborGraphs, NeighborIndex, _squared_sums, _vote_counts, _without_self
 from .rng import Rng
 from .space import ComponentConfig, SAMPLER, DomainError
 
@@ -78,16 +77,10 @@ def _largest_remainder(weights: np.ndarray, total: int) -> np.ndarray:
 
 def _nearest(d: Dataset, k: int, members=None, c: int | None = None,
              include_self: bool = False, deadline=None) -> np.ndarray:
-    """``NeighborGraph.query`` over the rows of ``d`` or, with ``c``, over
-    its class-c rows (positions among them): each member's k nearest, in
-    (distance, index) order. The graph is the search's when ``d`` carries
-    its ``neighbours``, else one built for this call."""
-    if d.neighbours is None:
-        graph = NeighborGraph(d.features if c is None else d.features[d.labels == c])
-        rows = None
-    else:
-        graph, rows = d.neighbours.graph(d.labels, c)
-    return graph.query(k, rows, members, include_self, deadline)
+    """``NeighborGraphs.query`` of ``d``'s view, or of a new view of its
+    rows when it carries none."""
+    return (d.neighbours or NeighborGraphs(d.features, d.labels)).query(
+        k, c, members, include_self, deadline)
 
 
 def _smote_class(d: Dataset, c: int, k: int, count: int, rng: Rng,

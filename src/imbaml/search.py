@@ -14,12 +14,11 @@ The algorithm knobs are module constants: asynchronous evolution draws
 ``REDUCTION_FACTOR``. The fold plan is ``SearchConfig.folds_k`` stratified
 folds drawn from the seed.
 
-Each search owns the neighbour graphs of its dataset (``neighbors.
-NeighborGraphs``): it evaluates on a copy of the caller's dataset that
-carries them, so every fold's training rows, in every evaluation, reach the
-same per-row neighbour lists, and the caller's dataset keeps none. A forked
-worker fills its own copy of the graphs, which ends with the worker: workers
-share no lists, and reuse them across one evaluation's folds only.
+Each search evaluates on a copy of the caller's dataset that carries a new
+view of its neighbour graphs (``Dataset.neighbours``), so the caller's
+dataset keeps none. A forked worker fills its own copy of the graphs, which
+ends with the worker: workers share no lists, and reuse them across one
+evaluation's folds only.
 """
 
 from __future__ import annotations
@@ -28,13 +27,11 @@ import time
 from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING
 
-import numpy as np
-
 from .dataset import Dataset, stratified_folds
 from .evaluate import (STATUS_ERROR, STATUS_TIMEOUT, BudgetClock, EvalLog,
                        EvaluationResult, WORST_SCORE, evaluate)
 from .metrics import BALANCED_ACCURACY_DEFINITION, METRIC_IDS
-from .neighbors import GraphRows, NeighborGraphs
+from .neighbors import NeighborGraphs
 from .pipeline import Pipeline, crossover, mutate, random_pipeline, serialize
 from .rng import Rng
 from .space import SearchSpace
@@ -203,8 +200,7 @@ class _Driver:
     neighbour graphs for one search run."""
 
     def __init__(self, d: Dataset, cfg: SearchConfig):
-        self.d = replace(d, neighbours=GraphRows(NeighborGraphs(d.features, d.labels),
-                                                 np.arange(d.n)))
+        self.d = replace(d, neighbours=NeighborGraphs(d.features, d.labels))
         self.cfg = cfg
         self.clock = BudgetClock.start(cfg.budget)
         root = Rng(cfg.seed)

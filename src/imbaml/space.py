@@ -42,7 +42,8 @@ class IntRange:
     default: int
 
     def contains(self, v) -> bool:
-        return (isinstance(v, int) and self.lo <= v <= self.hi) or v == self.default
+        return not isinstance(v, bool) and (
+            (isinstance(v, int) and self.lo <= v <= self.hi) or v == self.default)
 
     def draw(self, rng: Rng) -> int:
         return int(rng.np.integers(self.lo, self.hi + 1))
@@ -60,8 +61,9 @@ class RealRange:
         return self.lo > 0 and self.hi / self.lo > 10.0
 
     def contains(self, v) -> bool:
-        return (isinstance(v, (int, float)) and not isinstance(v, bool)
-                and self.lo <= float(v) <= self.hi) or v == self.default
+        return not isinstance(v, bool) and (
+            (isinstance(v, (int, float)) and self.lo <= float(v) <= self.hi)
+            or v == self.default)
 
     def draw(self, rng: Rng) -> float:
         if self.log_scale:
@@ -153,7 +155,7 @@ class SearchSpace:
             v = params.pop(pname, dom.default)
             if isinstance(dom, IntRange) and isinstance(v, float) and v.is_integer():
                 v = int(v)
-            if isinstance(dom, RealRange) and isinstance(v, int):
+            if isinstance(dom, RealRange) and isinstance(v, int) and not isinstance(v, bool):
                 v = float(v)
             if not dom.contains(v):
                 raise DomainError(

@@ -99,7 +99,7 @@ def test_resample_rejects_a_non_sampler(tmp_path, data_csv, capsys):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("mode", [[], ["--pooled"]])
+@pytest.mark.parametrize("mode", [[], ["--pooled"], ["--similarity", "raw-cosine"]])
 def test_meta_query_prints_candidates_that_parse(store_path, data_csv, mode, capsys):
     capsys.readouterr()
     assert main(["meta", "query", str(data_csv), "--store", str(store_path),

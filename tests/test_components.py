@@ -8,7 +8,7 @@ from imbaml.estimators import fit
 from imbaml.evaluate import STATUS_OK, evaluate
 from imbaml.preprocessing import fit_preprocessor
 from imbaml.samplers import apply_sampler
-from imbaml.space import ESTIMATOR, PREPROCESSOR, SAMPLER, DomainError, IntRange
+from imbaml.space import ESTIMATOR, PREPROCESSOR, SAMPLER, DomainError, IntRange, RealRange
 from imbaml.tree import DecisionTreeClassifier
 
 from helpers import overlapping_binary
@@ -54,6 +54,14 @@ def test_builder_stays_out_of_identity():
     cfg = SearchSpace([a]).default_config("K")
     assert cfg == SearchSpace([b]).default_config("K")
     assert "build" not in repr(cfg)
+
+
+def test_numeric_domains_exclude_bools():
+    # True == 1 == 1.0, so a bool used to pass as a range's default of 1
+    assert not IntRange(1, 3, 1).contains(True)
+    assert not RealRange(0.05, 1.01, 1.0).contains(True)
+    with pytest.raises(DomainError, match="learning_rate"):
+        DEFAULT_SPACE.make_config("RUSBoostClassifier", {"learning_rate": True})
 
 
 def test_config_without_builder_is_a_domain_error():

@@ -299,3 +299,13 @@ def test_dataset_invariants():
         Dataset.from_arrays("bad", np.array([[np.nan]]), np.array([0]))
     with pytest.raises(DataError):
         Dataset.from_arrays("bad", np.zeros((2, 1)), np.array([0]))
+
+
+def test_subset_takes_integer_indices_only():
+    d = Dataset.from_arrays("four", np.arange(4.0)[:, None], np.array([0, 1, 0, 1]))
+    # bool and float indices used to be cast to int64: rows 1, 0, 1, 0 and 0, 1
+    for bad in ([True, False, True, False], [0.5, 1.7], np.array([1.0])):
+        with pytest.raises(DataError, match="row indices must be integers"):
+            d.subset(bad)
+    assert d.subset(np.array([3, 1], dtype=np.uint8)).features[:, 0].tolist() == [3.0, 1.0]
+    assert d.subset([-1]).features[:, 0].tolist() == [3.0]

@@ -1,15 +1,16 @@
-"""Every function and method defined in ``src/imbaml`` is named somewhere
-else, and reads every parameter it takes.
+"""Every function, method and class defined in ``src/imbaml`` is named
+somewhere else, and every function reads every parameter it takes.
 
 A stdlib-only stand-in for a linter's dead-code rules. First, the name of
-each function or method defined in the package, dunders aside, must appear
-in ``src/``, ``tests/`` or ``perfbench/`` outside its own definition. A name
-counts when it is written as a name, as an attribute (``obj.name``), in an
-import, or as a whole string constant, since perfbench wraps methods by
-name. Names are matched by spelling alone, so one use covers every
-definition of that name. A private (leading-underscore) function must be
-named in ``src/`` or ``perfbench/``: one that only tests name is code only
-tests need.
+each function, method or class defined in the package, dunders aside, must
+appear in ``src/``, ``tests/`` or ``perfbench/`` outside its own definition
+(a class's body is part of its definition). A name counts when it is
+written as a name, as an attribute (``obj.name``), in an import, or as a
+whole string constant, since perfbench wraps methods by name. Names are
+matched by spelling alone, so one use covers every definition of that
+name. A private (leading-underscore) function or class must be named in
+``src/`` or ``perfbench/``: one that only tests name is code only tests
+need.
 
 Second, the body of each such function must read each of its parameters,
 nested functions included. The shared interfaces are exempt: a method's
@@ -28,11 +29,13 @@ PACKAGE = ROOT / "src" / "imbaml"
 SCANNED = [ROOT / "src", ROOT / "tests", ROOT / "perfbench"]
 
 _DEFS = (ast.FunctionDef, ast.AsyncFunctionDef)
+_NAMED_DEFS = (*_DEFS, ast.ClassDef)
 
 
 def defined_functions(source: str) -> list[tuple[str, int]]:
+    """``(name, line)`` of each function, method and class, dunders aside."""
     return [(node.name, node.lineno) for node in ast.walk(ast.parse(source))
-            if isinstance(node, _DEFS)
+            if isinstance(node, _NAMED_DEFS)
             and not (node.name.startswith("__") and node.name.endswith("__"))]
 
 
@@ -52,7 +55,7 @@ def named(source: str) -> set[str]:
             name = node.value
         if name is not None and name not in enclosing:
             found.add(name)
-        if isinstance(node, _DEFS):
+        if isinstance(node, _NAMED_DEFS):
             enclosing = enclosing | {node.name}
         for child in ast.iter_child_nodes(node):
             visit(child, enclosing)
@@ -62,8 +65,8 @@ def named(source: str) -> set[str]:
 
 
 def unnamed_functions(package: dict[str, str], others: list[str]) -> list[str]:
-    """``path:line name`` of each function in ``package`` (path -> source)
-    that no module of ``package`` or ``others`` names."""
+    """``path:line name`` of each function or class in ``package`` (path ->
+    source) that no module of ``package`` or ``others`` names."""
     used = set()
     for source in [*package.values(), *others]:
         used |= named(source)
@@ -137,13 +140,17 @@ def test_scan_flags_an_unnamed_function():
            "def dead():\n    return dead()\n\n\n"
            "class A:\n    def __init__(self):\n        pass\n\n"
            "    def by_attr(self):\n        pass\n\n"
-           "    def by_string(self):\n        pass\n")
-    user = "used()\nA().by_attr()\nwrap(A, 'by_string')\n"
+           "    def by_string(self):\n        pass\n\n\n"
+           "class Unused:\n    def make(self):\n        return Unused()\n")
+    user = "used()\nA().by_attr()\nwrap(A, 'by_string')\nUnused().make()\n"
     # a call inside its own definition does not count; dunders are exempt
     assert unnamed_functions({"lib.py": lib}, [user]) == ["lib.py:5 dead"]
     # a docstring that mentions a name does not name it
     assert unnamed_functions({"lib.py": lib}, ['"""Calls dead()."""\n' + user]) \
         == ["lib.py:5 dead"]
+    # a class named only in its own body is unnamed
+    assert unnamed_functions({"lib.py": lib}, [user.replace("Unused()", "x")]) \
+        == ["lib.py:20 Unused", "lib.py:5 dead"]
 
 
 def test_scan_flags_an_unread_parameter():

@@ -12,7 +12,7 @@ from imbaml import (DataError, MetadataStore, MetaRecord, Rng, StoredPipeline,
                     extract_metafeatures, serialize, warm_start_candidates)
 from imbaml.metafeatures import (FEATURE_NAMES, MetaFeatureVector, _average_ranks,
                                  _entropy_bits, _mutual_information)
-from imbaml.metastore import MetaStoreError, rank_records
+from imbaml.metastore import MetaStoreError, rank_records, similarity
 
 from helpers import make_dataset
 
@@ -96,6 +96,50 @@ def test_warm_start_orders_per_dataset_and_pooled(store, query):
     # duplicates of NB are skipped, so only four distinct texts exist
     assert texts(m=10) == [NB, TOMEK_NB, KNN, SMOTE_NB]
     assert texts(m=10, per_dataset=False) == [NB, KNN, SMOTE_NB, TOMEK_NB]
+
+
+def _sparse(**coords) -> MetaFeatureVector:
+    """A vector holding ``coords`` (feature j as ``fj``), every other feature
+    unavailable."""
+    values = [None] * len(FEATURE_NAMES)
+    for name, v in coords.items():
+        values[int(name[1:])] = v
+    return MetaFeatureVector(tuple(values))
+
+
+@pytest.fixture
+def small_store() -> MetadataStore:
+    """Features 0-3 have store mean 1, 2, 5, 2 and std 1, 1, 0, 2."""
+    s = MetadataStore()
+    for name, vec in (("r1", _sparse(f0=0, f1=1, f2=5, f3=0)),
+                      ("r2", _sparse(f0=2, f1=3, f2=5, f3=4))):
+        s.insert(MetaRecord(name, vec, (StoredPipeline(NB, "balanced_accuracy", 0.8),)))
+    return s
+
+
+def test_similarity_by_hand_in_both_modes(small_store):
+    a = _sparse(f0=3, f2=4, f3=6)  # feature 1 unavailable
+    b = _sparse(f0=0, f1=2, f2=3, f3=6)
+    # raw: features 0, 2, 3, so (3, 4, 6).(0, 3, 6) / (sqrt 61 sqrt 45)
+    assert similarity(a, b, small_store, "raw") == pytest.approx(48 / np.sqrt(61 * 45))
+    # standardized: feature 2 has zero spread, so features 0 and 3 remain,
+    # (2, 2).(-1, 2) / (sqrt 8 sqrt 5)
+    assert similarity(a, b, small_store) == pytest.approx(2 / np.sqrt(40))
+    # r1 (0, 5, 0) against a: 20 / (5 sqrt 61); r2 (2, 5, 4): 50 / sqrt(45 * 61)
+    ranked = rank_records(small_store, a, mode="raw")
+    assert [i for i, _ in ranked] == [1, 0]
+    assert [s for _, s in ranked] == pytest.approx([50 / np.sqrt(45 * 61), 4 / np.sqrt(61)])
+
+
+def test_similarity_errors(small_store):
+    a = _sparse(f0=3, f2=4)
+    with pytest.raises(MetaStoreError, match="no shared available coordinates"):
+        similarity(a, _sparse(f1=2), small_store, "raw")
+    # feature 2 is shared, but its zero spread leaves nothing to standardize
+    with pytest.raises(MetaStoreError, match="no shared available coordinates"):
+        similarity(_sparse(f2=4), _sparse(f2=3), small_store)
+    with pytest.raises(MetaStoreError, match="unknown similarity mode 'cosine'"):
+        similarity(a, a, small_store, "cosine")
 
 
 def test_extract_metafeatures_is_deterministic():

@@ -6,7 +6,7 @@ import pytest
 
 from imbaml import DEFAULT_SPACE, Dataset, Rng, class_distribution
 from imbaml.evaluate import Deadline, EvalTimeout
-from imbaml.neighbors import _QUERY_BLOCK, GraphRows, NeighborGraphs, NeighborIndex
+from imbaml.neighbors import _QUERY_BLOCK, NeighborGraphs, NeighborIndex
 from imbaml.samplers import (SamplerError, adasyn, all_knn, apply_sampler,
                              borderline_smote, cluster_centroids, cnn, enn,
                              smote, smote_enn, smote_tomek, tomek_links)
@@ -608,6 +608,8 @@ def test_apply_sampler_balances():
 def test_apply_sampler_rejects_out_of_domain_k():
     with pytest.raises(DomainError, match="k_neighbours"):
         DEFAULT_SPACE.make_config("SMOTE", {"k_neighbours": 30})
+    with pytest.raises(DomainError, match="k_neighbours"):
+        DEFAULT_SPACE.make_config("SMOTE", {"k_neighbours": True})
 
 
 def test_apply_sampler_rejects_unknown_hyperparameter():
@@ -691,8 +693,7 @@ def test_smote_idempotent_on_balance():
 
 def served(d):
     """``d`` carrying its own neighbour graphs, as a search's dataset does."""
-    return replace(d, neighbours=GraphRows(NeighborGraphs(d.features, d.labels),
-                                           np.arange(d.n)))
+    return replace(d, neighbours=NeighborGraphs(d.features, d.labels))
 
 
 SERVED_SAMPLERS = [
